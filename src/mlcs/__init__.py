@@ -46,6 +46,7 @@ from .quadrature import (
     QuadratureSpec,
     gauss_legendre,
     gauss_legendre_panels,
+    half_line_quad,
     improper_quad,
 )
 from .measure import (

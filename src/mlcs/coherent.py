@@ -209,7 +209,8 @@ def overlap(z1: CSLabel, z2: CSLabel, params: MLParams,
     d2 = ml_eval(params, z2.modulus ** 2, cfg)
     if not (d1.converged and d2.converged):
         raise ConvergenceError("normalization series did not converge")
-    return num / math.sqrt(d1.value * d2.value)
+    # two square roots: the product of the normalizations overflows first
+    return num / (math.sqrt(d1.value) * math.sqrt(d2.value))
 
 
 def overlap_from_coeffs(a: FockExpansion, b: FockExpansion) -> complex:

@@ -9,15 +9,25 @@ with G a Meijer G^{2,0}_{1,2} kernel
 
     G(y | a1 ; 0, b2),   a1 = gamma/k - 1,  b2 = beta/alpha - 1,
 
-which collapses to exp(-y) * y**b2 * U(a1, b2 + 1, y) (Tricomi U).  An
-independent Mellin-Barnes contour evaluation of the same kernel backs the
-fast route, and the moment identity
+which collapses to exp(-y) * y**b2 * U(a1, b2 + 1, y) (Tricomi U), taken
+from a Laplace integral for y >= 1e-4 and from the connection formula of U
+(two short Kummer series) below.  An independent Mellin-Barnes contour
+evaluation of the same kernel backs the fast route, and the moment identity
 
     int_0^inf x**(s-1) G((k/alpha) x) dx
         = (alpha/k)**s * Gamma(s) Gamma(b2 + s) / Gamma(a1 + s)
 
 is the quantitative check that the measure closes the basis: against it the
 coefficient-space identity matrix comes out as a Kronecker delta.
+
+Both identity suites integrate with the half-line double-exponential rule of
+the quadrature module (nodes x = (alpha/k) exp(t - exp(-t)), error estimate
+from one halving of the step).  Every moment s shares the same nodes, and
+every diagonal entry n shares the nodes of the Gram matrix, so the kernel,
+h(x) and the coherent state are built once per node rather than once per
+integrand value of a quadrature nested in a quadrature.  The Gram matrix
+goes through h(x) and the state coefficients, not the moment sums, so it
+stays an independent check.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 from .mlfunc import EvalConfig, ml_eval
-from .quadrature import QuadratureSpec, gauss_legendre, improper_quad
+from .quadrature import QuadratureSpec, gauss_legendre, half_line_quad
 
 __all__ = [
     "QuadratureSpec",
@@ -137,6 +147,116 @@ def _tricomi_u(a: float, b: float, y: float) -> float:
     return (2.0 * a + 2.0 - b + y) * u1 - (a + 1.0) * (a + 2.0 - b) * u2
 
 
+# Below this kernel argument the Laplace integral loses the integrand to
+# underflow (for gamma/k < 1 or beta/alpha < 1 it ends in log(0)), while the
+# two Kummer series of the connection formula need only a few terms.
+_SMALL_Y = 1e-4
+# |b2 - round(b2)| below which the two series are paired term by term.
+_NEAR_INTEGER = 0.05
+_TAYLOR_N = np.arange(1, 11)
+_TAYLOR_W = 1.0 / np.cumprod(_TAYLOR_N)  # 1 / n!
+
+
+def _kummer_reg(a: float, b: float, y: float) -> float:
+    """M(a, b, y) / Gamma(b) for 0 < y < _SMALL_Y and b + k away from 0."""
+    term = float(special.rgamma(b))
+    total = term
+    for k in range(200):
+        term *= (a + k) * y / ((k + 1) * (b + k))
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
+    raise ConvergenceError(f"Kummer series M({a}, {b}, {y}) did not settle")
+
+
+def _kummer_poly(p: int, c: float, y: float) -> float:
+    """U(-p, c, y), a polynomial (DLMF 13.2.7)."""
+    return (-1) ** p * sum(
+        math.comb(p, s) * float(special.poch(c + s, p - s)) * (-y) ** s
+        for s in range(p + 1)
+    )
+
+
+def _gamma_ratio_m1(x: float, d: float) -> float:
+    """(Gamma(x + d) / Gamma(x) - 1) / d for |d| << 1 with no cancellation;
+    psi(x) at d = 0.  x + i must stay clear of 0 for the upward shifts."""
+    acc = 0.0
+    while x < 2.0:
+        acc -= math.log1p(d / x) / d if d else 1.0 / x
+        x += 1.0
+    slope = acc + float(np.dot(special.polygamma(_TAYLOR_N - 1, x),
+                               d ** (_TAYLOR_N - 1) * _TAYLOR_W))
+    return slope * float(special.exprel(d * slope))
+
+
+def _g_small_y(a1: float, b2: float, y: float) -> float:
+    """Kernel G(y) for 0 < y < _SMALL_Y, a1 != 0, from the connection formula
+    (DLMF 13.2.42) in regularized form:
+
+        G = pi / sin(pi b2) * exp(-y) * [ M~(a1-b2, 1-b2, y) / Gamma(a1)
+                                          - y**b2 M~(a1, 1+b2, y) / Gamma(a1-b2) ]
+
+    with M~(a, b, y) = M(a, b, y) / Gamma(b).  For b2 = m + eps near an integer
+    m >= 0 the term y**(m+j) of the first series and y**(m+eps+j) of the
+    second cancel to O(eps); they are paired and divided by eps analytically,
+    which gives the logarithmic limit at eps = 0.  If moreover a1 - b2 is a
+    nonpositive integer -p, the pairing degenerates and G is the polynomial
+    exp(-y) U(-p, 1-b2, y).
+    """
+    m = round(b2)
+    eps = b2 - m
+    if m < 0 or abs(eps) >= _NEAR_INTEGER:
+        head = (-1) ** m * math.pi / math.sin(math.pi * eps)
+        return math.exp(-y) * head * (
+            float(special.rgamma(a1)) * _kummer_reg(a1 - b2, 1.0 - b2, y)
+            - float(special.rgamma(a1 - b2)) * y ** b2 * _kummer_reg(a1, 1.0 + b2, y)
+        )
+    # a1 - eps + shift is the one quantity that can sit next to a pole of
+    # Gamma; form it once so 1/Gamma(a1 - b2) and Gamma(a1 - eps + j) agree
+    shift = 1 if a1 < -0.5 else 0
+    base = (a1 + shift) - eps
+    r_ab = float(special.rgamma(base))  # becomes 1/Gamma(a1 - b2)
+    for i in range(1, m + shift + 1):
+        r_ab *= base - i
+    if r_ab == 0.0:
+        return math.exp(-y) * _kummer_poly(m + shift - round(base), 1.0 - b2, y)
+    # first-series terms y**k, k < m: 1/Gamma(1 - b2 + k) cancels the sine
+    finite = 0.0
+    t = float(special.rgamma(a1))
+    for k in range(m):
+        finite += (-1) ** k * math.gamma(m - k + eps) * t
+        t *= (a1 - b2 + k) * y / (k + 1)
+    log_y = math.log(y)
+    y_eps = log_y * float(special.exprel(eps * log_y))  # (y**eps - 1) / eps
+    c = r_ab * y ** m / math.factorial(m)  # (a1)_j y**(m+j) / (Gamma(a1-b2) j! (m+j)!)
+    paired = 0.0
+    # pair j over eps is c * [Gamma(x - eps) j! / (Gamma(x) Gamma(1 + j - eps))
+    #                         - y**eps (m + j)! / Gamma(1 + m + j + eps)] / eps
+    # with x = a1 + j; each gamma ratio is 1 + d * (ratio - 1) / d, so the
+    # leading 1s cancel exactly and only the smooth quotients remain
+    for j in range(200):
+        x = a1 + j
+        if abs(eps) > 0.5 * min(abs(x), abs(x + 1.0)):
+            # Gamma(x - eps) is near a pole: the pair does not cancel
+            ratio = float(special.gamma(base) * special.poch(base, j - shift)
+                          * special.rgamma(x))
+            ga = (ratio - 1.0) / -eps
+        else:
+            ga = _gamma_ratio_m1(x, -eps)
+        gb = _gamma_ratio_m1(1.0 + j, -eps)
+        gc = _gamma_ratio_m1(1.0 + m + j, eps)
+        rho = 1.0 / (1.0 + eps * gc)
+        term = c * (-ga + (1.0 - eps * ga) * gb / (1.0 - eps * gb) + (gc - y_eps) * rho)
+        paired += term
+        if j > 0 and abs(term) <= 1e-17 * abs(paired):
+            break
+        c *= x * y / ((j + 1) * (m + j + 1))
+    else:
+        raise ConvergenceError(f"paired Kummer series at y={y} did not settle")
+    sigma = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
+    return math.exp(-y) * (finite + (-1) ** m * sigma * paired)
+
+
 def meijer_g_weight(params: MLParams, x: float, check: bool = False,
                     check_tol: float = 1e-6) -> float:
     """Meijer kernel G((k/alpha) x | gamma/k - 1 ; 0, beta/alpha - 1).
@@ -158,7 +278,10 @@ def meijer_g_weight(params: MLParams, x: float, check: bool = False,
             return 1.0 if a1 == 0.0 else math.inf
         return math.inf
     y = (params.k / params.alpha) * x
-    value = (y ** b2) * math.exp(-y) * _tricomi_u(a1, b2 + 1.0, y)
+    if y < _SMALL_Y and a1 != 0.0:
+        value = _g_small_y(a1, b2, y)
+    else:
+        value = (y ** b2) * math.exp(-y) * _tricomi_u(a1, b2 + 1.0, y)
     if check:
         referee = meijer_g_weight_mb(params, x)
         scale = max(abs(value), abs(referee))
@@ -248,20 +371,22 @@ def moment_closed_form(params: MLParams, s: float) -> float:
 
 def verify_resolution(params: MLParams, s_max: int = 8,
                       quad: QuadratureSpec | None = None) -> MomentReport:
-    """Moments of the Meijer kernel, quadrature vs closed form, s = 1..s_max."""
+    """Moments of the Meijer kernel, quadrature vs closed form, s = 1..s_max.
+
+    All moments share the nodes of one half-line rule, so the kernel is
+    evaluated once per node; ConvergenceError if any moment misses the target.
+    """
     if not (isinstance(s_max, int) and s_max >= 1):
         raise DomainError(f"s_max must be an integer >= 1, got {s_max!r}")
-    quad = quad or QuadratureSpec()
-    ratio = params.alpha / params.k
-    lhs = []
-    rhs = []
-    s_values = list(range(1, s_max + 1))
-    for s in s_values:
-        f = lambda x: x ** (s - 1) * meijer_g_weight(params, x)
-        start = max(32.0, (10.0 * s + 40.0) * ratio)
-        value, _ = improper_quad(f, quad, start=start)
-        lhs.append(value)
-        rhs.append(moment_closed_form(params, float(s)))
+    powers = np.arange(s_max)
+
+    def moments(xs):
+        g = np.array([meijer_g_weight(params, x) for x in xs.tolist()])
+        return xs[:, None] ** powers * g[:, None]
+
+    lhs, _ = half_line_quad(moments, params.alpha / params.k, quad)
+    s_values = range(1, s_max + 1)
+    rhs = [moment_closed_form(params, float(s)) for s in s_values]
     return MomentReport(tuple(s_values), tuple(lhs), tuple(rhs))
 
 
@@ -273,24 +398,19 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10,
     Entry (m, n) is int_0^inf h(x) c_m(sqrt(x)) c_n(sqrt(x)) dx after the
     angular integral has killed m != n (coefficients at zero phase are real);
     off-diagonal entries are written as exact zeros and the diagonal is
-    computed by quadrature, so the result should be the identity.
+    computed by quadrature, so the result should be the identity.  Each node
+    of the half-line rule builds h(x) and the coherent state once for every n.
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    quad = quad or QuadratureSpec()
     cfg = cfg or EvalConfig()
-    ratio = params.alpha / params.k
-    out = np.zeros((n_max + 1, n_max + 1))
 
-    def prob(x: float, n: int) -> float:
-        state = cs_build(CSLabel(math.sqrt(x)), params, cfg)
-        if n >= state.coeffs.size:
-            return 0.0
-        return float(np.abs(state.coeffs[n]) ** 2)
+    def weighted_probs(xs):
+        out = np.zeros((xs.size, n_max + 1))
+        for row, x in zip(out, xs.tolist()):
+            coeffs = cs_build(CSLabel(math.sqrt(x)), params, cfg).coeffs[: n_max + 1]
+            row[: coeffs.size] = measure_weight_h(params, x, cfg) * np.abs(coeffs) ** 2
+        return out
 
-    for n in range(n_max + 1):
-        f = lambda x: measure_weight_h(params, x, cfg) * prob(x, n)
-        start = max(32.0, (2.0 * n + 40.0) * ratio)
-        value, _ = improper_quad(f, quad, start=start)
-        out[n, n] = value
-    return out
+    diag, _ = half_line_quad(weighted_probs, params.alpha / params.k, quad)
+    return np.diag(diag)

@@ -253,13 +253,26 @@ def ml_laplace_quad(
     def f(x):
         return math.exp(-s * x) * ml_eval(params, x, cfg).value
 
+    def probe(x):
+        # E grows with x, so a finite value at the cutoff vouches for [0, x]
+        value = f(x)
+        if not math.isfinite(value):
+            raise ConvergenceError(
+                f"integrand not finite at x={x} (s={s}): E overflows before the tail is negligible"
+            )
+        return value
+
     upper = 16.0 / rate
+    tail = probe(upper)
     value, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=rel_tol, limit=200)
-    while f(upper) * 2.0 / rate > rel_tol * abs(value):
+    while tail * 2.0 / rate > rel_tol * abs(value):
         upper *= 2.0
         if upper > 1e7:
             raise ConvergenceError(f"cutoff search runaway at s={s}")
+        tail = probe(upper)
         value, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=rel_tol, limit=400)
+    if not math.isfinite(value):
+        raise ConvergenceError(f"quadrature value {value!r} at s={s}")
     if err > 100.0 * rel_tol * abs(value) + 1e-300:
         raise ConvergenceError(
             f"quadrature error estimate {err:.3e} too large for value {value:.6e}"

@@ -160,12 +160,15 @@ class TestOverlaps:
 
     def test_closed_and_coefficient_routes_agree(self):
         params = MLParams(1.4, 2.8, 0.6, 1.9)
-        pairs = [
-            (CSLabel(1.0, 0.0), CSLabel(2.0, 1.0)),
-            (CSLabel(0.5, 3.0), CSLabel(0.5, 0.1)),
-            (CSLabel(2.4, 5.9), CSLabel(1.1, 2.2)),
+        cases = [
+            (params, CSLabel(1.0, 0.0), CSLabel(2.0, 1.0)),
+            (params, CSLabel(0.5, 3.0), CSLabel(0.5, 0.1)),
+            (params, CSLabel(2.4, 5.9), CSLabel(1.1, 2.2)),
+            # E(1100) ~ 1e167: the product of the two normalizations overflows
+            (MLParams(2.0, 3.0, 1.5, 0.7), CSLabel(math.sqrt(1100.0)),
+             CSLabel(math.sqrt(1100.0), 0.1)),
         ]
-        for z1, z2 in pairs:
+        for params, z1, z2 in cases:
             closed = overlap(z1, z2, params)
             direct = overlap_from_coeffs(cs_build(z1, params), cs_build(z2, params))
             assert closed == pytest.approx(direct, abs=1e-10)

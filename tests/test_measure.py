@@ -8,16 +8,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mlcs import (
+    CSLabel,
+    ConvergenceError,
     DomainError,
+    LinearSpectrum,
     MLParams,
     MomentReport,
     QuadratureSpec,
     RouteMismatchError,
+    ThermalConfig,
     UNIT_PARAMS,
+    half_line_quad,
     measure_weight_h,
     meijer_g_weight,
     meijer_g_weight_mb,
     moment_closed_form,
+    p_function,
     resolution_identity_matrix,
     verify_resolution,
 )
@@ -32,6 +38,14 @@ def reference_kernel(params, x):
     y = params.k / params.alpha * x
     with mpmath.workdps(30):
         return float(mpmath.meijerg([[], [a1]], [[0.0, b2], []], y))
+
+
+def reference_kernel_u(a1, b2, y):
+    """Same kernel as y**b2 exp(-y) U(a1, b2 + 1, y) through mpmath's hyperu,
+    which handles (near-)integer b2 and tiny y."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        return float(y ** b2 * mpmath.exp(-y) * mpmath.hyperu(a1, b2 + 1, y))
 
 
 class TestMeijerKernel:
@@ -96,6 +110,41 @@ class TestMeijerKernel:
             assert meijer_g_weight(neg, x) == pytest.approx(
                 reference_kernel(neg, x), rel=1e-10
             )
+
+    @pytest.mark.parametrize("a1", [-0.9, -0.45, -1e-3, 1e-3, 0.3, 1.0, 1.7, 3.0])
+    def test_small_argument_grid(self, a1):
+        # below y = 1e-4 the kernel comes from the connection formula; b2 runs
+        # through (-1, 3] with points within 1e-3 of 0 and 1, where the two
+        # Kummer series cancel and are paired
+        b2_values = (-0.9, -0.4, -1e-3, -1e-7, 0.0, 1e-9, 1e-3, 0.5,
+                     1.0 - 1e-3, 1.0, 1.0 + 1e-7, 1.001, 2.3, 3.0)
+        y_values = [1e-30, 1e-18, 1e-10, 1e-6, 3e-5, 9.9e-5]
+        if abs(a1) >= 0.01:
+            # above 1e-4 the Laplace route runs; for |a1| <~ 0.01 it carries
+            # the known small-a1 defect (ROADMAP, "Fix first"; up to 1e-10
+            # here for a1 < 0, 1e-4 for a1 > 0)
+            y_values += [2e-4, 1e-3]
+        for b2 in b2_values:
+            params = MLParams(1.0, b2 + 1.0, a1 + 1.0, 1.0)
+            a1_, b2_ = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
+            for y in y_values:
+                # the Laplace route above 1e-4 holds ~1e-12; for a1 < 0 the
+                # kernel changes sign, hence the absolute floor
+                rel = 1e-12 if y < 1e-4 else 1e-11
+                assert meijer_g_weight(params, y) == pytest.approx(
+                    reference_kernel_u(a1_, b2_, y), rel=rel, abs=1e-15
+                ), (a1_, b2_, y)
+
+    def test_small_argument_public_paths(self):
+        # these raised a bare ValueError (log of an underflowed integral)
+        for params, x in ((MLParams(1.5, 1.2, 0.6, 1.0), 3e-6),
+                          (MLParams(1.0, 0.3, 2.0, 1.0), 2.5e-6)):
+            assert meijer_g_weight(params, x) == pytest.approx(
+                reference_kernel(params, x), rel=1e-12
+            )
+            assert math.isfinite(measure_weight_h(params, x))
+            cfg = ThermalConfig(0.5, LinearSpectrum.from_params(params))
+            assert math.isfinite(p_function(CSLabel(math.sqrt(x)), params, cfg))
 
     def test_large_first_index_stays_accurate(self):
         # gamma/k >> 1 suppresses the kernel far below the contour head;
@@ -193,6 +242,18 @@ class TestMomentIdentity:
             for l, r in zip(report.lhs, report.rhs):
                 assert l == pytest.approx(r, rel=1e-8)
 
+    def test_gamma_k_and_beta_alpha_below_one(self):
+        # the rule's nodes reach far below y = 1e-4, where the Laplace route
+        # of the kernel failed for gamma/k < 1 and beta/alpha < 1
+        report = verify_resolution(MLParams(1.5, 1.2, 0.6, 1.0), s_max=10)
+        assert report.max_rel_err <= 1e-10
+
+    def test_node_budget_and_cutoff_are_enforced(self):
+        with pytest.raises(ConvergenceError):
+            verify_resolution(UNIT_PARAMS, s_max=40, quad=QuadratureSpec(max_nodes=100))
+        with pytest.raises(ConvergenceError):
+            verify_resolution(UNIT_PARAMS, s_max=8, quad=QuadratureSpec(upper_cutoff=5.0))
+
     def test_report_dict_shape(self):
         report = verify_resolution(UNIT_PARAMS, s_max=3)
         d = report.to_dict()
@@ -216,6 +277,10 @@ class TestResolutionIdentity:
         off = mat - np.diag(np.diag(mat))
         assert np.all(off == 0.0)
 
+    def test_gram_matrix_below_unit_indices(self):
+        mat = resolution_identity_matrix(MLParams(1.5, 1.2, 0.6, 1.0), n_max=10)
+        assert np.max(np.abs(mat - np.eye(11))) <= 1e-10
+
     def test_unit_parameters_identity(self):
         mat = resolution_identity_matrix(UNIT_PARAMS, n_max=4)
         assert np.allclose(mat, np.eye(5), atol=1e-9)
@@ -233,3 +298,28 @@ class TestResolutionIdentity:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_nodes=10)
+
+
+class TestHalfLineRule:
+    def test_gamma_family_on_shared_nodes(self):
+        # int_0^inf x**p exp(-x) dx = Gamma(p + 1), endpoint behavior x**p
+        powers = np.array([-0.7, 0.0, 0.5, 3.0, 9.0])
+        values, errors = half_line_quad(
+            lambda x: x[:, None] ** powers * np.exp(-x)[:, None], 1.0
+        )
+        want = np.array([math.gamma(p + 1.0) for p in powers])
+        assert np.allclose(values, want, rtol=1e-13, atol=0.0)
+        assert np.all(errors <= np.maximum(1e-10, 1e-12 * want))
+
+    def test_scale_moves_the_bulk(self):
+        values, _ = half_line_quad(lambda x: np.exp(-x / 250.0), 250.0)
+        assert values[0] == pytest.approx(250.0, rel=1e-13)
+
+    def test_failures_are_typed(self):
+        with pytest.raises(DomainError):
+            half_line_quad(lambda x: np.exp(-x), 0.0)
+        with pytest.raises(ConvergenceError):
+            half_line_quad(lambda x: np.full(x.shape, np.nan), 1.0)
+        # x**-0.999 is integrable, but not before the nodes underflow
+        with pytest.raises(ConvergenceError):
+            half_line_quad(lambda x: x ** -0.999 * np.exp(-x), 1.0)

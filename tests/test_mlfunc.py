@@ -198,6 +198,12 @@ class TestLaplace:
             quad = ml_laplace_quad(params, s)
             assert closed == pytest.approx(quad, rel=1e-8)
 
+    def test_quadrature_route_raises_when_e_overflows(self):
+        # s sits 0.01 above k/alpha: the cutoff doubles past x ~ 2030, where
+        # E(x) leaves float range, long before the tail is negligible
+        with pytest.raises(ConvergenceError):
+            ml_laplace_quad(MLParams(2.0, 3.0, 1.5, 0.7), 0.36)
+
     def test_abscissa_is_enforced(self):
         params = MLParams(1.0, 2.0, 1.0, 3.0)
         with pytest.raises(DomainError):
