@@ -2,13 +2,19 @@
 exponential), its four-parameter generalization, and the continuum versions
 of the measure, partition function, Husimi Q and diagonal P weights.
 
-All integrals run over the energy variable E on [0, inf) with integrands of
-the shape exp(E log x - log Gamma(E+1) + gamma-ratio terms): sharply peaked
-once x is large, so every evaluation first locates the peak E* (a digamma
-root), factors out the peak magnitude, and integrates the rescaled integrand
-on [0, E* + 40 + 10 sqrt(E*)].  Two schemes are available, adaptive QUADPACK
-and fixed composite Gauss-Legendre, so identity checks can claim scheme
-independence.
+The point functions integrate over the energy variable E on [0, inf) with
+integrands of the shape exp(E log x - log Gamma(E+1) + gamma-ratio terms):
+sharply peaked once x is large, so every evaluation first locates the peak E*
+(a digamma root), factors out the peak magnitude, and integrates the rescaled
+integrand on [0, E* + 40 + 10 sqrt(E*)].  Two schemes are available,
+adaptive QUADPACK and the fixed composite Gauss-Legendre rule of the
+quadrature module; the tests hold them to each other.
+
+The two identity suites (measure moments and Boltzmann diagonals) integrate
+in x instead, on the half-line double-exponential rule of the quadrature
+module.  Their integrands carry h(x) / nu(x), which is exactly e^{-x} by the
+definition of the measure, so no nu value enters them: they check the moment
+algebra and the P-weight convention, not the nu quadrature.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from scipy import integrate, optimize, special
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "EnergyDensityState",
@@ -63,11 +69,11 @@ def _peaked_integral(log_f, peak: float, spec: QuadratureSpec, scheme: str) -> f
     upper = spec.upper_cutoff
     if upper is None:
         upper = peak + 40.0 + 10.0 * math.sqrt(peak)
-    scale = float(log_f(np.array([peak]))[0])
+    scale = float(log_f(peak))
 
     if scheme == "adaptive":
         def g(e):
-            return math.exp(float(log_f(np.array([e]))[0]) - scale)
+            return math.exp(float(log_f(e)) - scale)
 
         limit = max(50, spec.max_nodes // 21)
         pts = [peak] if 0.0 < peak < upper else None
@@ -81,16 +87,23 @@ def _peaked_integral(log_f, peak: float, spec: QuadratureSpec, scheme: str) -> f
     order = 24
     panels = max(12, int(math.ceil(upper / 3.0)))
     panels = min(panels, max(12, spec.max_nodes // order))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, upper, panels + 1)
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (right - left)
-        xs = left + half * (nodes + 1.0)
-        total += half * float(np.dot(weights, np.exp(log_f(xs) - scale)))
+    total = gauss_legendre_panels(lambda e: np.exp(log_f(e) - scale), 0.0, upper, panels, order)
     if total <= 0.0:
         raise ConvergenceError("fixed-rule peaked integral came out nonpositive")
     return scale + math.log(total)
+
+
+def _check_beta(beta_b) -> float:
+    if not (isinstance(beta_b, (int, float)) and math.isfinite(beta_b) and beta_b > 0):
+        raise DomainError(f"beta_b must be positive, got {beta_b!r}")
+    return float(beta_b)
+
+
+def _check_energy(e) -> float:
+    e = float(e)
+    if not (math.isfinite(e) and e >= 0.0):
+        raise DomainError(f"E must be a finite real >= 0, got {e!r}")
+    return e
 
 
 def _check_x(x) -> float:
@@ -199,8 +212,7 @@ def continuum_measure_weight(x: float, quad: QuadratureSpec | None = None,
 
 def continuum_partition(beta_b: float) -> float:
     """Partition function of the continuous spectrum, exactly 1/beta_b."""
-    if not (isinstance(beta_b, (int, float)) and math.isfinite(beta_b) and beta_b > 0):
-        raise DomainError(f"beta_b must be positive, got {beta_b!r}")
+    beta_b = _check_beta(beta_b)
     return 1.0 / beta_b
 
 
@@ -215,8 +227,7 @@ def continuum_husimi(z: CSLabel, beta_b: float,
     values themselves over- or underflow.  |z| = 0 returns the x -> 0 limit
     beta_b (both nu values collapse at the same logarithmic rate).
     """
-    if not (isinstance(beta_b, (int, float)) and math.isfinite(beta_b) and beta_b > 0):
-        raise DomainError(f"beta_b must be positive, got {beta_b!r}")
+    beta_b = _check_beta(beta_b)
     x = z.modulus ** 2
     if x == 0.0:
         return beta_b
@@ -238,13 +249,15 @@ def continuum_p_function(z: CSLabel, beta_b: float, literal_sign: bool = False) 
     evaluates beta_b * exp(+(exp(beta_b) - 1) |z|^2), the growing variant
     (kept only for comparison; it cannot reproduce Boltzmann diagonals).
     """
-    if not (isinstance(beta_b, (int, float)) and math.isfinite(beta_b) and beta_b > 0):
-        raise DomainError(f"beta_b must be positive, got {beta_b!r}")
-    x = z.modulus ** 2
+    return float(_p_weight(z.modulus ** 2, _check_beta(beta_b), literal_sign))
+
+
+def _p_weight(x, beta_b: float, literal_sign: bool = False):
+    """P weight at |z|^2 = x, elementwise over an array x; beta_b already validated."""
     growth = math.expm1(beta_b)  # e^{beta_b} - 1
     if literal_sign:
-        return beta_b * math.exp(growth * x)
-    return beta_b * math.exp(beta_b) * math.exp(-growth * x)
+        return beta_b * np.exp(growth * x)
+    return beta_b * math.exp(beta_b) * np.exp(-growth * x)
 
 
 @dataclass(frozen=True)
@@ -275,8 +288,7 @@ class EnergyDensityState:
 
     def amplitude(self, e: float) -> complex:
         """Literal amplitude c(E) = z**E / (sqrt(norm) Gamma(E+1))."""
-        if e < 0.0:
-            raise DomainError(f"E must be >= 0, got {e}")
+        e = _check_energy(e)
         mag = math.exp(
             e * math.log(self.z.modulus ** 2) / 2.0
             - special.gammaln(e + 1.0)
@@ -286,8 +298,7 @@ class EnergyDensityState:
 
     def mass_density(self, e: float) -> float:
         """Normalized energy density |z|**(2E) / (norm * Gamma(E+1))."""
-        if e < 0.0:
-            raise DomainError(f"E must be >= 0, got {e}")
+        e = _check_energy(e)
         return math.exp(
             e * math.log(self.z.modulus ** 2)
             - special.gammaln(e + 1.0)
@@ -311,52 +322,41 @@ def continuum_diagonal(e: float, beta_b: float,
                        quad: QuadratureSpec | None = None) -> float:
     """Boltzmann diagonal recovered from the P weight and the measure:
 
-        int_0^inf h(x) P(x) x**E / (Gamma(E+1) nu(x)) dx
+        int_0^inf h(x) / nu(x) * P(x) * x**E / Gamma(E+1) dx
+            = int_0^inf exp(-x) P(x) x**E / Gamma(E+1) dx,
 
-    which should equal exp(-beta_b E) * beta_b ... i.e. e^{-beta_b E}/Z.
+    which should equal beta_b exp(-beta_b E) = exp(-beta_b E) / Z.  One
+    half-line rule call with scale max(1, E) exp(-beta_b), the peak of the
+    integrand; quad sets its tolerance, cutoff and node budget.
     """
-    if e < 0.0:
-        raise DomainError(f"E must be >= 0, got {e}")
-    quad = quad or _DEFAULT_SPEC
-    lg = float(special.gammaln(e + 1.0))
-    decay = math.expm1(beta_b)
+    e = _check_energy(e)
+    beta_b = _check_beta(beta_b)
+    lg = math.lgamma(e + 1.0)
 
-    def f(x):
-        if x <= 0.0:
-            return 0.0
-        h = continuum_measure_weight(x, quad)
-        p = continuum_p_function(CSLabel(math.sqrt(x)), beta_b)
-        dens = math.exp(e * math.log(x) - lg - log_nu(x, quad))
-        return h * p * dens
+    def f(xs):
+        return np.exp(e * np.log(xs) - xs - lg) * _p_weight(xs, beta_b)
 
-    upper = (e + 40.0) / (decay + 1.0)
-    value, err = integrate.quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-9, limit=100)
-    while f(upper) * upper > 1e-11 * abs(value):
-        upper *= 2.0
-        value, err = integrate.quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-9, limit=200)
-    return value
+    value, _ = half_line_quad(f, max(1.0, e) * math.exp(-beta_b), quad)
+    return float(value[0])
 
 
 def verify_continuum_moments(e_values, quad: QuadratureSpec | None = None):
     """Measure-moment identity int h(x)/nu(x) * x**E dx = Gamma(E+1) over a
-    grid of E; returns the same report type the discrete measure uses."""
+    grid of E; returns the same report type the discrete measure uses.
+
+    All E share the nodes of one half-line rule call with scale
+    max(1, max E); quad sets its tolerance, cutoff and node budget.
+    """
     from .measure import MomentReport
 
-    quad = quad or _DEFAULT_SPEC
-    e_values = [float(e) for e in e_values]
-    if not e_values or any(e < 0.0 for e in e_values):
-        raise DomainError("need a nonempty grid of E >= 0")
-    lhs = []
-    rhs = []
-    for e in e_values:
-        def f(x):
-            if x <= 0.0:
-                return 0.0
-            w = continuum_measure_weight(x, quad) / nu_function(x, quad)
-            return w * x ** e
+    e_values = [_check_energy(e) for e in e_values]
+    if not e_values:
+        raise DomainError("need a nonempty grid of E")
+    powers = np.array(e_values)
 
-        upper = e + 45.0
-        value, _ = integrate.quad(f, 0.0, upper, epsabs=1e-13, epsrel=1e-11, limit=200)
-        lhs.append(value)
-        rhs.append(math.gamma(e + 1.0))
+    def moments(xs):
+        return np.exp(np.log(xs)[:, None] * powers - xs[:, None])
+
+    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)), quad)
+    rhs = [math.gamma(e + 1.0) for e in e_values]
     return MomentReport(tuple(e_values), tuple(lhs), tuple(rhs))

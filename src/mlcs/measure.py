@@ -42,7 +42,7 @@ from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 from .mlfunc import EvalConfig, ml_eval
-from .quadrature import QuadratureSpec, gauss_legendre, half_line_quad
+from .quadrature import QuadratureSpec, gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "QuadratureSpec",
@@ -319,12 +319,8 @@ def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
     y = (params.k / params.alpha) * x
     c = max(0.0, -b2) + 0.75
     log_y = math.log(y)
-    nodes, weights = gauss_legendre(order)
-    edges = np.linspace(0.0, t_max, panels + 1)
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (right - left)
-        t = left + half * (nodes + 1.0)
+
+    def integrand(t):
         s = c + 1j * t
         lg = (
             special.loggamma(s)
@@ -332,8 +328,9 @@ def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
             - special.loggamma(a1 + s)
             - s * log_y
         )
-        total += half * float(np.dot(weights, np.exp(lg).real))
-    return total / math.pi
+        return np.exp(lg).real
+
+    return gauss_legendre_panels(integrand, 0.0, t_max, panels, order) / math.pi
 
 
 def measure_weight_h(params: MLParams, x: float, cfg: EvalConfig | None = None) -> float:

@@ -25,11 +25,18 @@ term dwarfs the value (|z| * max(gamma/beta, k/alpha) beyond ~35 or so);
 after reflection every term past index |b - a| has one sign and the sum
 carries full relative precision.  Both evaluation routes reflect, each in
 its own parameter grouping, so they remain distinct floating-point paths.
+
+When b - a is large and negative the reflected terms still alternate up to
+index |b - a| and can peak far above the sum (b - a = -15.5, |w| = 9.3 peaks
+near 1e8 times the value).  Whenever float rounding of that peak could exceed
+rel_tol of the sum, the series is summed again in decimal arithmetic from the
+exact float inputs, at a precision that covers the peak.
 """
 
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -64,6 +71,7 @@ class EvalConfig:
 
 
 _DEFAULT_CONFIG = EvalConfig()
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,53 @@ def _sum_ratio_series(t0, step, cap, cfg):
     return total, n + 1, tail, False
 
 
+def _cancels(t0, step, n_alt, total, cfg):
+    """True when rounding in the alternating terms t_0..t_{n_alt} could
+    exceed rel_tol of the float sum total."""
+    term = t0
+    peak = abs(t0)
+    for m in range(n_alt):
+        term = step(term, m)
+        peak = max(peak, abs(term))
+    return peak * (n_alt + 1) * _EPS > cfg.rel_tol * abs(total)
+
+
+def _decimal_sum(t0, x, p, q, r, s, cap, cfg):
+    """Sum t0 * sum_n prod_{j<n} x (p + j q) / ((r + j s) (j + 1)) in decimal
+    arithmetic with the float inputs taken exactly.
+
+    The precision doubles until the rounding of the largest term is below
+    rel_tol of the sum; the stopping rule is the geometric tail bound of
+    _sum_ratio_series with the same cap.  Not certified at 320 digits means
+    converged is False.
+    """
+    x, p, q, r, s = (decimal.Decimal(v) for v in (x, p, q, r, s))
+    prec = 40
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            term = total = +decimal.Decimal(t0)
+            peak = abs(term)
+            tail = math.inf
+            ok = False
+            for n in range(1, cfg.max_terms):
+                j = n - 1
+                term = term * x * (p + j * q) / ((r + j * s) * n)
+                total += term
+                peak = max(peak, abs(term))
+                ratio = cap / (n + 1)
+                if ratio < 1.0:
+                    tail = abs(float(term)) * ratio / (1.0 - ratio)
+                    if tail <= cfg.rel_tol * abs(float(total)):
+                        ok = True
+                        break
+            value = float(total)
+            rounding = float(peak) * n * 10.0 ** (1 - prec)
+        if rounding <= cfg.rel_tol * abs(value) or prec >= 320:
+            return value, n + 1, tail + rounding, ok and rounding <= cfg.rel_tol * abs(value)
+        prec *= 2
+
+
 def _ml_sum(params: MLParams, z, cfg: EvalConfig):
     a, b, g, k = params.alpha, params.beta, params.gamma, params.k
     t0 = 1.0 / math.gamma(b)
@@ -131,7 +186,12 @@ def _ml_sum(params: MLParams, z, cfg: EvalConfig):
         return term * y * (k / a) * (c_sym + m * a) / ((b + m * a) * (m + 1))
 
     total, used, tail, ok = _sum_ratio_series(t0 + 0 * z, step, cap, cfg)
-    scale = cmath.exp((k / a) * z) if isinstance(z, complex) else math.exp((k / a) * z)
+    if isinstance(z, complex):
+        scale = cmath.exp((k / a) * z)
+    else:
+        if c_sym < 0.0 and _cancels(t0, step, math.ceil(-c_sym / a), total, cfg):
+            total, used, tail, ok = _decimal_sum(t0, y * (k / a), c_sym, a, b, a, cap, cfg)
+        scale = math.exp((k / a) * z)
     return scale * total, used, abs(scale) * tail, ok
 
 
@@ -187,6 +247,8 @@ def ml_eval_via_1f1(params: MLParams, z: float, cfg: EvalConfig | None = None) -
         return term * y * (c + m) / ((b + m) * (m + 1))
 
     value, used, tail, ok = _sum_ratio_series(t0, step, cap, cfg)
+    if c < 0.0 and _cancels(t0, step, math.ceil(-c), value, cfg):
+        value, used, tail, ok = _decimal_sum(t0, y, c, 1.0, b, 1.0, cap, cfg)
     scale = math.exp(w)
     return SeriesResult(scale * value, used, scale * tail, ok)
 

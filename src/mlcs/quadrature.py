@@ -4,7 +4,9 @@ Three schemes are kept deliberately distinct:
 
 * an adaptive QUADPACK route (scipy.integrate.quad, whose extrapolation also
   absorbs integrable endpoint singularities);
-* a hand-assembled composite Gauss-Legendre rule;
+* a composite Gauss-Legendre rule over equal panels, the one fixed-order
+  rule of the package: nodes and weights are cached per order, and the
+  integrand is called once on the array of all nodes;
 * a fixed double-exponential half-line rule (Takahasi & Mori, Publ. RIMS 9,
   1974) for families of integrands on [0, inf) with an algebraic endpoint
   x**p at the origin and exponential decay.  The map
@@ -19,12 +21,13 @@ Three schemes are kept deliberately distinct:
   family shares the same nodes, which lets the identity suites evaluate their
   kernel once per node.
 
-Identity checks that claim scheme independence run one integrand through two
-of them.
+The continuum integrals in the energy variable run on either of the first
+two (their `scheme` argument), so one integrand can be checked on both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,24 +195,22 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
         lo, hi = 2 * lo, 2 * hi
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]."""
+    """Nodes and weights on [-1, 1], built once per order (read-only arrays)."""
     if order < 2:
         raise DomainError(f"order must be >= 2, got {order}")
-    return np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def gauss_legendre_panels(
-    f,
-    a: float,
-    b: float,
-    panels: int = 16,
-    order: int = 32,
-    vectorized: bool = True,
-) -> float:
+def gauss_legendre_panels(f, a: float, b: float, panels: int = 16, order: int = 32) -> float:
     """Composite fixed-order Gauss-Legendre over equal panels of [a, b].
 
-    f is called on node arrays when vectorized, else per scalar node.
+    f is called once, on the (panels, order) array of all nodes, and must
+    return an array of the same shape.
     """
     if not (b > a):
         raise DomainError(f"need b > a, got a={a}, b={b}")
@@ -217,13 +218,7 @@ def gauss_legendre_panels(
         raise DomainError(f"panels must be >= 1, got {panels}")
     nodes, weights = gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (right - left)
-        xs = left + half * (nodes + 1.0)
-        if vectorized:
-            ys = np.asarray(f(xs), dtype=float)
-        else:
-            ys = np.array([f(x) for x in xs], dtype=float)
-        total += half * float(np.dot(weights, ys))
-    return total
+    half = 0.5 * np.diff(edges)
+    xs = edges[:-1, None] + half[:, None] * (nodes + 1.0)
+    ys = np.asarray(f(xs), dtype=float)
+    return float(np.dot(half, ys @ weights))

@@ -127,11 +127,58 @@ class TestContinuumMeasure:
         assert report.rhs[0] == 1.0
         assert report.rhs[-1] == pytest.approx(math.gamma(8.0), rel=1e-14)
 
+    def test_moment_identity_at_large_energy(self):
+        report = verify_continuum_moments([30.0])
+        assert report.max_rel_err <= 1e-12
+        report = verify_continuum_moments([0.25, 1.5, 3.0, 5.0, 7.5, 30.0])
+        assert report.max_rel_err <= 1e-12
+
     def test_moment_grid_validation(self):
         with pytest.raises(DomainError):
             verify_continuum_moments([])
         with pytest.raises(DomainError):
             verify_continuum_moments([1.0, -0.5])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                verify_continuum_moments([1.0, bad])
+
+    def test_suites_need_no_nu_quadrature(self, monkeypatch):
+        # h / nu is exactly exp(-x): neither suite may compute nu, solve for a
+        # peak or call QUADPACK
+        import mlcs.continuum as continuum_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("identity suite called a nu quadrature")
+
+        for name in ("log_nu", "nu_function", "continuum_measure_weight"):
+            monkeypatch.setattr(continuum_mod, name, forbidden)
+        monkeypatch.setattr(continuum_mod.optimize, "brentq", forbidden)
+        monkeypatch.setattr(continuum_mod.integrate, "quad", forbidden)
+        assert verify_continuum_moments([0.0, 2.0]).max_rel_err <= 1e-12
+        assert continuum_diagonal(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+class TestNuSecondRoutes:
+    """nu against identities that share no code with the energy integral."""
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0])
+    def test_ramanujan_integral(self, x):
+        # nu(x) = e^x - int_R exp(-x e^u) / (pi^2 + u^2) du (Erdelyi et al.,
+        # Higher Transcendental Functions III, 18.3); the integrand is 1 to
+        # roundoff below u = -L, so that tail is taken in closed form
+        low = 60.0
+        high = math.log(750.0 / x)
+        body, _ = integrate.quad(lambda u: math.exp(-x * math.exp(u)) / (math.pi ** 2 + u * u),
+                                 -low, high, epsabs=0.0, epsrel=1e-13, limit=200)
+        tail = (0.5 * math.pi - math.atan(low / math.pi)) / math.pi
+        assert nu_function(x) == pytest.approx(math.exp(x) - body - tail, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    def test_laplace_transform(self, s):
+        # int_0^inf e^{-s x} nu(x) dx = 1 / (s ln s)
+        val, _ = integrate.quad(lambda x: math.exp(log_nu(x) - s * x), 0.0, 80.0 / (s - 1.0),
+                                epsabs=0.0, epsrel=1e-13, limit=200)
+        assert val == pytest.approx(1.0 / (s * math.log(s)), rel=1e-12)
 
 
 class TestContinuumPartition:
@@ -203,9 +250,20 @@ class TestContinuumP:
                 want = beta_b * math.exp(-beta_b * e)
                 assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-4)
 
+    def test_diagonal_at_large_energy(self):
+        for e, beta_b in ((20.0, 2.0), (1.0, 0.7), (3.0, 1.2), (5.0, 1.8)):
+            want = beta_b * math.exp(-beta_b * e)
+            assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-12)
+
     def test_diagonal_domain(self):
         with pytest.raises(DomainError):
             continuum_diagonal(-1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                continuum_diagonal(bad, 1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                continuum_diagonal(1.0, bad)
 
 
 class TestEnergyDensityState:

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlcs import (
     ConvergenceError,
@@ -73,6 +73,7 @@ class TestReductions:
 class TestRouteAgreement:
     @given(alpha=PARAM, beta=PARAM, gamma=PARAM, k=PARAM,
            z=st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+    @example(alpha=0.4296875, beta=0.21875, gamma=4.0, k=0.25, z=-16.0)
     @settings(max_examples=120, deadline=None)
     def test_series_and_confluent_routes_agree(self, alpha, beta, gamma, k, z):
         params = MLParams(alpha, beta, gamma, k)
@@ -102,6 +103,19 @@ class TestRouteAgreement:
         res = ml_eval(params, z)
         assert res.value == pytest.approx(truth, rel=1e-10)
         assert ml_eval_via_1f1(params, z).value == pytest.approx(truth, rel=1e-10)
+
+    @pytest.mark.parametrize("params, z", [
+        (MLParams(0.4296875, 0.21875, 4.0, 0.25), -16.0),
+        (MLParams(0.2, 0.2, 5.0, 0.2), -20.0),
+    ])
+    def test_long_alternating_prefix(self, params, z):
+        # beta/alpha - gamma/k near -15 and -24: the reflected terms alternate
+        # that long and peak 1e8 times the value and more, which float
+        # summation leaves 1e-9 off while reporting converged
+        truth = reference_value(params, z)
+        for res in (ml_eval(params, z), ml_eval_via_1f1(params, z)):
+            assert res.converged
+            assert res.value == pytest.approx(truth, rel=1e-13)
 
 
 class TestSeriesDiagnostics:
