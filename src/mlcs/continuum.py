@@ -28,7 +28,7 @@ from scipy import integrate, optimize, special
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams
-from .quadrature import QuadratureSpec, gauss_legendre_panels, half_line_quad
+from .quadrature import RELATIVE_SPEC, QuadratureSpec, gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "EnergyDensityState",
@@ -327,7 +327,8 @@ def continuum_diagonal(e: float, beta_b: float,
 
     which should equal beta_b exp(-beta_b E) = exp(-beta_b E) / Z.  One
     half-line rule call with scale max(1, E) exp(-beta_b), the peak of the
-    integrand; quad sets its tolerance, cutoff and node budget.
+    integrand; quad sets its tolerance, cutoff and node budget, and by
+    default the target is relative (the value can sit far below 1e-100).
     """
     e = _check_energy(e)
     beta_b = _check_beta(beta_b)
@@ -336,7 +337,7 @@ def continuum_diagonal(e: float, beta_b: float,
     def f(xs):
         return np.exp(e * np.log(xs) - xs - lg) * _p_weight(xs, beta_b)
 
-    value, _ = half_line_quad(f, max(1.0, e) * math.exp(-beta_b), quad)
+    value, _ = half_line_quad(f, max(1.0, e) * math.exp(-beta_b), quad or RELATIVE_SPEC)
     return float(value[0])
 
 
@@ -345,7 +346,8 @@ def verify_continuum_moments(e_values, quad: QuadratureSpec | None = None):
     grid of E; returns the same report type the discrete measure uses.
 
     All E share the nodes of one half-line rule call with scale
-    max(1, max E); quad sets its tolerance, cutoff and node budget.
+    max(1, max E); quad sets its tolerance, cutoff and node budget, and by
+    default the target is relative.
     """
     from .measure import MomentReport
 
@@ -357,6 +359,6 @@ def verify_continuum_moments(e_values, quad: QuadratureSpec | None = None):
     def moments(xs):
         return np.exp(np.log(xs)[:, None] * powers - xs[:, None])
 
-    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)), quad)
+    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)), quad or RELATIVE_SPEC)
     rhs = [math.gamma(e + 1.0) for e in e_values]
     return MomentReport(tuple(e_values), tuple(lhs), tuple(rhs))

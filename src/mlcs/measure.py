@@ -9,10 +9,16 @@ with G a Meijer G^{2,0}_{1,2} kernel
 
     G(y | a1 ; 0, b2),   a1 = gamma/k - 1,  b2 = beta/alpha - 1,
 
-which collapses to exp(-y) * y**b2 * U(a1, b2 + 1, y) (Tricomi U), taken
-from a Laplace integral for y >= 1e-4 and from the connection formula of U
-(two short Kummer series) below.  An independent Mellin-Barnes contour
-evaluation of the same kernel backs the fast route, and the moment identity
+which collapses to exp(-y) * y**b2 * U(a1, b2 + 1, y) (Tricomi U).  The
+kernel is an array routine: every y of a call is taken from the Laplace
+integral of U on the nodes in s of one half-line rule, with the integrand
+chosen by a1 (plain for a1 >= 1/2, the endpoint singularity subtracted for
+-1/2 < a1 < 1/2, one recurrence step below; see the comment above
+_laplace_family).  Below y = 1e-4, where the subtracted form or the
+recurrence would cancel (a1 < 1/2 with b2 < a1, or a1 <= -1/2), the
+connection formula of U (two short Kummer series) gives the value instead.
+An independent Mellin-Barnes contour evaluation of the same kernel backs the
+fast route, and the moment identity
 
     int_0^inf x**(s-1) G((k/alpha) x) dx
         = (alpha/k)**s * Gamma(s) Gamma(b2 + s) / Gamma(a1 + s)
@@ -23,9 +29,9 @@ coefficient-space identity matrix comes out as a Kronecker delta.
 Both identity suites integrate with the half-line double-exponential rule of
 the quadrature module (nodes x = (alpha/k) exp(t - exp(-t)), error estimate
 from one halving of the step).  Every moment s shares the same nodes, and
-every diagonal entry n shares the nodes of the Gram matrix, so the kernel,
-h(x) and the coherent state are built once per node rather than once per
-integrand value of a quadrature nested in a quadrature.  The Gram matrix
+every diagonal entry n shares the nodes of the Gram matrix, so each level of
+the rule makes one kernel call (one h(x) call for the Gram matrix) for all
+its nodes, and the coherent state is built once per node.  The Gram matrix
 goes through h(x) and the state coefficients, not the moment sums, so it
 stays an independent check.
 """
@@ -36,13 +42,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 from .mlfunc import EvalConfig, ml_eval
-from .quadrature import QuadratureSpec, gauss_legendre_panels, half_line_quad
+from .quadrature import RELATIVE_SPEC, QuadratureSpec, gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "QuadratureSpec",
@@ -93,63 +99,93 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 # scipy's Tricomi routine is not accurate enough to back a verified kernel:
 # it cancels catastrophically near (not at) integer b (off by 3e-2 at
 # |b - 6| ~ 1e-15) and carries a ~5e-9 error envelope scattered over the rest
-# of the domain.  The Laplace representation
-#     U(a, b, y) = y**-a / Gamma(a) * int_0^inf e**-s s**(a-1) (1+s/y)**(b-a-1) ds
-# is smooth in b and evaluates to ~1e-12 relative everywhere we need; one
-# backward step of the a-recurrence covers -1 < a < 0.
+# of the domain.  The kernel comes instead from the Laplace integral
+#     G(y) = e**-y / Gamma(a) * int_0^inf e**-s s**(a-1) (y+s)**p ds,
+# a = a1, p = b2 - a1, which is smooth in b2.  Every y of a call shares the
+# nodes in s of one half-line rule (relative target 1e-12).  The route
+# follows a1:
+#   a1 >= 1/2          this integrand, scaled per y by its value at its peak
+#                      (or at y where it has none), so the rule sees O(1)
+#                      values at any y;
+#   -1/2 < a1 < 1/2    the endpoint singularity subtracted (DLMF 13.4.4):
+#                      G = e**-y [y**p + rgamma(a) int e**-s s**(a-1)
+#                      ((y+s)**p - y**p) ds], regular at s = 0 and smooth
+#                      through a = 0, where the plain integrand puts its mass
+#                      out of the rule's reach.  For p < 0 the two terms
+#                      cancel by up to y**-a, which is why the plain form
+#                      takes over at a1 = 1/2 (at a1 = 0.99, b2 = -0.9,
+#                      y = 1e-4 the subtracted form lost 3e-12);
+#   a1 <= -1/2         one backward step of the a-recurrence from a1 + 1 (the
+#                      subtracted form) and a1 + 2 (the plain one), both
+#                      families on the same nodes;
+#   a1 = 0 or p = 0    G = y**p e**-y in closed form.
+# Below _SMALL_Y the subtracted form with p < 0 and the recurrence cancel
+# without bound; there the connection formula takes over, value by value.
 
 
-def _log_u_laplace(a: float, b: float, y: float) -> float:
-    # log U(a, b, y) for a > 0, integrand rescaled by its interior maximum
-    p = b - a - 1.0
-    if a >= 1.0:
-        h = y - b + 2.0
-        disc = h * h + 4.0 * (a - 1.0) * y
-        s_star = 0.5 * (-h + math.sqrt(disc)) if disc > 0.0 else 0.0
-        peak = 0.0
-        if s_star > 0.0:
-            peak = -s_star + (a - 1.0) * math.log(s_star) + p * math.log1p(s_star / y)
+def _laplace_family(a: float, b2: float, y: np.ndarray):
+    """Integrand in s of the kernel at first index a > -1/2, a != 0, for
+    every y, and the map from its integral to G(y) = y**b2 e**-y U(a, b2+1, y)."""
+    p = b2 - a
+    if a >= 0.5:
+        # e**-s s**(a-1) (y+s)**p relative to its value at s_ref: the peak
+        # where -s + (a-1) log s + p log(y+s) has one (a root of
+        # s**2 + h s - (a-1) y, taken without cancellation), else y
+        h = y - b2 + 1.0
+        c = (a - 1.0) * y
+        r = np.sqrt(np.maximum(h * h + 4.0 * c, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(h > 0.0, 2.0 * c / (h + r), 0.5 * (r - h))
+        s_ref = root if a > 1.0 else np.maximum(root, y)
+        log_ref = -s_ref + (a - 1.0) * np.log(s_ref) + p * np.log(y + s_ref)
 
-        def g(s):
-            if s <= 0.0:
-                return 0.0
-            return math.exp(-s + (a - 1.0) * math.log(s) + p * math.log1p(s / y) - peak)
+        def integrand(s):
+            # each term formed as one ratio, so the exponent carries no
+            # cancellation of large logarithms
+            return np.exp(-(s - s_ref) + (a - 1.0) * np.log(s / s_ref)
+                          + p * np.log((y + s) / (y + s_ref)))
 
-        norm = -math.lgamma(a)
+        def kernel(total):
+            return np.exp(log_ref - y - math.lgamma(a) + np.log(total))
     else:
-        # s = u**(1/a) soaks up the s**(a-1) endpoint singularity
-        t_star = max(0.0, p - y)
-        peak = -t_star + p * math.log1p(t_star / y) if t_star > 0.0 else 0.0
-        inv_a = 1.0 / a
-        log_cut = math.log(700.0 + abs(peak))
+        # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
+        # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing
+        sign = math.copysign(1.0, p)
 
-        def g(u):
-            if u <= 0.0:
-                return math.exp(-peak)
-            # screen in logs; u**inv_a itself overflows for the huge u probes
-            if inv_a * math.log(u) >= log_cut:
-                return 0.0
-            t = u ** inv_a
-            return math.exp(-t + p * math.log1p(t / y) - peak)
+        def integrand(s):
+            with np.errstate(divide="ignore"):
+                tail = np.log(np.abs(np.expm1(-p * np.log1p(s / y))))
+            return sign * np.exp(-s + (a - 1.0) * np.log(s) + p * np.log(y + s) + tail)
 
-        norm = -math.lgamma(a + 1.0)
-    val, _ = integrate.quad(g, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300)
-    return -a * math.log(y) + norm + peak + math.log(val)
+        def kernel(total):
+            return np.exp(-y) * (y ** p + float(special.rgamma(a)) * total)
+    return integrand, kernel
 
 
-def _tricomi_u(a: float, b: float, y: float) -> float:
-    if a == 0.0:
-        return 1.0
-    if a > 0.0:
-        return math.exp(_log_u_laplace(a, b, y))
-    u1 = math.exp(_log_u_laplace(a + 1.0, b, y))
-    u2 = math.exp(_log_u_laplace(a + 2.0, b, y))
-    return (2.0 * a + 2.0 - b + y) * u1 - (a + 1.0) * (a + 2.0 - b) * u2
+def _laplace_kernel(a1: float, b2: float, y: np.ndarray) -> np.ndarray:
+    """G(y) = y**b2 e**-y U(a1, b2 + 1, y) for a 1-d array of y > 0, with one
+    half_line_quad call in s for all of them (see the routes above)."""
+    if a1 == 0.0 or a1 == b2:
+        return y ** (b2 - a1) * np.exp(-y)
+    firsts = (a1,) if a1 > -0.5 else (a1 + 1.0, a1 + 2.0)
+    families = [_laplace_family(a, b2, y) for a in firsts]
+    m = y.size
+
+    def integrands(s):
+        s = s[:, None]
+        return np.hstack([f(s) for f, _ in families])
+
+    # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
+    totals, _ = half_line_quad(integrands, max(1.0, b2, a1), RELATIVE_SPEC)
+    g = [kernel(totals[i * m:(i + 1) * m]) for i, (_, kernel) in enumerate(families)]
+    if len(g) == 1:
+        return g[0]
+    b = b2 + 1.0
+    return (2.0 * a1 + 2.0 - b + y) * g[0] - (a1 + 1.0) * (a1 + 2.0 - b) * g[1]
 
 
-# Below this kernel argument the Laplace integral loses the integrand to
-# underflow (for gamma/k < 1 or beta/alpha < 1 it ends in log(0)), while the
-# two Kummer series of the connection formula need only a few terms.
+# Below this kernel argument the cancelling Laplace routes hand over to the
+# connection formula, whose two Kummer series need only a few terms there.
 _SMALL_Y = 1e-4
 # |b2 - round(b2)| below which the two series are paired term by term.
 _NEAR_INTEGER = 0.05
@@ -257,50 +293,74 @@ def _g_small_y(a1: float, b2: float, y: float) -> float:
     return math.exp(-y) * (finite + (-1) ** m * sigma * paired)
 
 
-def meijer_g_weight(params: MLParams, x: float, check: bool = False,
-                    check_tol: float = 1e-6) -> float:
+def _x_values(x) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array, and whether it came as a scalar; DomainError
+    unless every element is finite and >= 0."""
+    if isinstance(x, (int, float)):
+        xs, scalar = np.array([float(x)]), True
+    elif isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iuf":
+        xs, scalar = x.astype(float), False
+    else:
+        raise DomainError(f"x must be a float or a 1-d real array, got {x!r}")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if np.any(xs < 0.0):
+        raise DomainError(f"x must be >= 0, got {x!r}")
+    return xs, scalar
+
+
+def meijer_g_weight(params: MLParams, x, check: bool = False,
+                    check_tol: float = 1e-6):
     """Meijer kernel G((k/alpha) x | gamma/k - 1 ; 0, beta/alpha - 1).
 
-    Fast route through Tricomi U; with check=True the Mellin-Barnes contour
-    referee runs too and disagreement raises RouteMismatchError carrying both
-    values.  x = 0 returns the analytic limit (finite only for
-    beta/alpha > 1, or the unit-ratio case), negative x is a domain error.
+    x is a float (returns a float) or a 1-d array (returns an array).  Fast
+    route through Tricomi U, all values of an array on the nodes of one
+    half-line rule, so an array call agrees with per-element calls to
+    roundoff but not bit for bit.  With check=True the Mellin-Barnes contour
+    referee runs on every element too and disagreement raises
+    RouteMismatchError carrying both values.  x = 0 gives the analytic
+    limit (finite only for beta/alpha > 1, or the unit-ratio case); a
+    negative or non-finite x is a domain error.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    xs, scalar = _x_values(x)
     a1, b2 = _g_params(params)
-    if x == 0.0:
-        if b2 > 0.0:
-            return math.gamma(b2) * float(special.rgamma(a1))
-        if b2 == 0.0:
-            return 1.0 if a1 == 0.0 else math.inf
-        return math.inf
-    y = (params.k / params.alpha) * x
-    if y < _SMALL_Y and a1 != 0.0:
-        value = _g_small_y(a1, b2, y)
-    else:
-        value = (y ** b2) * math.exp(-y) * _tricomi_u(a1, b2 + 1.0, y)
+    y = (params.k / params.alpha) * xs
+    g = np.empty_like(y)
+    origin = xs == 0.0
+    if origin.any():
+        g[origin] = (math.gamma(b2) * float(special.rgamma(a1)) if b2 > 0.0
+                     else 1.0 if b2 == 0.0 and a1 == 0.0 else math.inf)
+    # the connection formula, value by value, where the Laplace routes cancel
+    cancels = a1 != 0.0 and (a1 <= -0.5 or (a1 < 0.5 and b2 < a1))
+    series = ~origin & (y < _SMALL_Y) & cancels
+    for i in np.flatnonzero(series):
+        g[i] = _g_small_y(a1, b2, float(y[i]))
+    rest = ~(origin | series)
+    if rest.any():
+        g[rest] = _laplace_kernel(a1, b2, y[rest])
     if check:
-        referee = meijer_g_weight_mb(params, x)
-        scale = max(abs(value), abs(referee))
-        # the contour sum carries roundoff proportional to its t = 0 integrand,
-        # which dwarfs the kernel itself once exp(-y) is deep; phase error
-        # from loggamma/exp grows with contour length, so allow 1e-10 of that
-        # head.  Only disagreement above the floor is evidence of a defect.
+        # the contour sum carries roundoff proportional to its t = 0
+        # integrand, which dwarfs the kernel itself once exp(-y) is deep;
+        # phase error from loggamma/exp grows with contour length, so allow
+        # 1e-10 of that head.  Only disagreement above the floor is evidence
+        # of a defect.
         c = max(0.0, -b2) + 0.75
         lg_denom = math.inf if a1 + c == 0.0 else math.lgamma(a1 + c)
-        floor = 1e-10 * math.exp(
-            math.lgamma(c) + math.lgamma(b2 + c) - lg_denom - c * math.log(y)
-        ) / math.pi
-        if scale > 1e-280 and abs(value - referee) > check_tol * scale + floor:
-            raise RouteMismatchError(
-                f"Meijer kernel routes disagree at x={x}: {value!r} vs {referee!r}",
-                value,
-                referee,
-            )
-    return value
+        for xi, yi, value in zip(xs.tolist(), y.tolist(), g.tolist()):
+            if xi == 0.0:
+                continue
+            referee = meijer_g_weight_mb(params, xi)
+            scale = max(abs(value), abs(referee))
+            floor = 1e-10 * math.exp(
+                math.lgamma(c) + math.lgamma(b2 + c) - lg_denom - c * math.log(yi)
+            ) / math.pi
+            if scale > 1e-280 and abs(value - referee) > check_tol * scale + floor:
+                raise RouteMismatchError(
+                    f"Meijer kernel routes disagree at x={xi}: {value!r} vs {referee!r}",
+                    value,
+                    referee,
+                )
+    return float(g[0]) if scalar else g
 
 
 def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
@@ -333,21 +393,25 @@ def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
     return gauss_legendre_panels(integrand, 0.0, t_max, panels, order) / math.pi
 
 
-def measure_weight_h(params: MLParams, x: float, cfg: EvalConfig | None = None) -> float:
-    """Full radial weight h(x); identically 1 at unit parameters."""
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
+def measure_weight_h(params: MLParams, x, cfg: EvalConfig | None = None):
+    """Full radial weight h(x); identically 1 at unit parameters.  x is a
+    float or a 1-d array, as for meijer_g_weight."""
+    xs, scalar = _x_values(x)
     cfg = cfg or EvalConfig()
-    series = ml_eval(params, x, cfg)
-    if not series.converged:
-        raise ConvergenceError(f"series for h({x}) did not converge", partial=series)
+    series = np.empty_like(xs)
+    for i, xi in enumerate(xs.tolist()):
+        result = ml_eval(params, xi, cfg)
+        if not result.converged:
+            raise ConvergenceError(f"series for h({xi}) did not converge", partial=result)
+        series[i] = result.value
     pref = (
         (params.k / params.alpha)
         * math.gamma(params.gamma_over_k)
         / math.gamma(params.beta_over_alpha)
         * math.gamma(params.beta)
     )
-    return pref * series.value * meijer_g_weight(params, x)
+    h = pref * series * meijer_g_weight(params, xs)
+    return float(h[0]) if scalar else h
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -371,15 +435,15 @@ def verify_resolution(params: MLParams, s_max: int = 8,
     """Moments of the Meijer kernel, quadrature vs closed form, s = 1..s_max.
 
     All moments share the nodes of one half-line rule, so the kernel is
-    evaluated once per node; ConvergenceError if any moment misses the target.
+    evaluated once per node, in one call per level of the rule;
+    ConvergenceError if any moment misses the target.
     """
     if not (isinstance(s_max, int) and s_max >= 1):
         raise DomainError(f"s_max must be an integer >= 1, got {s_max!r}")
     powers = np.arange(s_max)
 
     def moments(xs):
-        g = np.array([meijer_g_weight(params, x) for x in xs.tolist()])
-        return xs[:, None] ** powers * g[:, None]
+        return xs[:, None] ** powers * meijer_g_weight(params, xs)[:, None]
 
     lhs, _ = half_line_quad(moments, params.alpha / params.k, quad)
     s_values = range(1, s_max + 1)
@@ -395,8 +459,9 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10,
     Entry (m, n) is int_0^inf h(x) c_m(sqrt(x)) c_n(sqrt(x)) dx after the
     angular integral has killed m != n (coefficients at zero phase are real);
     off-diagonal entries are written as exact zeros and the diagonal is
-    computed by quadrature, so the result should be the identity.  Each node
-    of the half-line rule builds h(x) and the coherent state once for every n.
+    computed by quadrature, so the result should be the identity.  h(x)
+    comes from one call per level of the half-line rule, and each node
+    builds the coherent state once for every n.
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
@@ -406,8 +471,8 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10,
         out = np.zeros((xs.size, n_max + 1))
         for row, x in zip(out, xs.tolist()):
             coeffs = cs_build(CSLabel(math.sqrt(x)), params, cfg).coeffs[: n_max + 1]
-            row[: coeffs.size] = measure_weight_h(params, x, cfg) * np.abs(coeffs) ** 2
-        return out
+            row[: coeffs.size] = np.abs(coeffs) ** 2
+        return measure_weight_h(params, xs, cfg)[:, None] * out
 
     diag, _ = half_line_quad(weighted_probs, params.alpha / params.k, quad)
     return np.diag(diag)

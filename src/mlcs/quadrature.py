@@ -15,11 +15,14 @@ Three schemes are kept deliberately distinct:
 
   turns both ends into double-exponential decay in t, so the trapezoid rule
   in t converges geometrically in the number of nodes.  The node range grows
-  until the end nodes contribute less than the target; the error estimate is
-  the change under one halving of the step, whose nodes are the midpoints of
-  the previous level, so no value is computed twice.  Every integrand of a
-  family shares the same nodes, which lets the identity suites evaluate their
-  kernel once per node.
+  until the end nodes contribute less than the target, a block of eight
+  nodes per call of the integrand (the stopping node and the sums are those
+  of a node-by-node loop; the surplus nodes of the last block are dropped).
+  The error estimate is the change under one halving of the step, whose
+  nodes are the midpoints of the previous level, so no value is computed
+  twice.  Every integrand of a family shares the same nodes, which lets the
+  identity suites and the Meijer kernel make one call per level for all
+  their nodes and members.
 
 The continuum integrals in the energy variable run on either of the first
 two (their `scheme` argument), so one integrand can be checked on both.
@@ -66,6 +69,10 @@ class QuadratureSpec:
 
 
 _DEFAULT_SPEC = QuadratureSpec()
+# For integrals whose size is not known beforehand (values down to 1e-300):
+# the half-line rule's target is then 1e-12 of each value alone, where the
+# default absolute floor would certify nothing.
+RELATIVE_SPEC = QuadratureSpec(abs_tol=1e-300)
 
 
 def resolve_cutoff(f, spec: QuadratureSpec, start: float = 32.0) -> float:
@@ -112,6 +119,10 @@ _DE_STEP = 0.125
 # Relative floor of the target: for integrals far above 1, abs_tol alone would
 # demand digits below the roundoff of the integrand values.
 _DE_REL_TOL = 1e-12
+# Nodes per call of f while the range grows: one node per call would spend
+# most of a small family's time in call overhead.
+_DE_BLOCK = 8
+_DE_BLOCK_STEPS = np.arange(1, _DE_BLOCK + 1)
 
 
 def _de_nodes(scale: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,52 +155,69 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
     h = _DE_STEP
     count = 0
 
-    def weighted(j):
-        # integrand values times h dx/dt at t = h * j
+    def weighted(t):
+        # integrand values times h dx/dt at the nodes of t, not yet checked
         nonlocal count
-        count += j.size
+        count += t.size
         if count > spec.max_nodes:
             raise ConvergenceError(
                 f"node budget {spec.max_nodes} spent before the target was met")
-        x, dx = _de_nodes(scale, h * j)
-        vals = np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * dx)[:, None]
-        if not np.all(np.isfinite(vals)):
-            raise ConvergenceError(f"integrand is not finite near x={x[0]:.6e}")
+        x, dx = _de_nodes(scale, t)
+        return np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * dx)[:, None]
+
+    def finite(vals, t):
+        if not np.isfinite(vals).all():
+            x = _de_nodes(scale, np.array([t]))[0][0]
+            raise ConvergenceError(f"integrand is not finite near x={x:.6e}")
         return vals
 
     def target(total):
         return np.maximum(spec.abs_tol, _DE_REL_TOL * np.abs(total))
 
-    def node(j):
-        return float(_de_nodes(scale, np.array([h * j]))[0][0])
+    def extend(end, edge, step, total):
+        # add nodes end + step, end + 2 step, ... until one contributes at most
+        # a thousandth of the target; returns the new end node, its values and
+        # the total.  Same stopping node and sums as a node-by-node loop: the
+        # nodes of the last block past that one are dropped.  Stops early,
+        # with the end still above the target, where the next node
+        # underflows to 0 or passes the cap.
+        while (np.abs(edge) > 1e-3 * target(total)).any():
+            t = h * (end + step * _DE_BLOCK_STEPS)
+            x = _de_nodes(scale, t)[0]
+            usable = int(np.count_nonzero((x > 0.0) & (x <= cap)))  # a prefix
+            if usable == 0:
+                break
+            vals = weighted(t[:usable])
+            running = np.cumsum(np.concatenate((total[None], vals)), axis=0)[1:]
+            small = (np.abs(vals) <= 1e-3 * target(running)).all(axis=1)
+            last = int(small.argmax()) if small.any() else usable - 1
+            edge = finite(vals[: last + 1], t[0])[last]
+            end, total = end + step * (last + 1), running[last]
+            if usable < _DE_BLOCK:
+                break
+        return end, edge, total
 
     lo, hi = -24, 24  # t in [-3, 3]
-    while node(hi) > cap:
+    while _de_nodes(scale, np.array([h * hi]))[0][0] > cap:
         hi -= 1
     if hi <= lo:
         raise DomainError(f"upper_cutoff {cap} leaves no room for the rule at scale {scale}")
-    block = weighted(np.arange(lo, hi + 1))
-    head, tail = block[0], block[-1]
+    block = finite(weighted(h * np.arange(lo, hi + 1)), h * lo)
     total = block.sum(axis=0)
-    while np.any(np.abs(head) > 1e-3 * target(total)):
-        lo -= 1
-        if node(lo) == 0.0:
-            raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
-        head = weighted(np.array([lo]))[0]
-        total += head
-    while np.any(np.abs(tail) > 1e-3 * target(total)) and node(hi + 1) <= cap:
-        hi += 1
-        tail = weighted(np.array([hi]))[0]
-        total += tail
+    lo, head, total = extend(lo, block[0], -1, total)
+    if (np.abs(head) > 1e-3 * target(total)).any():
+        raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
+    hi, tail, total = extend(hi, block[-1], 1, total)
     truncation = np.abs(head) + np.abs(tail)
-    if np.any(truncation > target(total)):
+    if (truncation > target(total)).any():
         raise ConvergenceError(f"upper_cutoff {cap} truncates more than the target")
     while True:
         # midpoints of the current level halve the step; T(h/2) = T(h)/2 + mids
-        finer = 0.5 * (total + weighted(np.arange(lo, hi) + 0.5).sum(axis=0))
+        mids = h * (np.arange(lo, hi) + 0.5)
+        finer = 0.5 * (total + finite(weighted(mids), mids[0]).sum(axis=0))
         err = np.abs(finer - total) + truncation
         total = finer
-        if np.all(err <= target(total)):
+        if (err <= target(total)).all():
             return total, err
         h *= 0.5
         lo, hi = 2 * lo, 2 * hi

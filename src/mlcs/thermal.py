@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams
@@ -229,16 +231,16 @@ def p_function(z: CSLabel, params: MLParams, cfg: ThermalConfig) -> float:
         P(|z|^2) = (1/Z) exp(beta_b * slope)
                    * G((k/alpha) exp(beta_b * slope) |z|^2) / G((k/alpha) |z|^2)
 
-    Underflow of the denominator kernel is reported as a DomainError rather
-    than returned as inf.
+    Both kernels come from one call on the pair of arguments.  Underflow of
+    the denominator kernel is reported as a DomainError rather than returned
+    as inf.
     """
     slope = _require_linear(cfg)
     x = z.modulus ** 2
     boost = math.exp(cfg.beta_b * slope)
-    den = meijer_g_weight(params, x)
+    den, num = meijer_g_weight(params, np.array([x, boost * x])).tolist()
     if den == 0.0 or not math.isfinite(den):
         raise DomainError(
             f"kernel denominator is {den} at |z|^2 = {x}; P is not evaluable there"
         )
-    num = meijer_g_weight(params, boost * x)
     return boost * num / den / partition_linear(cfg)

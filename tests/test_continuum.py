@@ -251,9 +251,11 @@ class TestContinuumP:
                 assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-4)
 
     def test_diagonal_at_large_energy(self):
-        for e, beta_b in ((20.0, 2.0), (1.0, 0.7), (3.0, 1.2), (5.0, 1.8)):
+        # (100, 5) is 3.6e-217: only a relative target certifies it, and only
+        # abs=0 keeps approx's absolute default from passing it regardless
+        for e, beta_b in ((20.0, 2.0), (1.0, 0.7), (3.0, 1.2), (5.0, 1.8), (100.0, 5.0)):
             want = beta_b * math.exp(-beta_b * e)
-            assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-12)
+            assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_diagonal_domain(self):
         with pytest.raises(DomainError):

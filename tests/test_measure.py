@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mlcs import (
     CSLabel,
@@ -45,7 +45,17 @@ def reference_kernel_u(a1, b2, y):
     which handles (near-)integer b2 and tiny y."""
     with mpmath.workdps(40):
         y = mpmath.mpf(y)
-        return float(y ** b2 * mpmath.exp(-y) * mpmath.hyperu(a1, b2 + 1, y))
+        n = b2 - a1
+        if n == round(n) and n >= 0:
+            # U(a1, b2+1, y) = y**-b2 U(-n, 1-b2, y), a polynomial (DLMF
+            # 13.2.7, 13.2.40): hyperu fails to converge at its zeros
+            n = int(n)
+            u = y ** -b2 * (-1) ** n * mpmath.fsum(
+                mpmath.binomial(n, k) * mpmath.rf(1 - b2 + k, n - k) * (-y) ** k
+                for k in range(n + 1))
+        else:
+            u = mpmath.hyperu(a1, b2 + 1, y)
+        return float(y ** b2 * mpmath.exp(-y) * u)
 
 
 class TestMeijerKernel:
@@ -113,27 +123,47 @@ class TestMeijerKernel:
 
     @pytest.mark.parametrize("a1", [-0.9, -0.45, -1e-3, 1e-3, 0.3, 1.0, 1.7, 3.0])
     def test_small_argument_grid(self, a1):
-        # below y = 1e-4 the kernel comes from the connection formula; b2 runs
-        # through (-1, 3] with points within 1e-3 of 0 and 1, where the two
-        # Kummer series cancel and are paired
+        # below y = 1e-4 the kernel comes from the connection formula where
+        # the Laplace routes cancel, from the Laplace integral elsewhere; b2
+        # runs through (-1, 3] with points within 1e-3 of 0 and 1, where the
+        # two Kummer series cancel and are paired
         b2_values = (-0.9, -0.4, -1e-3, -1e-7, 0.0, 1e-9, 1e-3, 0.5,
                      1.0 - 1e-3, 1.0, 1.0 + 1e-7, 1.001, 2.3, 3.0)
-        y_values = [1e-30, 1e-18, 1e-10, 1e-6, 3e-5, 9.9e-5]
-        if abs(a1) >= 0.01:
-            # above 1e-4 the Laplace route runs; for |a1| <~ 0.01 it carries
-            # the known small-a1 defect (ROADMAP, "Fix first"; up to 1e-10
-            # here for a1 < 0, 1e-4 for a1 > 0)
-            y_values += [2e-4, 1e-3]
+        y_values = [1e-30, 1e-18, 1e-10, 1e-6, 3e-5, 9.9e-5, 2e-4, 1e-3]
         for b2 in b2_values:
             params = MLParams(1.0, b2 + 1.0, a1 + 1.0, 1.0)
             a1_, b2_ = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
             for y in y_values:
-                # the Laplace route above 1e-4 holds ~1e-12; for a1 < 0 the
-                # kernel changes sign, hence the absolute floor
-                rel = 1e-12 if y < 1e-4 else 1e-11
+                # for a1 < 0 the kernel changes sign, hence the absolute floor
                 assert meijer_g_weight(params, y) == pytest.approx(
-                    reference_kernel_u(a1_, b2_, y), rel=rel, abs=1e-15
+                    reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=1e-15
                 ), (a1_, b2_, y)
+
+    @pytest.mark.parametrize("a", [-0.99, -0.7, -0.5, -0.3, -1e-2, -1e-3, -1e-9, 1e-9,
+                                   1e-3, 2e-3, 1e-2, 0.1, 0.49, 0.5, 0.99, 1.0, 1.5, 3.0])
+    def test_tricomi_grid_against_mpmath(self, a):
+        # the Laplace routes over their whole range, one array call per
+        # (a, b); U's first index a = gamma/k - 1, second b = beta/alpha.
+        # Small |a| is where the unsubtracted integral (for a > 0) and the
+        # backward recurrence (for a < 0) used to lose up to 1e-1 and 1e-10
+        ys = np.array([1e-4, 3e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0])
+        for b in (0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.3, 6.0, 12.0):
+            params = MLParams(1.0, b, a + 1.0, 1.0)
+            a1, b2 = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
+            got = meijer_g_weight(params, ys)
+            for y, g in zip(ys, got):
+                want = reference_kernel_u(a1, b2, y)
+                # (a, b) = (-1/2, 3/2) is the polynomial case with a zero at 1/2
+                tol = {"abs": 1e-15} if want == 0.0 else {"rel": 1e-12, "abs": 0.0}
+                assert g == pytest.approx(want, **tol), (a1, b2, y)
+
+    @pytest.mark.parametrize("a1, b2, y", [(-1e-3, 11.0, 1e-4), (-0.01, 3.0, 1e-3)])
+    def test_negative_first_index_near_zero(self, a1, b2, y):
+        # the backward recurrence cancelled here (8.7e-11 and 4.8e-11 off)
+        params = MLParams(1.0, b2 + 1.0, a1 + 1.0, 1.0)
+        a1_, b2_ = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
+        assert meijer_g_weight(params, y) == pytest.approx(
+            reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=0.0)
 
     def test_small_argument_public_paths(self):
         # these raised a bare ValueError (log of an underflowed integral)
@@ -158,6 +188,8 @@ class TestMeijerKernel:
     @given(alpha=PARAM, beta=PARAM, gamma=PARAM, k=PARAM,
            y=st.floats(min_value=0.05, max_value=15.0))
     @settings(max_examples=60, deadline=None)
+    # gamma/k - 1 = 1.8e-3: the unsubtracted Laplace integral was 4.1e-4 off
+    @example(alpha=1.0, beta=1.0, gamma=2.1171875, k=2.11328125, y=2.11328125)
     def test_contour_referee_agrees(self, alpha, beta, gamma, k, y):
         # the contour sum resolves the kernel relative to the magnitude of
         # its t = 0 integrand; demand 1e-9 agreement only where the kernel
@@ -204,6 +236,106 @@ class TestMeijerKernel:
             meijer_g_weight(params, 1.0, check=True)
         assert exc.value.first == honest
         assert exc.value.second == pytest.approx(1.5 * honest, rel=1e-15)
+
+
+class TestArrayKernel:
+    """meijer_g_weight and measure_weight_h on a 1-d array of x.  All values
+    of one call share the nodes of one rule, whose range and halvings depend
+    on the whole array, so an array call agrees with per-element calls to
+    roundoff, not bit for bit."""
+
+    PARAMS = (MLParams(2.0, 3.0, 1.5, 0.7), MLParams(1.0, 2.0, 3.0, 1.0),
+              MLParams(1.5, 1.2, 0.6, 1.0), MLParams(1.0, 4.0000001, 1.0, 2.0),
+              MLParams(1.0, 1.0, 2.1171875, 2.11328125))
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_array_matches_scalar_calls(self, params):
+        xs = np.array([3e-6, 1e-3, 0.05, 0.4, 1.0, 2.5, 9.0, 30.0])
+        got = meijer_g_weight(params, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        for x, g in zip(xs.tolist(), got):
+            assert g == pytest.approx(meijer_g_weight(params, x), rel=1e-14, abs=0.0)
+        h = measure_weight_h(params, xs)
+        for x, v in zip(xs.tolist(), h):
+            assert v == pytest.approx(measure_weight_h(params, x), rel=1e-14, abs=0.0)
+
+    def test_scalar_in_scalar_out(self):
+        assert type(meijer_g_weight(UNIT_PARAMS, 1.0)) is float
+        assert type(measure_weight_h(UNIT_PARAMS, 1.0)) is float
+
+    def test_origin_entry_gives_the_limit(self):
+        params = MLParams(2.0, 5.0, 4.0, 1.0)
+        got = meijer_g_weight(params, np.array([0.0, 1.0, 0.0]))
+        assert got[0] == got[2] == meijer_g_weight(params, 0.0)
+        assert got[0] == pytest.approx(0.44311346272637900, rel=1e-14)
+        assert meijer_g_weight(MLParams(1.0, 1.0, 2.0, 1.0), np.array([0.0, 1.0]))[0] == math.inf
+        assert measure_weight_h(UNIT_PARAMS, np.array([0.0, 2.0])) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_entry_is_a_domain_error(self, bad):
+        xs = np.array([1.0, bad, 2.0])
+        with pytest.raises(DomainError):
+            meijer_g_weight(UNIT_PARAMS, xs)
+        with pytest.raises(DomainError):
+            measure_weight_h(UNIT_PARAMS, xs)
+
+    def test_non_real_or_nested_input_is_a_domain_error(self):
+        for bad in (np.ones((2, 2)), np.array([1j]), [1.0, 2.0], "1.0"):
+            with pytest.raises(DomainError):
+                meijer_g_weight(UNIT_PARAMS, bad)
+
+    def test_checked_mode_referees_every_element(self, monkeypatch):
+        import mlcs.measure as measure_mod
+
+        params = MLParams(1.4, 2.6, 0.9, 1.7)
+        seen = []
+        referee = measure_mod.meijer_g_weight_mb
+
+        def counting(p, x):
+            seen.append(x)
+            return referee(p, x)
+
+        monkeypatch.setattr(measure_mod, "meijer_g_weight_mb", counting)
+        xs = np.array([0.2, 1.0, 4.0, 12.0])
+        assert np.array_equal(meijer_g_weight(params, xs, check=True),
+                              meijer_g_weight(params, xs))
+        assert seen == xs.tolist()
+        # one element off: the whole call is refused
+        monkeypatch.setattr(measure_mod, "meijer_g_weight_mb",
+                            lambda p, x: referee(p, x) * (1.5 if x == 4.0 else 1.0))
+        with pytest.raises(RouteMismatchError):
+            meijer_g_weight(params, xs, check=True)
+
+    def test_suites_and_p_function_call_the_kernel_on_arrays(self, monkeypatch):
+        import mlcs.measure as measure_mod
+        import mlcs.thermal as thermal_mod
+
+        params = MLParams(1.5, 1.2, 0.6, 1.0)
+        calls = []
+        kernel = measure_mod.meijer_g_weight
+
+        def counting(p, x, *args, **kwargs):
+            calls.append(np.size(x))
+            return kernel(p, x, *args, **kwargs)
+
+        monkeypatch.setattr(measure_mod, "meijer_g_weight", counting)
+        monkeypatch.setattr(thermal_mod, "meijer_g_weight", counting)
+        verify_resolution(params, s_max=8)
+        assert 1 <= len(calls) <= 8 and sum(calls) > 100  # one call per rule level
+        calls.clear()
+        resolution_identity_matrix(params, n_max=4)
+        assert 1 <= len(calls) <= 8 and sum(calls) > 100
+        calls.clear()
+        cfg = ThermalConfig(0.5, LinearSpectrum.from_params(params))
+        p_function(CSLabel(1.0), params, cfg)
+        assert calls == [2]
+
+    def test_p_function_reports_an_underflowed_denominator(self):
+        params = MLParams(1.4, 2.6, 0.9, 1.7)
+        cfg = ThermalConfig(0.5, LinearSpectrum.from_params(params))
+        assert meijer_g_weight(params, 900.0) == 0.0
+        with pytest.raises(DomainError):
+            p_function(CSLabel(30.0), params, cfg)
 
 
 class TestMeasureWeight:
@@ -300,7 +432,59 @@ class TestResolutionIdentity:
             QuadratureSpec(max_nodes=10)
 
 
+def node_by_node_rule(f, scale, abs_tol=1e-10):
+    """The half-line rule with its range grown one node per call of f: the
+    reference for the block growth, same arithmetic in the same order."""
+    h = 0.125
+
+    def weighted(t):
+        e = np.exp(-t)
+        x = scale * np.exp(t - e)
+        return np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * (x * (1.0 + e)))[:, None]
+
+    def small(v, total):
+        return np.all(np.abs(v) <= 1e-3 * np.maximum(abs_tol, 1e-12 * np.abs(total)))
+
+    lo, hi = -24, 24
+    block = weighted(h * np.arange(lo, hi + 1))
+    head, tail, total = block[0], block[-1], block.sum(axis=0)
+    while not small(head, total):
+        lo -= 1
+        head = weighted(np.array([h * lo]))[0]
+        total += head
+    while not small(tail, total):
+        hi += 1
+        tail = weighted(np.array([h * hi]))[0]
+        total += tail
+    truncation = np.abs(head) + np.abs(tail)
+    while True:
+        finer = 0.5 * (total + weighted(h * (np.arange(lo, hi) + 0.5)).sum(axis=0))
+        err = np.abs(finer - total) + truncation
+        total = finer
+        if np.all(err <= np.maximum(abs_tol, 1e-12 * np.abs(total))):
+            return total
+        h *= 0.5
+        lo, hi = 2 * lo, 2 * hi
+
+
 class TestHalfLineRule:
+    @pytest.mark.parametrize("scale, abs_tol", [(1.0, 1e-10), (1e-3, 1e-300), (40.0, 1e-300)])
+    def test_block_growth_matches_node_by_node(self, scale, abs_tol):
+        # x**-0.6 and x**9 need many extra nodes at the two ends
+        powers = np.array([-0.6, 0.0, 2.5, 9.0])
+        sizes = []
+
+        def family(x):
+            sizes.append(x.size)
+            return x[:, None] ** powers * np.exp(-x / 3.0)[:, None]
+
+        values, _ = half_line_quad(family, scale, QuadratureSpec(abs_tol=abs_tol))
+        growth = [n for n in sizes if n <= 8]
+        assert growth and set(growth) == {8}  # whole blocks, no cap to cut one short
+        want = node_by_node_rule(lambda x: x[:, None] ** powers * np.exp(-x / 3.0)[:, None],
+                                 scale, abs_tol)
+        assert np.array_equal(values, want)
+
     def test_gamma_family_on_shared_nodes(self):
         # int_0^inf x**p exp(-x) dx = Gamma(p + 1), endpoint behavior x**p
         powers = np.array([-0.7, 0.0, 0.5, 3.0, 9.0])
