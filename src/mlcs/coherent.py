@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
 from .kcore import MLParams
-from .mlfunc import EvalConfig, ml_eval, ml_eval_complex
+from .mlfunc import _BIG, _DOWN, EvalConfig, ml_eval, ml_eval_complex
 
 __all__ = [
     "TOP_COEFF_TOL",
@@ -121,6 +121,11 @@ def structure_e(params: MLParams, n: int) -> float:
     """
     if not (isinstance(n, int) and not isinstance(n, bool)) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    return _structure(params, n)
+
+
+def _structure(params: MLParams, n):
+    """e_n for an integer n or elementwise over an integer array n."""
     return n * (params.beta + params.alpha * (n - 1)) / (params.gamma + params.k * (n - 1))
 
 
@@ -128,8 +133,7 @@ def ladder_lower(state: FockExpansion) -> FockExpansion:
     """Apply the lowering operator: out[n] = sqrt(e_{n+1}) * in[n+1], top slot 0."""
     c = state.coeffs
     out = np.zeros_like(c)
-    for n in range(1, c.size):
-        out[n - 1] = math.sqrt(structure_e(state.params, n)) * c[n]
+    out[:-1] = np.sqrt(_structure(state.params, np.arange(1, c.size))) * c[1:]
     return FockExpansion(out, state.params, state.tail_mass)
 
 
@@ -146,14 +150,15 @@ def ladder_raise(state: FockExpansion) -> FockExpansion:
             "enlarge the window before raising"
         )
     out = np.zeros_like(c)
-    for n in range(c.size - 1):
-        out[n + 1] = math.sqrt(structure_e(state.params, n + 1)) * c[n]
+    out[1:] = np.sqrt(_structure(state.params, np.arange(1, c.size))) * c[:-1]
     return FockExpansion(out, state.params, state.tail_mass)
 
 
 def _series_terms(params: MLParams, x: float, cfg: EvalConfig):
     """Positive series terms t_n(x) until both the geometric tail and the last
-    kept term are negligible; returns (terms, total, tail_bound)."""
+    kept term are negligible; returns (terms, total, tail_bound), all three
+    scaled by the same power of two.  A term past 2**960 scales everything
+    kept by 2**-960, as mlfunc._series does, so the sum stays finite."""
     a, b, g, k = params.alpha, params.beta, params.gamma, params.k
     t = 1.0 / math.gamma(b)
     terms = [t]
@@ -172,6 +177,9 @@ def _series_terms(params: MLParams, x: float, cfg: EvalConfig):
             # stay legal and eigenvalue checks hold through the last slot
             if tail <= min(cfg.rel_tol, 1e-13) * total and t <= 1e-30 * total:
                 return terms, total, tail
+        elif t > _BIG:  # terms grow only while q >= 1
+            terms = [v * _DOWN for v in terms]
+            t, total = t * _DOWN, total * _DOWN
     raise ConvergenceError(
         f"series terms at x={x} not settled after {cfg.max_terms} terms"
     )
@@ -234,13 +242,11 @@ def ordered_moment_fock(z: CSLabel, params: MLParams, m: int,
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     state = cs_build(z, params, cfg)
     p = np.abs(state.coeffs) ** 2
-    total = 0.0
-    for n in range(m, p.size):
-        w = 1.0
-        for j in range(m):
-            w *= structure_e(params, n - j)
-        total += p[n] * w
-    return float(total)
+    e = _structure(params, np.arange(1, p.size))
+    w = np.ones(max(p.size - m, 0))
+    for j in range(m):
+        w *= e[m - 1 - j:e.size - j]
+    return float(np.dot(p[m:], w))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from scipy import integrate, optimize, special
 
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams
+from .kcore import MLParams, _require_positive
 from .quadrature import RELATIVE_SPEC, QuadratureSpec, gauss_legendre_panels, half_line_quad
 
 __all__ = [
@@ -91,12 +91,6 @@ def _peaked_integral(log_f, peak: float, spec: QuadratureSpec, scheme: str) -> f
     if total <= 0.0:
         raise ConvergenceError("fixed-rule peaked integral came out nonpositive")
     return scale + math.log(total)
-
-
-def _check_beta(beta_b) -> float:
-    if not (isinstance(beta_b, (int, float)) and math.isfinite(beta_b) and beta_b > 0):
-        raise DomainError(f"beta_b must be positive, got {beta_b!r}")
-    return float(beta_b)
 
 
 def _check_energy(e) -> float:
@@ -212,7 +206,7 @@ def continuum_measure_weight(x: float, quad: QuadratureSpec | None = None,
 
 def continuum_partition(beta_b: float) -> float:
     """Partition function of the continuous spectrum, exactly 1/beta_b."""
-    beta_b = _check_beta(beta_b)
+    beta_b = _require_positive(beta_b, "beta_b")
     return 1.0 / beta_b
 
 
@@ -227,7 +221,7 @@ def continuum_husimi(z: CSLabel, beta_b: float,
     values themselves over- or underflow.  |z| = 0 returns the x -> 0 limit
     beta_b (both nu values collapse at the same logarithmic rate).
     """
-    beta_b = _check_beta(beta_b)
+    beta_b = _require_positive(beta_b, "beta_b")
     x = z.modulus ** 2
     if x == 0.0:
         return beta_b
@@ -249,7 +243,7 @@ def continuum_p_function(z: CSLabel, beta_b: float, literal_sign: bool = False) 
     evaluates beta_b * exp(+(exp(beta_b) - 1) |z|^2), the growing variant
     (kept only for comparison; it cannot reproduce Boltzmann diagonals).
     """
-    return float(_p_weight(z.modulus ** 2, _check_beta(beta_b), literal_sign))
+    return float(_p_weight(z.modulus ** 2, _require_positive(beta_b, "beta_b"), literal_sign))
 
 
 def _p_weight(x, beta_b: float, literal_sign: bool = False):
@@ -277,8 +271,7 @@ class EnergyDensityState:
     norm: float
 
     def __post_init__(self):
-        if not (self.norm > 0.0 and math.isfinite(self.norm)):
-            raise DomainError(f"norm must be positive and finite, got {self.norm!r}")
+        _require_positive(self.norm, "norm")
 
     @classmethod
     def build(cls, z: CSLabel, quad: QuadratureSpec | None = None) -> "EnergyDensityState":
@@ -331,7 +324,7 @@ def continuum_diagonal(e: float, beta_b: float,
     default the target is relative (the value can sit far below 1e-100).
     """
     e = _check_energy(e)
-    beta_b = _check_beta(beta_b)
+    beta_b = _require_positive(beta_b, "beta_b")
     lg = math.lgamma(e + 1.0)
 
     def f(xs):

@@ -25,6 +25,13 @@ MAX_GAMMA_ARG = 171.61447887182298
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _require_positive(value, name: str) -> float:
+    """The package's one positive-finite check; returns value as a float."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MLParams:
     """Parameter quadruple (alpha, beta, gamma, k), all strictly positive."""
@@ -36,9 +43,7 @@ class MLParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "k"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive finite number, got {v!r}")
+            _require_positive(getattr(self, name), name)
 
     @property
     def gamma_over_k(self) -> float:
@@ -50,11 +55,6 @@ class MLParams:
 
 
 UNIT_PARAMS = MLParams(1.0, 1.0, 1.0, 1.0)
-
-
-def _require_positive(value, name):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def k_gamma(x: float, k: float) -> float:

@@ -6,15 +6,17 @@
 by direct term recursion, plus a confluent-hypergeometric cross-check route
 and the Laplace transform of E in closed form and by quadrature.
 
-The term ratio
-
-    t_{n+1} / t_n = z * (gamma + n k) / ((beta + n alpha) * (n + 1))
-
-is bounded in magnitude by |z| * max(gamma/beta, k/alpha) / (n + 1) for every
-order >= n, which yields a rigorous geometric tail bound once that quantity
-drops below 1; the summation stops when the bound falls under rel_tol times
-the partial sum.  All parameters positive makes every term finite and the
-series entire in z.
+Every ML and 1F1 series is summed by one Kahan-compensated loop, _series,
+for the term ratio x (p + n q) / ((r + n s) (n + 1)) given as numbers:
+(x, p, q, r, s) = (z, gamma, k, beta, alpha) on the direct route and
+((k/alpha) z, gamma/k, 1, beta/alpha, 1) on the 1F1 route.  From order n on
+the ratio is bounded by cap / (n + 1), cap = |x| max(|p|/r, q/s), which
+yields a rigorous geometric tail bound once that drops below 1; the sum
+stops when the bound falls under rel_tol times the partial sum.  The loop
+moves exact powers of two (2**960 at a time) out of its partial sums into a
+returned exponent, so a sum that stays below 2**960 is the plain float sum
+bit for bit, and E beyond float64 raises OverflowError instead of turning
+into NaN.  Non-finite z raises DomainError.
 
 Negative arguments are summed through the confluent reflection
 
@@ -24,13 +26,14 @@ because the raw alternating series loses all significance once its largest
 term dwarfs the value (|z| * max(gamma/beta, k/alpha) beyond ~35 or so);
 after reflection every term past index |b - a| has one sign and the sum
 carries full relative precision.  Both evaluation routes reflect, each in
-its own parameter grouping, so they remain distinct floating-point paths.
+its own parameter grouping, so they remain distinct floating-point paths;
+the exponent of the reflected sum is folded into the factor exp(w).
 
 When b - a is large and negative the reflected terms still alternate up to
 index |b - a| and can peak far above the sum (b - a = -15.5, |w| = 9.3 peaks
 near 1e8 times the value).  Whenever float rounding of that peak could exceed
-rel_tol of the sum, the series is summed again in decimal arithmetic from the
-exact float inputs, at a precision that covers the peak.
+rel_tol of the sum, the same loop sums the series again in decimal
+arithmetic from the exact float inputs, at a precision that covers the peak.
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ class EvalConfig:
 
 _DEFAULT_CONFIG = EvalConfig()
 _EPS = 2.0 ** -52
+# partial sums are kept below 2**_SHIFT by moving that power into an exponent
+_SHIFT = 960
+_BIG = 2.0 ** _SHIFT
+_DOWN = 2.0 ** -_SHIFT
+_UNDO = 2.0 ** 50  # 10,000 terms below 2**(_SHIFT + 50) sum below float64 max unscaled
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -89,127 +98,148 @@ class SeriesResult:
     converged: bool
 
 
-def _sum_ratio_series(t0, step, cap, cfg):
-    """Kahan-compensated sum of t0 * prod(step(j)) with geometric tail control.
+def _series(t0, x, p, q, r, s, cap, cfg):
+    """Kahan sum of t0 * sum_n prod_{j<n} x (p + j q) / ((r + j s) (j + 1)).
 
-    step(n) maps t_n to t_{n+1}; every ratio from index n onward is bounded
-    in magnitude by cap / (n + 1).  Works for real or complex t0/step output.
+    Every term ratio from index n on is bounded in magnitude by cap / (n + 1);
+    the sum stops once the geometric tail bound falls below rel_tol of it.
+    Runs on float, complex or Decimal values.  A term past 2**960 moves that
+    power of two from the term, the sum and the compensation into the
+    exponent e (exact in binary), so the value is total * 2**e; once the
+    terms fall back below 2**960 and no term reached 2**1010, the power moves
+    back before the terms underflow in the scaled units.  Returns (total, e,
+    terms used, tail bound, converged, largest |t_n|), the sums in units of
+    2**e; OverflowError if a single term ratio overflows float64.
     """
-    term = t0
-    total = t0
-    comp = 0.0 * t0
+    tol, down = cfg.rel_tol, _DOWN
+    if isinstance(t0, decimal.Decimal):
+        tol, cap, down = decimal.Decimal(tol), decimal.Decimal(cap), decimal.Decimal(down)
+    term = total = t0
+    comp = t0 - t0
+    peak = abs(t0)
     tail = math.inf
-    n = 0
+    e = n = 0
     for n in range(1, cfg.max_terms):
-        term = step(term, n - 1)
+        j = n - 1
+        term = term * x * (p + j * q) / ((r + j * s) * n)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        q = cap / (n + 1)
-        if q < 1.0:
-            tail = abs(term) * q / (1.0 - q)
-            if tail <= cfg.rel_tol * abs(total):
-                return total, n + 1, tail, True
-    return total, n + 1, tail, False
-
-
-def _cancels(t0, step, n_alt, total, cfg):
-    """True when rounding in the alternating terms t_0..t_{n_alt} could
-    exceed rel_tol of the float sum total."""
-    term = t0
-    peak = abs(t0)
-    for m in range(n_alt):
-        term = step(term, m)
-        peak = max(peak, abs(term))
-    return peak * (n_alt + 1) * _EPS > cfg.rel_tol * abs(total)
+        size = abs(term)
+        if size > peak:
+            if size > _BIG:
+                if size == math.inf:
+                    raise OverflowError(f"series term {n} overflows float64 at |x| = {abs(x):.3e}")
+                term, total, comp, size = term * down, total * down, comp * down, size * down
+                e += _SHIFT
+            peak = size
+        elif e and size < 1.0 and peak < _UNDO:
+            term, total, comp, size, peak = (v / down for v in (term, total, comp, size, peak))
+            e -= _SHIFT
+        ratio = cap / (n + 1)
+        if ratio < 1.0:
+            tail = size * ratio / (1 - ratio)
+            if tail <= tol * abs(total):
+                return total, e, n + 1, tail, True, peak
+    return total, e, n + 1, tail, False, peak
 
 
 def _decimal_sum(t0, x, p, q, r, s, cap, cfg):
-    """Sum t0 * sum_n prod_{j<n} x (p + j q) / ((r + j s) (j + 1)) in decimal
-    arithmetic with the float inputs taken exactly.
+    """_series in decimal arithmetic with the float inputs taken exactly.
 
-    The precision doubles until the rounding of the largest term is below
-    rel_tol of the sum; the stopping rule is the geometric tail bound of
-    _sum_ratio_series with the same cap.  Not certified at 320 digits means
+    The precision doubles from 40 digits until the rounding of the largest
+    term is below rel_tol of the sum.  Not certified at 320 digits means
     converged is False.
     """
-    x, p, q, r, s = (decimal.Decimal(v) for v in (x, p, q, r, s))
+    args = [decimal.Decimal(v) for v in (t0, x, p, q, r, s)]
     prec = 40
     while True:
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            term = total = +decimal.Decimal(t0)
-            peak = abs(term)
-            tail = math.inf
-            ok = False
-            for n in range(1, cfg.max_terms):
-                j = n - 1
-                term = term * x * (p + j * q) / ((r + j * s) * n)
-                total += term
-                peak = max(peak, abs(term))
-                ratio = cap / (n + 1)
-                if ratio < 1.0:
-                    tail = abs(float(term)) * ratio / (1.0 - ratio)
-                    if tail <= cfg.rel_tol * abs(float(total)):
-                        ok = True
-                        break
-            value = float(total)
-            rounding = float(peak) * n * 10.0 ** (1 - prec)
-        if rounding <= cfg.rel_tol * abs(value) or prec >= 320:
-            return value, n + 1, tail + rounding, ok and rounding <= cfg.rel_tol * abs(value)
+            total, e, used, tail, ok, peak = _series(+args[0], *args[1:], cap, cfg)
+        value = float(total)
+        rounding = float(peak) * used * 10.0 ** (1 - prec)
+        certified = rounding <= cfg.rel_tol * abs(value)
+        if certified or prec >= 320:
+            return value, e, used, float(tail) + rounding, ok and certified
         prec *= 2
 
 
-def _ml_sum(params: MLParams, z, cfg: EvalConfig):
-    a, b, g, k = params.alpha, params.beta, params.gamma, params.k
-    t0 = 1.0 / math.gamma(b)
+def _kummer_sum(t0, z, p, q, r, s, cfg):
+    """The series of _series at x = z, reflected when Re z < 0.
+
+    The reflection 1F1(a; b; w) = e^w 1F1(b - a; b; -w) sums at -z with p
+    replaced by q (r/s - p/q), a difference of ratios that is exactly zero
+    when p/q == r/s, and folds the exponent of that sum into exp((q/s) z).
+    At real z a reflected series with p < 0 alternates for ceil(-p/q) terms;
+    when rounding of its largest term could exceed rel_tol of the sum, it is
+    summed again in decimal.  Returns (total, e, terms used, tail bound,
+    converged), the value being total * 2**e.
+    """
     if z == 0:
-        return t0 + 0 * z, 1, 0.0, True
-    neg = (z.real if isinstance(z, complex) else z) < 0.0
-    if not neg:
-        cap = abs(z) * max(g / b, k / a)
-
-        def step(term, m):
-            return term * z * (g + m * k) / ((b + m * a) * (m + 1))
-
-        return _sum_ratio_series(t0 + 0 * z, step, cap, cfg)
-
-    # reflected series in k-symbol grouping: shifted numerator beta - alpha*gamma/k,
-    # assembled from the ratio difference so the degenerate beta/alpha == gamma/k
-    # case cancels exactly instead of leaving an O(eps) residue for e**y to amplify
-    c_sym = a * (b / a - g / k)
+        return t0 + 0 * z, 0, 1, 0.0, True
+    if z.real >= 0.0:
+        return _series(t0 + 0 * z, z, p, q, r, s, abs(z) * max(p / r, q / s), cfg)[:5]
+    c = q * (r / s - p / q)
     y = -z
-    cap = abs(y) * (k / a) * max(abs(c_sym) / b, 1.0)
-
-    def step(term, m):
-        return term * y * (k / a) * (c_sym + m * a) / ((b + m * a) * (m + 1))
-
-    total, used, tail, ok = _sum_ratio_series(t0 + 0 * z, step, cap, cfg)
+    cap = abs(y) * max(abs(c) / r, q / s)
+    total, e, used, tail, ok, peak = _series(t0 + 0 * z, y, c, q, r, s, cap, cfg)
     if isinstance(z, complex):
-        scale = cmath.exp((k / a) * z)
+        scale = cmath.exp((q / s) * z + e * _LN2)
     else:
-        if c_sym < 0.0 and _cancels(t0, step, math.ceil(-c_sym / a), total, cfg):
-            total, used, tail, ok = _decimal_sum(t0, y * (k / a), c_sym, a, b, a, cap, cfg)
-        scale = math.exp((k / a) * z)
-    return scale * total, used, abs(scale) * tail, ok
+        if c < 0.0 and peak * (math.ceil(-c / q) + 1) * _EPS > cfg.rel_tol * abs(total):
+            total, e, used, tail, ok = _decimal_sum(t0, y, c, q, r, s, cap, cfg)
+        scale = math.exp((q / s) * z + e * _LN2)
+    return scale * total, 0, used, abs(scale) * tail, ok
+
+
+def _ml_sum(params: MLParams, z, cfg: EvalConfig):
+    """E(z) = total * 2**e as _kummer_sum in the k-symbol grouping
+    (x, p, q, r, s) = (z, gamma, k, beta, alpha)."""
+    return _kummer_sum(1.0 / math.gamma(params.beta), z, params.gamma, params.k,
+                       params.beta, params.alpha, cfg)
+
+
+def _unscale(z, sums):
+    """(value, terms used, tail bound, converged) of a _kummer_sum result;
+    OverflowError when the value is beyond float64."""
+    total, e, used, tail, ok = sums
+    if e:
+        try:
+            total, tail = total * 2.0 ** e, tail * 2.0 ** e
+        except OverflowError:
+            total = math.inf
+    if not cmath.isfinite(total):
+        raise OverflowError(f"E at z = {z!r} exceeds float64 range ({sums[0]!r} * 2**{e})")
+    return total, used, tail, ok
+
+
+def _real_arg(z) -> float:
+    if isinstance(z, complex):
+        raise DomainError("z must be real here; use ml_eval_complex")
+    z = float(z)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+    return z
 
 
 def ml_eval(params: MLParams, z: float, cfg: EvalConfig | None = None) -> SeriesResult:
     """Sum the series at real z.  Never raises on slow convergence; inspect
-    the converged flag (or use ml_eval_complex, which does raise)."""
-    if isinstance(z, complex):
-        raise DomainError("z must be real here; use ml_eval_complex")
-    cfg = cfg or _DEFAULT_CONFIG
-    value, used, tail, ok = _ml_sum(params, float(z), cfg)
-    return SeriesResult(value, used, tail, ok)
+    the converged flag (or use ml_eval_complex, which does raise).  Raises
+    OverflowError when E(z) is beyond float64, DomainError for non-finite z."""
+    z = _real_arg(z)
+    return SeriesResult(*_unscale(z, _ml_sum(params, z, cfg or _DEFAULT_CONFIG)))
 
 
 def ml_eval_complex(params: MLParams, z: complex, cfg: EvalConfig | None = None) -> complex:
     """Series value at complex z; raises ConvergenceError if the tail bound
-    never certifies rel_tol."""
-    cfg = cfg or _DEFAULT_CONFIG
-    value, used, tail, ok = _ml_sum(params, complex(z), cfg)
+    never certifies rel_tol, OverflowError beyond float64, DomainError for
+    non-finite z."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+    value, used, tail, ok = _unscale(z, _ml_sum(params, z, cfg or _DEFAULT_CONFIG))
     if not ok:
         raise ConvergenceError(
             f"series at z={z} not converged after {used} terms (tail bound {tail:.3e})",
@@ -220,37 +250,13 @@ def ml_eval_complex(params: MLParams, z: complex, cfg: EvalConfig | None = None)
 
 def ml_eval_via_1f1(params: MLParams, z: float, cfg: EvalConfig | None = None) -> SeriesResult:
     """Cross-check route: E(z) = 1F1(gamma/k; beta/alpha; (k/alpha) z) / Gamma(beta),
-    summed as a Kummer series in the rescaled argument."""
-    if isinstance(z, complex):
-        raise DomainError("z must be real here")
-    cfg = cfg or _DEFAULT_CONFIG
-    a = params.gamma_over_k
-    b = params.beta_over_alpha
-    w = (params.k / params.alpha) * float(z)
-    t0 = 1.0 / math.gamma(params.beta)
-    if w == 0.0:
-        return SeriesResult(t0, 1, 0.0, True)
-    if w > 0.0:
-        cap = w * max(a / b, 1.0)
-
-        def step(term, m):
-            return term * w * (a + m) / ((b + m) * (m + 1))
-
-        value, used, tail, ok = _sum_ratio_series(t0, step, cap, cfg)
-        return SeriesResult(value, used, tail, ok)
-
-    c = b - a
-    y = -w
-    cap = y * max(abs(c) / b, 1.0)
-
-    def step(term, m):
-        return term * y * (c + m) / ((b + m) * (m + 1))
-
-    value, used, tail, ok = _sum_ratio_series(t0, step, cap, cfg)
-    if c < 0.0 and _cancels(t0, step, math.ceil(-c), value, cfg):
-        value, used, tail, ok = _decimal_sum(t0, y, c, 1.0, b, 1.0, cap, cfg)
-    scale = math.exp(w)
-    return SeriesResult(scale * value, used, scale * tail, ok)
+    summed as a Kummer series in the rescaled argument, (x, p, q, r, s) =
+    ((k/alpha) z, gamma/k, 1, beta/alpha, 1)."""
+    z = _real_arg(z)
+    w = (params.k / params.alpha) * z
+    sums = _kummer_sum(1.0 / math.gamma(params.beta), w, params.gamma_over_k, 1.0,
+                       params.beta_over_alpha, 1.0, cfg or _DEFAULT_CONFIG)
+    return SeriesResult(*_unscale(z, sums))
 
 
 def ml_laplace(params: MLParams, s: float, cfg: EvalConfig | None = None) -> float:
@@ -272,15 +278,12 @@ def ml_laplace(params: MLParams, s: float, cfg: EvalConfig | None = None) -> flo
     a = params.gamma_over_k
     b = params.beta_over_alpha
 
-    def step(term, m):
-        return term * w * (a + m) / (b + m)
-
     # ratio at order m is w*(a+m)/(b+m) -> w < 1, bounded by w*max(a/b, 1)
     term = 1.0
     total = 1.0
     comp = 0.0
     for n in range(1, cfg.max_terms):
-        term = step(term, n - 1)
+        term = term * w * (a + (n - 1)) / (b + (n - 1))
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -317,12 +320,12 @@ def ml_laplace_quad(
 
     def probe(x):
         # E grows with x, so a finite value at the cutoff vouches for [0, x]
-        value = f(x)
-        if not math.isfinite(value):
+        try:
+            return f(x)
+        except OverflowError as exc:
             raise ConvergenceError(
                 f"integrand not finite at x={x} (s={s}): E overflows before the tail is negligible"
-            )
-        return value
+            ) from exc
 
     upper = 16.0 / rate
     tail = probe(upper)

@@ -38,6 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
+from .kcore import _require_positive
 
 __all__ = [
     "QuadratureSpec",
@@ -58,12 +59,9 @@ class QuadratureSpec:
     max_nodes: int = 100000
 
     def __post_init__(self):
-        if self.upper_cutoff is not None and not (
-            isinstance(self.upper_cutoff, (int, float)) and self.upper_cutoff > 0
-        ):
-            raise DomainError(f"upper_cutoff must be positive, got {self.upper_cutoff!r}")
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if self.upper_cutoff is not None:
+            _require_positive(self.upper_cutoff, "upper_cutoff")
+        _require_positive(self.abs_tol, "abs_tol")
         if not (isinstance(self.max_nodes, int) and self.max_nodes >= 100):
             raise DomainError(f"max_nodes must be an integer >= 100, got {self.max_nodes!r}")
 
@@ -149,8 +147,7 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
     integrand evaluations; a target that is not met raises ConvergenceError.
     """
     spec = spec or _DEFAULT_SPEC
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    _require_positive(scale, "scale")
     cap = math.inf if spec.upper_cutoff is None else float(spec.upper_cutoff)
     h = _DE_STEP
     count = 0

@@ -20,9 +20,9 @@ import numpy as np
 
 from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams
+from .kcore import MLParams, _require_positive
 from .measure import meijer_g_weight
-from .mlfunc import EvalConfig, SeriesResult, ml_eval
+from .mlfunc import EvalConfig, SeriesResult, _ml_sum
 
 __all__ = [
     "LinearSpectrum",
@@ -45,9 +45,7 @@ class LinearSpectrum:
     slope: float
 
     def __post_init__(self):
-        if not (isinstance(self.slope, (int, float)) and math.isfinite(self.slope)
-                and self.slope > 0):
-            raise DomainError(f"slope must be positive, got {self.slope!r}")
+        _require_positive(self.slope, "slope")
 
     def energy(self, n: int) -> float:
         return self.slope * n
@@ -93,9 +91,7 @@ class ThermalConfig:
     ansatz_terms: int = 8
 
     def __post_init__(self):
-        if not (isinstance(self.beta_b, (int, float)) and math.isfinite(self.beta_b)
-                and self.beta_b > 0):
-            raise DomainError(f"beta_b must be positive, got {self.beta_b!r}")
+        _require_positive(self.beta_b, "beta_b")
         if not isinstance(self.spectrum, (LinearSpectrum, QuadraticSpectrum)):
             raise DomainError("spectrum must be a LinearSpectrum or QuadraticSpectrum")
         if not (isinstance(self.ansatz_terms, int) and self.ansatz_terms >= 0):
@@ -158,13 +154,7 @@ def partition_quadratic(cfg: ThermalConfig, rel_tol: float = 1e-5) -> SeriesResu
         raise DomainError("linear coefficient must be positive")
     if sp.b_quad < 0.0:
         raise DomainError("quadratic coefficient must be >= 0")
-    y = cfg.beta_b * sp.a_lin
-    coeff = 1.0
-    total = 0.0
-    for j in range(cfg.ansatz_terms + 1):
-        if j > 0:
-            coeff *= -cfg.beta_b * sp.b_quad / j
-        total += coeff * _bose_power_sum(2 * j, y)
+    total = _ansatz_sums(cfg, cfg.ansatz_terms)[-1]
     oracle = partition_quadratic_direct(cfg)
     deviation = abs(total - oracle) / abs(oracle)
     return SeriesResult(total, cfg.ansatz_terms + 1, deviation, deviation <= rel_tol)
@@ -175,18 +165,23 @@ def ansatz_error_curve(cfg: ThermalConfig, j_max: int) -> list[float]:
     the asymptotic character shows as a minimum followed by growth."""
     if j_max < 0:
         raise DomainError(f"j_max must be >= 0, got {j_max!r}")
-    sp = cfg.spectrum
     oracle = partition_quadratic_direct(cfg)
+    return [abs(total - oracle) / abs(oracle) for total in _ansatz_sums(cfg, j_max)]
+
+
+def _ansatz_sums(cfg: ThermalConfig, j_max: int) -> list[float]:
+    """Partial sums of the resummation ansatz for J = 0..j_max."""
+    sp = cfg.spectrum
     y = cfg.beta_b * sp.a_lin
     coeff = 1.0
     total = 0.0
-    errors = []
+    sums = []
     for j in range(j_max + 1):
         if j > 0:
             coeff *= -cfg.beta_b * sp.b_quad / j
         total += coeff * _bose_power_sum(2 * j, y)
-        errors.append(abs(total - oracle) / abs(oracle))
-    return errors
+        sums.append(total)
+    return sums
 
 
 def _require_linear(cfg: ThermalConfig) -> float:
@@ -200,16 +195,19 @@ def husimi_q(z: CSLabel, params: MLParams, cfg: ThermalConfig,
     """Husimi function of the Gibbs state at phase-space point z:
 
         Q(|z|^2) = (1/Z) E(exp(-beta_b * slope) |z|^2) / E(|z|^2)
+
+    The two sums are divided in their power-of-two scaled form, so Q stays
+    finite where E(|z|^2) itself leaves float64.
     """
     slope = _require_linear(cfg)
     eval_cfg = eval_cfg or EvalConfig()
     x = z.modulus ** 2
     zpart = partition_linear(cfg)
-    num = ml_eval(params, math.exp(-cfg.beta_b * slope) * x, eval_cfg)
-    den = ml_eval(params, x, eval_cfg)
-    if not (num.converged and den.converged):
+    num, num_exp, _, _, num_ok = _ml_sum(params, math.exp(-cfg.beta_b * slope) * x, eval_cfg)
+    den, den_exp, _, _, den_ok = _ml_sum(params, x, eval_cfg)
+    if not (num_ok and den_ok):
         raise ConvergenceError("Husimi series did not converge")
-    return num.value / den.value / zpart
+    return math.ldexp(num / den, num_exp - den_exp) / zpart
 
 
 def husimi_q_fock(z: CSLabel, params: MLParams, cfg: ThermalConfig,
@@ -218,11 +216,8 @@ def husimi_q_fock(z: CSLabel, params: MLParams, cfg: ThermalConfig,
     distribution of z."""
     slope = _require_linear(cfg)
     state = cs_build(z, params, eval_cfg)
-    zpart = partition_linear(cfg)
-    total = 0.0
-    for n in range(state.coeffs.size):
-        total += math.exp(-cfg.beta_b * slope * n) * float(abs(state.coeffs[n]) ** 2)
-    return total / zpart
+    boltzmann = np.exp(-cfg.beta_b * slope * np.arange(state.coeffs.size))
+    return float(np.dot(boltzmann, np.abs(state.coeffs) ** 2)) / partition_linear(cfg)
 
 
 def p_function(z: CSLabel, params: MLParams, cfg: ThermalConfig) -> float:

@@ -72,6 +72,20 @@ class TestMlEval:
         assert payload["results"]["converged"] is False
         assert payload["diagnostics"]
 
+    def test_value_beyond_float64_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "ml-eval", "--alpha", "2", "--beta", "3",
+                                 "--gamma", "1.5", "--kpar", "0.7", "--z", "2030")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mlcs:") and err.count("\n") == 1
+
+    def test_non_finite_argument_exits_one(self, capsys):
+        for z in ("nan", "inf", "-inf"):
+            code, out, err = run_cli(capsys, "ml-eval", "--z", z)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("mlcs:")
+
     def test_csv_format_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, "ml-eval", "--z", "1.0", "--format", "csv")
         lines = out.strip().split("\n")
@@ -143,7 +157,7 @@ class TestScan:
         _, out, _ = run_cli(capsys, "scan", "--quantity", "pn", "--zmod", "1.0")
         rows = json.loads(out)["results"]["rows"]
         for n, p in rows[:8]:
-            assert p == pytest.approx(math.exp(-1.0) / math.factorial(n), rel=1e-10)
+            assert p == pytest.approx(math.exp(-1.0) / math.factorial(n), rel=1e-10, abs=0)
 
     def test_nu_column_is_monotone(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--quantity", "nu",
@@ -162,7 +176,7 @@ class TestScan:
                             "--x-steps", "5")
         rows = json.loads(out)["results"]["rows"]
         for x, value in rows:
-            assert value == pytest.approx(math.exp(-x), rel=1e-8)
+            assert value == pytest.approx(math.exp(-x), rel=1e-8, abs=0)
 
     def test_thermal_p_scan_at_unit_parameters(self, capsys):
         _, out, _ = run_cli(capsys, "scan", "--quantity", "pfn",
@@ -170,7 +184,7 @@ class TestScan:
         rows = json.loads(out)["results"]["rows"]
         rate = math.e - 1.0
         for x, value in rows:
-            assert value == pytest.approx(rate * math.exp(-rate * x), rel=1e-10)
+            assert value == pytest.approx(rate * math.exp(-rate * x), rel=1e-10, abs=0)
 
     def test_continuum_scans_run(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--quantity", "husimi-cont",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,18 @@ class TestEigenstates:
         scaled = FockExpansion(z.value * state.coeffs, params)
         assert expansion_distance(lowered, scaled) <= 1e-9
 
+    def test_array_ladders_match_the_element_loop(self):
+        # same arithmetic per element as a loop over structure_e: equal values
+        params = MLParams(1.4, 2.8, 0.6, 1.9)
+        state = cs_build(CSLabel(2.4, 5.9), params)
+        c = state.coeffs
+        lowered, raised = np.zeros_like(c), np.zeros_like(c)
+        for n in range(1, c.size):
+            lowered[n - 1] = math.sqrt(structure_e(params, n)) * c[n]
+            raised[n] = math.sqrt(structure_e(params, n)) * c[n - 1]
+        assert np.array_equal(ladder_lower(state).coeffs, lowered)
+        assert np.array_equal(ladder_raise(state).coeffs, raised)
+
     def test_raise_applies_to_fresh_states(self):
         # the builder cuts deep enough that the window edge is legally quiet
         state = cs_build(CSLabel(2.5, 0.3), MLParams(1.5, 2.0, 0.8, 1.1))
@@ -212,7 +225,18 @@ class TestMoments:
             for m in (1, 2, 3):
                 closed = expectation_ordered_power(z, params, m)
                 summed = ordered_moment_fock(z, params, m)
-                assert summed == pytest.approx(closed, rel=1e-10)
+                assert summed == pytest.approx(closed, rel=1e-10, abs=0)
+
+    def test_array_moment_matches_the_element_loop(self):
+        # summation order differs from the loop: positive terms, so the two
+        # agree to size * eps
+        params, z = MLParams(0.7, 1.2, 3.4, 2.1), CSLabel(2.2, 1.3)
+        p = photon_distribution(z, params).probs
+        for m in (0, 1, 2, 3):
+            loop = sum(p[n] * math.prod(structure_e(params, n - j) for j in range(m))
+                       for n in range(m, p.size))
+            got = ordered_moment_fock(z, params, m)
+            assert got == pytest.approx(loop, rel=p.size * 2.0 ** -52, abs=0)
 
     def test_moment_domain(self):
         with pytest.raises(DomainError):
@@ -221,13 +245,42 @@ class TestMoments:
             ordered_moment_fock(CSLabel(1.0), UNIT_PARAMS, 1.5)
 
 
+def log_space_probs(params, x, n_max):
+    """p_n = (a)_n w^n / ((b)_n n! 1F1(a; b; w)), w = (k/alpha) x, from logs."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(params.gamma) / params.k
+        b = mpmath.mpf(params.beta) / params.alpha
+        w = mpmath.mpf(params.k) / params.alpha * x
+        log_norm = mpmath.log(mpmath.hyp1f1(a, b, w))
+        return np.array([float(mpmath.exp(
+            mpmath.loggamma(a + n) - mpmath.loggamma(a) + n * mpmath.log(w)
+            - mpmath.loggamma(b + n) + mpmath.loggamma(b) - mpmath.loggamma(n + 1)
+            - log_norm)) for n in range(n_max + 1)])
+
+
+class TestBeyondFloatRange:
+    def test_state_where_the_normalization_overflows(self):
+        # E(2100) ~ 5e320: the kept terms carry a power-of-two scale, where
+        # they used to sum to inf and give NaN amplitudes
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        z = CSLabel(math.sqrt(2100.0), 0.4)
+        state = cs_build(z, params)
+        probs = np.abs(state.coeffs) ** 2
+        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert state.tail_mass <= 1e-12
+        want = log_space_probs(params, 2100.0, probs.size - 1)
+        np.testing.assert_allclose(probs, want, rtol=1e-11, atol=1e-300)
+        phases = np.exp(1j * z.phase * np.arange(probs.size))
+        np.testing.assert_allclose(state.coeffs, np.sqrt(probs) * phases, rtol=1e-15, atol=0)
+
+
 class TestPhotonStatistics:
     def test_unit_parameters_give_poisson(self):
         x = 2.25
         dist = photon_distribution(CSLabel(1.5, 0.9), UNIT_PARAMS)
         for n in range(min(dist.probs.size, 20)):
             want = math.exp(-x) * x**n / math.factorial(n)
-            assert dist.probs[n] == pytest.approx(want, rel=1e-12)
+            assert dist.probs[n] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_probabilities_sum_to_one(self):
         dist = photon_distribution(CSLabel(2.0, 0.0), MLParams(0.5, 3.0, 2.0, 0.7))
@@ -241,7 +294,7 @@ class TestPhotonStatistics:
         x = 2.25
         dist = photon_distribution(CSLabel(1.5, 0.0), params)
         want = (1.0 / math.gamma(3.0)) / ml_eval(params, x).value
-        assert dist.probs[0] == pytest.approx(want, rel=1e-12)
+        assert dist.probs[0] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_neighbor_ratio_recursion(self):
         # p_{n+1}/p_n carries the series ratio (gamma + n k) x / ((beta + n alpha)(n+1))
@@ -252,4 +305,4 @@ class TestPhotonStatistics:
             want = dist.probs[n] * (params.gamma + n * params.k) * x / (
                 (params.beta + n * params.alpha) * (n + 1)
             )
-            assert dist.probs[n + 1] == pytest.approx(want, rel=1e-12)
+            assert dist.probs[n + 1] == pytest.approx(want, rel=1e-12, abs=0)

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mlcs import (
+    CSLabel,
     DomainError,
+    EnergyDensityState,
+    LinearSpectrum,
     MLParams,
+    ThermalConfig,
     UNIT_PARAMS,
+    continuum_partition,
     gen_gamma,
     k_gamma,
     k_pochhammer,
@@ -50,7 +55,7 @@ class TestKGamma:
     def test_small_k_avoids_spurious_underflow(self):
         # factors separately under/overflow here; the value is representable
         v = k_gamma(0.17, 0.001)
-        assert v == pytest.approx(math.exp(log_k_gamma(0.17, 0.001)), rel=1e-10)
+        assert v == pytest.approx(math.exp(log_k_gamma(0.17, 0.001)), rel=1e-10, abs=0)
         assert v > 0.0
 
     def test_overflow_is_reported(self):
@@ -82,7 +87,7 @@ class TestKPochhammer:
     @settings(max_examples=80, deadline=None)
     def test_recurrence_in_n(self, x, n, k):
         full = k_pochhammer(x, n + 1, k)
-        assert full == pytest.approx(k_pochhammer(x, n, k) * (x + n * k), rel=1e-12)
+        assert full == pytest.approx(k_pochhammer(x, n, k) * (x + n * k), rel=1e-12, abs=0)
 
     @given(x=st.floats(min_value=0.1, max_value=30.0),
            n=st.integers(min_value=0, max_value=60),
@@ -150,3 +155,20 @@ class TestMLParams:
         p = MLParams(2.0, 3.0, 5.0, 4.0)
         assert p.beta_over_alpha == 1.5
         assert p.gamma_over_k == 1.25
+
+
+class TestPositiveValidator:
+    def test_every_positive_parameter_shares_one_check(self):
+        # MLParams, both thermal configs and the continuum inputs go through
+        # kcore._require_positive, so they reject the same values alike
+        makers = [
+            ("alpha", lambda v: MLParams(v, 1.0, 1.0, 1.0)),
+            ("slope", LinearSpectrum),
+            ("beta_b", lambda v: ThermalConfig(v, LinearSpectrum(1.0))),
+            ("beta_b", continuum_partition),
+            ("norm", lambda v: EnergyDensityState(CSLabel(1.0), v)),
+        ]
+        for name, make in makers:
+            for bad in (0.0, -2.0, math.nan, math.inf, "1"):
+                with pytest.raises(DomainError, match=f"{name} must be positive"):
+                    make(bad)

@@ -1,6 +1,7 @@
 """Series evaluator: reductions, route agreement, tails, Laplace transform."""
 
 import cmath
+import decimal
 import math
 
 import mpmath
@@ -19,9 +20,12 @@ from mlcs import (
     ml_eval_via_1f1,
     ml_laplace,
     ml_laplace_quad,
+    mlfunc,
 )
 
 PARAM = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
+# E(x) of these parameters leaves float64 range near x = 2030
+F2 = MLParams(2.0, 3.0, 1.5, 0.7)
 
 
 def reference_value(params, z):
@@ -40,7 +44,7 @@ class TestReductions:
         for z in (-20.0, -3.0, -1.0, 0.0, 0.5, 1.0, 4.0, 15.0):
             res = ml_eval(UNIT_PARAMS, z, tight)
             assert res.converged
-            assert res.value == pytest.approx(math.exp(z), rel=1e-13)
+            assert res.value == pytest.approx(math.exp(z), rel=1e-13, abs=0)
 
     def test_value_at_origin_is_reciprocal_gamma(self):
         for beta in (0.5, 1.0, 2.0, 3.7):
@@ -67,7 +71,7 @@ class TestReductions:
         for params, z in cases:
             res = ml_eval(params, z)
             assert res.converged
-            assert res.value == pytest.approx(reference_value(params, z), rel=5e-12)
+            assert res.value == pytest.approx(reference_value(params, z), rel=5e-12, abs=0)
 
 
 class TestRouteAgreement:
@@ -90,8 +94,8 @@ class TestRouteAgreement:
                           0.234375, 0.6702143902751265)
         z = -18.0
         want = math.exp(z) / math.gamma(params.beta)
-        assert ml_eval(params, z).value == pytest.approx(want, rel=1e-13)
-        assert ml_eval_via_1f1(params, z).value == pytest.approx(want, rel=1e-13)
+        assert ml_eval(params, z).value == pytest.approx(want, rel=1e-13, abs=0)
+        assert ml_eval_via_1f1(params, z).value == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_former_cancellation_hotspot(self):
         # deep negative argument with a large ratio swing; the naive
@@ -101,8 +105,8 @@ class TestRouteAgreement:
         z = -18.511182157480604
         truth = reference_value(params, z)
         res = ml_eval(params, z)
-        assert res.value == pytest.approx(truth, rel=1e-10)
-        assert ml_eval_via_1f1(params, z).value == pytest.approx(truth, rel=1e-10)
+        assert res.value == pytest.approx(truth, rel=1e-10, abs=0)
+        assert ml_eval_via_1f1(params, z).value == pytest.approx(truth, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("params, z", [
         (MLParams(0.4296875, 0.21875, 4.0, 0.25), -16.0),
@@ -115,7 +119,63 @@ class TestRouteAgreement:
         truth = reference_value(params, z)
         for res in (ml_eval(params, z), ml_eval_via_1f1(params, z)):
             assert res.converged
-            assert res.value == pytest.approx(truth, rel=1e-13)
+            assert res.value == pytest.approx(truth, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_routes_are_distinct_float_paths(self, alpha):
+        # each route reflects in its own grouping; a shared reflected argument
+        # (k/alpha) |z| would make them agree bit for bit at alpha = 1
+        params = MLParams(alpha, 1.3, 0.9, 0.7)
+        pairs = [(ml_eval(params, z).value, ml_eval_via_1f1(params, z).value)
+                 for z in np.linspace(-40.0, -0.5, 80).tolist()]
+        assert any(a != b for a, b in pairs)
+
+
+class TestLogScale:
+    @pytest.mark.parametrize("route", [ml_eval, ml_eval_via_1f1])
+    def test_reflected_sum_beyond_float_range(self, route):
+        # E(-2100) is -8.3e-8, but the reflected series sums to -1.3e312 before
+        # the factor exp(-735); this returned NaN after 10,000 terms
+        res = route(F2, -2100.0)
+        assert res.converged
+        assert res.value == pytest.approx(reference_value(F2, -2100.0), rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("route", [ml_eval, ml_eval_via_1f1])
+    def test_rescaled_sum_with_finite_value(self, route):
+        res = route(F2, 2000.0)
+        assert res.converged
+        assert res.value == pytest.approx(reference_value(F2, 2000.0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("route", [ml_eval, ml_eval_via_1f1, ml_eval_complex])
+    def test_value_beyond_float64_raises(self, route):
+        with pytest.raises(OverflowError):
+            route(F2, 2030.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_is_a_domain_error(self, z):
+        for route in (ml_eval, ml_eval_via_1f1, ml_eval_complex):
+            with pytest.raises(DomainError):
+                route(UNIT_PARAMS, z)
+        with pytest.raises(DomainError):
+            ml_eval_complex(UNIT_PARAMS, complex(1.0, z))
+
+    def test_one_engine_sums_every_series(self, monkeypatch):
+        kinds = []
+        engine = mlfunc._series
+
+        def spy(t0, *rest):
+            kinds.append(type(t0))
+            return engine(t0, *rest)
+
+        monkeypatch.setattr(mlfunc, "_series", spy)
+        for z in (3.0, -3.0):
+            ml_eval(F2, z)
+            ml_eval_via_1f1(F2, z)
+        ml_eval_complex(F2, -1.0 + 2.0j)
+        assert kinds == [float] * 4 + [complex]
+        # the decimal re-sum of a long alternating prefix runs the same loop
+        ml_eval(MLParams(0.2, 0.2, 5.0, 0.2), -20.0)
+        assert kinds[5] is float and decimal.Decimal in kinds[6:]
 
 
 class TestSeriesDiagnostics:
@@ -146,7 +206,7 @@ class TestSeriesDiagnostics:
         with mpmath.workdps(40):
             want = complex(mpmath.hyp1f1(1.0, 1.5, mpmath.mpc(0.75, -1.25))
                            / mpmath.gamma(3.0))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_negative_real_part_complex(self):
         params = MLParams(1.7, 0.63, 4.24, 3.56)
@@ -156,7 +216,7 @@ class TestSeriesDiagnostics:
             b = mpmath.mpf(params.beta) / mpmath.mpf(params.alpha)
             w = mpmath.mpf(params.k) / mpmath.mpf(params.alpha) * mpmath.mpc(z)
             want = complex(mpmath.hyp1f1(a, b, w) / mpmath.gamma(params.beta))
-        assert ml_eval_complex(params, z) == pytest.approx(want, rel=1e-10)
+        assert ml_eval_complex(params, z) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from mlcs import (
@@ -163,12 +164,39 @@ class TestHusimi:
             fock = husimi_q_fock(z, params, cfg)
             assert abs(closed - fock) <= 1e-9 * abs(closed)
 
+    def test_array_fock_route_matches_the_element_loop(self):
+        # numpy exp and summation order against math.exp in a loop: positive
+        # terms, each within an ulp, so the two agree to a few size * eps
+        params, z, cfg = MLParams(0.6, 1.4, 2.8, 1.1), CSLabel(2.3), linear_cfg(2.0, 0.5)
+        p = photon_distribution(z, params).probs
+        loop = sum(math.exp(-cfg.beta_b * 0.5 * n) * float(p[n]) for n in range(p.size))
+        want = loop / partition_linear(cfg)
+        assert husimi_q_fock(z, params, cfg) == pytest.approx(want, rel=4 * p.size * 2.0 ** -52,
+                                                              abs=0)
+
     def test_cold_limit_is_vacuum_overlap(self):
         params = MLParams(2.0, 3.0, 1.0, 1.0)
         z = CSLabel(1.3)
         cold = husimi_q(z, params, linear_cfg(50.0, 3.0))
         vacuum = (1.0 / math.gamma(3.0)) / ml_eval(params, 1.3**2).value
-        assert cold == pytest.approx(vacuum, rel=1e-10)
+        assert cold == pytest.approx(vacuum, rel=1e-10, abs=0)
+
+    def test_finite_where_the_normalization_overflows(self):
+        # Q ~ 2e-277 at |z|^2 = 2100 while E(2100) ~ 5e320 leaves float64:
+        # the two scaled sums are divided, and the Fock route agrees
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        cfg = ThermalConfig(1.0, LinearSpectrum.from_params(params))
+        z = CSLabel(math.sqrt(2100.0))
+        x_num = math.exp(-cfg.beta_b * cfg.spectrum.slope) * 2100.0
+        with mpmath.workdps(40):
+            a = mpmath.mpf(params.gamma) / params.k
+            b = mpmath.mpf(params.beta) / params.alpha
+            w = mpmath.mpf(params.k) / params.alpha
+            want = float(mpmath.hyp1f1(a, b, w * x_num) / mpmath.hyp1f1(a, b, w * 2100.0)
+                         / partition_linear(cfg))
+        got = husimi_q(z, params, cfg)
+        assert got == pytest.approx(want, rel=1e-11, abs=0)
+        assert husimi_q_fock(z, params, cfg) == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_normalized_against_the_measure(self):
         params = MLParams(2.0, 3.0, 1.0, 1.0)
@@ -192,7 +220,7 @@ class TestPFunction:
         rate = math.e - 1.0
         for x in (0.0, 0.4, 1.0, 2.5):
             got = p_function(CSLabel(math.sqrt(x)), UNIT_PARAMS, cfg)
-            assert got == pytest.approx(rate * math.exp(-rate * x), rel=1e-12)
+            assert got == pytest.approx(rate * math.exp(-rate * x), rel=1e-12, abs=0)
 
     def test_origin_value(self):
         cfg = linear_cfg(0.8)
@@ -214,7 +242,7 @@ class TestPFunction:
 
             value, _ = improper_quad(integrand, QuadratureSpec())
             want = math.exp(-cfg.beta_b * 3.0 * n) / zpart
-            assert value == pytest.approx(want, rel=1e-5)
+            assert value == pytest.approx(want, rel=1e-5, abs=0)
 
     def test_kernel_underflow_is_a_domain_error(self):
         with pytest.raises(DomainError):
