@@ -17,28 +17,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .coherent import CSLabel, photon_distribution
-from .continuum import (
-    continuum_husimi,
-    continuum_p_function,
-    nu_function,
-    verify_continuum_moments,
-)
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
-from .measure import MomentReport, verify_resolution
-from .mlfunc import EvalConfig, ml_eval, ml_laplace, ml_laplace_quad
-from .thermal import (
-    LinearSpectrum,
-    QuadraticSpectrum,
-    ThermalConfig,
-    husimi_q,
-    p_function,
-    partition_quadratic,
-    partition_quadratic_direct,
-)
+
+# Each command imports the modules it computes with, so `ml-eval` loads
+# neither numpy nor scipy and only the continuum quantities load scipy.
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 
@@ -184,6 +167,8 @@ def _param_inputs(args) -> dict:
 
 
 def cmd_ml_eval(args) -> tuple[OutputRecord, int]:
+    from .mlfunc import EvalConfig, ml_eval
+
     params = _params_from(args)
     cfg = EvalConfig(rel_tol=args.rel_tol, max_terms=args.max_terms)
     result = ml_eval(params, args.z, cfg)
@@ -218,10 +203,15 @@ def cmd_verify(args) -> tuple[OutputRecord, int]:
     diagnostics: list[str] = []
 
     if args.suite == "resolution":
+        from .measure import verify_resolution
+
         report = verify_resolution(_params_from(args), args.s_max)
         inputs = _param_inputs(args)
         inputs["s_max"] = args.s_max
     elif args.suite == "laplace":
+        from .measure import MomentReport
+        from .mlfunc import ml_laplace, ml_laplace_quad
+
         params = _params_from(args)
         closed = ml_laplace(params, args.s)
         quad = ml_laplace_quad(params, args.s)
@@ -229,10 +219,20 @@ def cmd_verify(args) -> tuple[OutputRecord, int]:
         inputs = _param_inputs(args)
         inputs["s"] = args.s
     elif args.suite == "moments-continuum":
+        from .continuum import verify_continuum_moments
+
         e_values = _parse_e_values(args.e_values)
         report = verify_continuum_moments(e_values)
         inputs = {"e_values": e_values}
     else:  # ansatz: the library checks A, B, betaB and J
+        from .measure import MomentReport
+        from .thermal import (
+            QuadraticSpectrum,
+            ThermalConfig,
+            partition_quadratic,
+            partition_quadratic_direct,
+        )
+
         cfg = ThermalConfig(args.betaB, QuadraticSpectrum(args.A, args.B), args.J)
         ansatz = partition_quadratic(cfg, rel_tol=tol)
         direct = partition_quadratic_direct(cfg)
@@ -256,7 +256,10 @@ def cmd_verify(args) -> tuple[OutputRecord, int]:
     return record, (0 if passed else 2)
 
 
-def _scan_grid(args) -> np.ndarray:
+def _scan_grid(args):
+    """The x grid of a scan, as a numpy array."""
+    import numpy as np
+
     if args.x_steps < 1:
         raise DomainError("--x-steps must be >= 1")
     if args.x_max < args.x_min:
@@ -267,10 +270,14 @@ def _scan_grid(args) -> np.ndarray:
 
 
 def cmd_scan(args) -> tuple[OutputRecord, int]:
+    from .coherent import CSLabel
+
     quantity = args.quantity
     inputs = {"quantity": quantity}
 
     if quantity == "pn":
+        from .coherent import photon_distribution
+
         dist = photon_distribution(CSLabel(args.zmod), _params_from(args))
         header = ["n", "p"]
         rows = [[n, float(p)] for n, p in enumerate(dist.probs)]
@@ -280,6 +287,8 @@ def cmd_scan(args) -> tuple[OutputRecord, int]:
         xs = _scan_grid(args)
         header = ["x", "value"]
         if quantity in ("husimi", "pfn"):
+            from .thermal import LinearSpectrum, ThermalConfig, husimi_q, p_function
+
             params = _params_from(args)
             cfg = ThermalConfig(args.betaB, LinearSpectrum.from_params(params))
             if quantity == "husimi":
@@ -289,11 +298,17 @@ def cmd_scan(args) -> tuple[OutputRecord, int]:
             inputs.update(_param_inputs(args))
             inputs["betaB"] = args.betaB
         elif quantity == "nu":
+            from .continuum import nu_function
+
             values = [nu_function(float(x)) for x in xs]
         elif quantity == "husimi-cont":
+            from .continuum import continuum_husimi
+
             values = [continuum_husimi(CSLabel(math.sqrt(x)), args.betaB) for x in xs]
             inputs["betaB"] = args.betaB
         else:  # p-cont
+            from .continuum import continuum_p_function
+
             values = [continuum_p_function(CSLabel(math.sqrt(x)), args.betaB) for x in xs]
             inputs["betaB"] = args.betaB
         rows = [[float(x), float(v)] for x, v in zip(xs, values)]

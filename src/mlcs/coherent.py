@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
 from .kcore import MLParams
-from .mlfunc import _BIG, _DOWN, EvalConfig, ml_eval, ml_eval_complex
+from .mlfunc import _BIG, _DOWN, EvalConfig, _ml_sum
 
 __all__ = [
     "TOP_COEFF_TOL",
@@ -205,20 +205,25 @@ def overlap(z1: CSLabel, z2: CSLabel, params: MLParams,
             cfg: EvalConfig | None = None) -> complex:
     """Inner product <z1|z2> = E(conj(z1) z2) / sqrt(E(|z1|^2) E(|z2|^2)).
 
-    Equal labels return exactly 1 (the normalization identity, applied as a
-    shortcut rather than re-derived through rounded sums).
+    The three series are divided as mlfunc returns them, scaled by powers
+    of two, so the overlap stays finite where E itself leaves float64.
+    Equal labels return exactly 1 (the normalization identity,
+    applied as a shortcut rather than re-derived through rounded sums).
     """
     cfg = cfg or EvalConfig()
     if z1 == z2:
         return 1.0 + 0.0j
     w = z1.value.conjugate() * z2.value
-    num = ml_eval_complex(params, w, cfg)
-    d1 = ml_eval(params, z1.modulus ** 2, cfg)
-    d2 = ml_eval(params, z2.modulus ** 2, cfg)
-    if not (d1.converged and d2.converged):
-        raise ConvergenceError("normalization series did not converge")
-    # two square roots: the product of the normalizations overflows first
-    return num / (math.sqrt(d1.value) * math.sqrt(d2.value))
+    num, num_exp, _, _, num_ok = _ml_sum(params, w, cfg)
+    d1, d1_exp, _, _, d1_ok = _ml_sum(params, z1.modulus ** 2, cfg)
+    d2, d2_exp, _, _, d2_ok = _ml_sum(params, z2.modulus ** 2, cfg)
+    if not (num_ok and d1_ok and d2_ok):
+        raise ConvergenceError(f"overlap series at w={w} did not converge")
+    # two square roots: the product of the normalizations overflows first;
+    # the exponents are multiples of 960, so their half is an integer
+    ratio = num / (math.sqrt(d1) * math.sqrt(d2))
+    shift = num_exp - (d1_exp + d2_exp) // 2
+    return complex(math.ldexp(ratio.real, shift), math.ldexp(ratio.imag, shift))
 
 
 def overlap_from_coeffs(a: FockExpansion, b: FockExpansion) -> complex:

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
@@ -126,6 +125,8 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 def _laplace_family(a: float, b2: float, y: np.ndarray):
     """Integrand in s of the kernel at first index a > -1/2, a != 0, for
     every y, and the map from its integral to G(y) = y**b2 e**-y U(a, b2+1, y)."""
+    from scipy import special
+
     p = b2 - a
     if a >= 0.5:
         # e**-s s**(a-1) (y+s)**p relative to its value at s_ref: the peak
@@ -195,6 +196,8 @@ _TAYLOR_W = 1.0 / np.cumprod(_TAYLOR_N)  # 1 / n!
 
 def _kummer_reg(a: float, b: float, y: float) -> float:
     """M(a, b, y) / Gamma(b) for 0 < y < _SMALL_Y and b + k away from 0."""
+    from scipy import special
+
     term = float(special.rgamma(b))
     total = term
     for k in range(200):
@@ -207,6 +210,8 @@ def _kummer_reg(a: float, b: float, y: float) -> float:
 
 def _kummer_poly(p: int, c: float, y: float) -> float:
     """U(-p, c, y), a polynomial (DLMF 13.2.7)."""
+    from scipy import special
+
     return (-1) ** p * sum(
         math.comb(p, s) * float(special.poch(c + s, p - s)) * (-y) ** s
         for s in range(p + 1)
@@ -216,6 +221,8 @@ def _kummer_poly(p: int, c: float, y: float) -> float:
 def _gamma_ratio_m1(x: float, d: float) -> float:
     """(Gamma(x + d) / Gamma(x) - 1) / d for |d| << 1 with no cancellation;
     psi(x) at d = 0.  x + i must stay clear of 0 for the upward shifts."""
+    from scipy import special
+
     acc = 0.0
     while x < 2.0:
         acc -= math.log1p(d / x) / d if d else 1.0 / x
@@ -239,6 +246,8 @@ def _g_small_y(a1: float, b2: float, y: float) -> float:
     nonpositive integer -p, the pairing degenerates and G is the polynomial
     exp(-y) U(-p, 1-b2, y).
     """
+    from scipy import special
+
     m = round(b2)
     eps = b2 - m
     if m < 0 or abs(eps) >= _NEAR_INTEGER:
@@ -328,6 +337,8 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     g = np.empty_like(y)
     origin = xs == 0.0
     if origin.any():
+        from scipy import special
+
         g[origin] = (math.gamma(b2) * float(special.rgamma(a1)) if b2 > 0.0
                      else 1.0 if b2 == 0.0 and a1 == 0.0 else math.inf)
     # the connection formula, value by value, where the Laplace routes cancel
@@ -373,6 +384,8 @@ def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
     (the integrand decays like exp(-pi t / 2), so T ~ 80 is far past
     roundoff).  Contour stays right of all poles of both numerator gammas.
     """
+    from scipy import special
+
     if x <= 0.0:
         raise DomainError(f"contour route needs x > 0, got {x}")
     a1, b2 = _g_params(params)

@@ -10,13 +10,16 @@ Every ML and 1F1 series is summed by one Kahan-compensated loop, _series,
 for the term ratio x (p + n q) / ((r + n s) (n + 1)) given as numbers:
 (x, p, q, r, s) = (z, gamma, k, beta, alpha) on the direct route and
 ((k/alpha) z, gamma/k, 1, beta/alpha, 1) on the 1F1 route.  From order n on
-the ratio is bounded by cap / (n + 1), cap = |x| max(|p|/r, q/s), which
-yields a rigorous geometric tail bound once that drops below 1; the sum
-stops when the bound falls under rel_tol times the partial sum.  The loop
-moves exact powers of two (2**960 at a time) out of its partial sums into a
-returned exponent, so a sum that stays below 2**960 is the plain float sum
-bit for bit, and E beyond float64 raises OverflowError instead of turning
-into NaN.  Non-finite z raises DomainError.
+the ratio is bounded by cap / (n + 1), cap = |x| max(|p|/r, q/s); on the
+reflected series below, whose p can be large and negative, cap = |x|
+max(|p + m q|/(r + m s), q/s) at m = floor(|x| q/s), which holds from m on
+and is too large to certify anything before m.  Either yields a rigorous
+geometric tail bound once cap / (n + 1) drops below 1, and the sum stops when
+the bound falls under rel_tol times the partial sum.  The loop moves exact
+powers of two (2**960 at a time) out of its partial sums into a returned
+exponent, so a sum that stays below 2**960 is the plain float sum bit for
+bit, and E beyond float64 raises OverflowError instead of turning into NaN.
+Non-finite z raises DomainError.
 
 Negative arguments are summed through the confluent reflection
 
@@ -34,6 +37,9 @@ index |b - a| and can peak far above the sum (b - a = -15.5, |w| = 9.3 peaks
 near 1e8 times the value).  Whenever float rounding of that peak could exceed
 rel_tol of the sum, the same loop sums the series again in decimal
 arithmetic from the exact float inputs, at a precision that covers the peak.
+
+The series code needs the standard library only: scipy.integrate is imported
+inside ml_laplace_quad, the quadrature route, and nothing here uses numpy.
 """
 
 from __future__ import annotations
@@ -42,8 +48,6 @@ import cmath
 import decimal
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams
@@ -148,21 +152,25 @@ def _series(t0, x, p, q, r, s, cap, cfg):
 def _decimal_sum(t0, x, p, q, r, s, cap, cfg):
     """_series in decimal arithmetic with the float inputs taken exactly.
 
+    Exact arithmetic makes a few more terms cheap, so the tail is summed
+    down to float resolution (rel_tol at most 2**-52), not only to rel_tol.
     The precision doubles from 40 digits until the rounding of the largest
-    term is below rel_tol of the sum.  Not certified at 320 digits means
-    converged is False.
+    term is below rel_tol of the sum.  Converged means both the tail bound
+    and that rounding are below rel_tol of the sum; no certificate at 320
+    digits gives False.
     """
     args = [decimal.Decimal(v) for v in (t0, x, p, q, r, s)]
+    fine = EvalConfig(min(cfg.rel_tol, _EPS), cfg.max_terms)
     prec = 40
     while True:
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            total, e, used, tail, ok, peak = _series(+args[0], *args[1:], cap, cfg)
-        value = float(total)
+            total, e, used, tail, _, peak = _series(+args[0], *args[1:], cap, fine)
+        value, tail = float(total), float(tail)
         rounding = float(peak) * used * 10.0 ** (1 - prec)
         certified = rounding <= cfg.rel_tol * abs(value)
         if certified or prec >= 320:
-            return value, e, used, float(tail) + rounding, ok and certified
+            return value, e, used, tail + rounding, certified and tail <= cfg.rel_tol * abs(value)
         prec *= 2
 
 
@@ -183,7 +191,11 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
         return _series(t0 + 0 * z, z, p, q, r, s, abs(z) * max(p / r, q / s), cfg)[:5]
     c = q * (r / s - p / q)
     y = -z
-    cap = abs(y) * max(abs(c) / r, q / s)
+    # (c + j q) / (r + j s) is monotone in j and tends to q/s, so from index
+    # m on its modulus is at most max(|c + m q| / (r + m s), q/s); with
+    # m <= |y| q/s that cap also keeps every ratio bound before m above 1
+    m = math.floor(min(abs(y) * q / s, cfg.max_terms))
+    cap = abs(y) * max(abs(c + m * q) / (r + m * s), q / s)
     total, e, used, tail, ok, peak = _series(t0 + 0 * z, y, c, q, r, s, cap, cfg)
     if isinstance(z, complex):
         scale = cmath.exp((q / s) * z + e * _LN2)
@@ -306,8 +318,10 @@ def ml_laplace_quad(
 
     The integrand decays like exp(-(s - k/alpha) x) times a power, so the
     cutoff doubles until the estimated remainder is negligible against the
-    running value.
+    running value.  scipy.integrate is imported here, on first use.
     """
+    from scipy import integrate
+
     cfg = cfg or _DEFAULT_CONFIG
     rate = s - params.k / params.alpha
     if rate <= 0.0:

@@ -26,6 +26,8 @@ Three schemes are kept deliberately distinct:
 
 The continuum integrals in the energy variable run on either of the first
 two (their `scheme` argument), so one integrand can be checked on both.
+scipy.integrate is imported inside improper_quad, its one user, so the two
+fixed rules need numpy only.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 from .kcore import _require_positive
@@ -102,6 +103,8 @@ def improper_quad(
     The first unit panel is integrated separately so QUADPACK's extrapolation
     concentrates on any x**(p-1) behavior at the origin.
     """
+    from scipy import integrate
+
     spec = spec or _DEFAULT_SPEC
     upper = resolve_cutoff(f, spec, start)
     limit = max(50, spec.max_nodes // 42)

@@ -1,13 +1,18 @@
 """Command-line interface: output schema, determinism, exit-code contract."""
 
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mlcs
 from mlcs.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run_cli(capsys, *argv):
@@ -237,3 +242,50 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "ml-eval", "--z", "1.0")
         value = json.loads(out)["results"]["value"]
         assert f"{value:.17g}" in out
+
+
+def heavy_imports_after(code):
+    """Run code in a fresh interpreter on this source tree; the subset of
+    {numpy, scipy} it leaves in sys.modules."""
+    probe = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+class TestImportBudget:
+    """Each command loads only what its computation needs."""
+
+    def test_package_import_loads_neither_numpy_nor_scipy(self):
+        assert heavy_imports_after("import mlcs") == set()
+
+    @pytest.mark.parametrize("argv, allowed", [
+        (["ml-eval", "--z", "1.5"], set()),
+        (["scan", "--quantity", "pn", "--zmod", "1.2"], {"numpy"}),
+        (["scan", "--quantity", "husimi", "--x-steps", "3"], {"numpy"}),
+        (["verify", "ansatz", "--B", "0.005"], {"numpy"}),
+    ])
+    def test_command_stays_within_its_imports(self, argv, allowed):
+        code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"
+        assert heavy_imports_after(code) <= allowed
+
+    def test_public_names_resolve_to_their_submodule_objects(self):
+        for module, names in mlcs._EXPORTS.items():
+            owner = importlib.import_module(f"mlcs.{module}")
+            for name in names:
+                assert getattr(mlcs, name) is getattr(owner, name), name
+
+    def test_dir_and_star_import_list_every_public_name(self):
+        assert set(mlcs.__all__) <= set(dir(mlcs))
+        namespace = {}
+        exec("from mlcs import *", namespace)
+        assert set(mlcs.__all__) <= set(namespace)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mlcs.no_such_name
+        assert not hasattr(mlcs, "_private_helper")

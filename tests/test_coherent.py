@@ -186,6 +186,25 @@ class TestOverlaps:
             direct = overlap_from_coeffs(cs_build(z1, params), cs_build(z2, params))
             assert closed == pytest.approx(direct, abs=1e-10)
 
+    def test_overlap_beyond_float64_matches_mpmath(self):
+        # E(2100) ~ 1e321 leaves float64, while the overlap is about 0.025
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        z1, z2 = CSLabel(math.sqrt(2100.0)), CSLabel(math.sqrt(2100.0), 0.1)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(params.gamma) / params.k
+            b = mpmath.mpf(params.beta) / params.alpha
+
+            def e(w):
+                return mpmath.hyp1f1(a, b, mpmath.mpf(params.k) / params.alpha * w)
+
+            w = mpmath.mpc(z1.value.conjugate() * z2.value)
+            want = complex(e(w) / mpmath.sqrt(e(mpmath.mpf(z1.modulus) ** 2)
+                                              * e(mpmath.mpf(z2.modulus) ** 2)))
+        got = overlap(z1, z2, params)
+        assert abs(got - want) <= 1e-11 * abs(want)
+        direct = overlap_from_coeffs(cs_build(z1, params), cs_build(z2, params))
+        assert abs(direct - want) <= 1e-11 * abs(want)
+
     @given(alpha=PARAM, beta=PARAM, gamma=PARAM, k=PARAM,
            m1=st.floats(min_value=0.0, max_value=3.0),
            m2=st.floats(min_value=0.0, max_value=3.0),

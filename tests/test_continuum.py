@@ -36,13 +36,13 @@ def reference_nu(x):
 
 class TestNuFunction:
     def test_frozen_values(self):
-        assert nu_function(1.0) == pytest.approx(2.2665345076998488, rel=1e-10)
-        assert nu_function(4.0) == pytest.approx(54.261333229427885, rel=1e-10)
-        assert nu_function(0.1) == pytest.approx(0.45699316087461237, rel=1e-10)
+        assert nu_function(1.0) == pytest.approx(2.2665345076998488, rel=1e-10, abs=0)
+        assert nu_function(4.0) == pytest.approx(54.261333229427885, rel=1e-10, abs=0)
+        assert nu_function(0.1) == pytest.approx(0.45699316087461237, rel=1e-10, abs=0)
 
     def test_matches_independent_oracle(self):
         for x in (0.3, 1.0, 2.7, 9.0):
-            assert nu_function(x) == pytest.approx(reference_nu(x), rel=1e-9)
+            assert nu_function(x) == pytest.approx(reference_nu(x), rel=1e-9, abs=0)
 
     def test_vanishes_at_origin(self):
         assert nu_function(0.0) == 0.0
@@ -81,12 +81,12 @@ class TestNuFunction:
 class TestTildeML:
     def test_unit_parameters_reduce_to_nu(self):
         for x in (0.5, 1.0, 4.0, 11.0):
-            assert tilde_ml(UNIT_PARAMS, x) == pytest.approx(nu_function(x), rel=1e-9)
+            assert tilde_ml(UNIT_PARAMS, x) == pytest.approx(nu_function(x), rel=1e-9, abs=0)
 
     def test_frozen_value(self):
         assert tilde_ml(MLParams(1.0, 2.0, 1.0, 1.0), 4.0) == pytest.approx(
             12.980640860219084, rel=1e-9
-        )
+        , abs=0)
 
     def test_matches_independent_oracle(self):
         params = MLParams(2.0, 3.0, 1.0, 1.0)
@@ -100,7 +100,7 @@ class TestTildeML:
                 / (mpmath.gamma(b + e) * mpmath.gamma(e + 1)),
                 [0, mpmath.inf],
             ))
-        assert tilde_ml(params, x) == pytest.approx(want, rel=1e-8)
+        assert tilde_ml(params, x) == pytest.approx(want, rel=1e-8, abs=0)
 
     def test_vanishes_at_origin(self):
         assert tilde_ml(MLParams(2.0, 3.0, 1.0, 1.0), 0.0) == 0.0
@@ -118,14 +118,14 @@ class TestContinuumMeasure:
         for x in (0.3, 1.0, 5.0):
             assert continuum_measure_weight(x) == pytest.approx(
                 math.exp(-x) * nu_function(x), rel=1e-11
-            )
+            , abs=0)
         assert continuum_measure_weight(0.0) == 0.0
 
     def test_moment_identity_on_grid(self):
         report = verify_continuum_moments([0.0, 0.5, 1.0, 2.5, 7.0])
         assert report.max_rel_err <= 1e-7
         assert report.rhs[0] == 1.0
-        assert report.rhs[-1] == pytest.approx(math.gamma(8.0), rel=1e-14)
+        assert report.rhs[-1] == pytest.approx(math.gamma(8.0), rel=1e-14, abs=0)
 
     def test_moment_identity_at_large_energy(self):
         report = verify_continuum_moments([30.0])
@@ -155,7 +155,7 @@ class TestContinuumMeasure:
         monkeypatch.setattr(continuum_mod.optimize, "brentq", forbidden)
         monkeypatch.setattr(continuum_mod.integrate, "quad", forbidden)
         assert verify_continuum_moments([0.0, 2.0]).max_rel_err <= 1e-12
-        assert continuum_diagonal(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert continuum_diagonal(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0)
 
 
 class TestNuSecondRoutes:
@@ -171,14 +171,14 @@ class TestNuSecondRoutes:
         body, _ = integrate.quad(lambda u: math.exp(-x * math.exp(u)) / (math.pi ** 2 + u * u),
                                  -low, high, epsabs=0.0, epsrel=1e-13, limit=200)
         tail = (0.5 * math.pi - math.atan(low / math.pi)) / math.pi
-        assert nu_function(x) == pytest.approx(math.exp(x) - body - tail, rel=1e-12)
+        assert nu_function(x) == pytest.approx(math.exp(x) - body - tail, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("s", [1.5, 3.0])
     def test_laplace_transform(self, s):
         # int_0^inf e^{-s x} nu(x) dx = 1 / (s ln s)
         val, _ = integrate.quad(lambda x: math.exp(log_nu(x) - s * x), 0.0, 80.0 / (s - 1.0),
                                 epsabs=0.0, epsrel=1e-13, limit=200)
-        assert val == pytest.approx(1.0 / (s * math.log(s)), rel=1e-12)
+        assert val == pytest.approx(1.0 / (s * math.log(s)), rel=1e-12, abs=0)
 
 
 class TestContinuumPartition:
@@ -189,7 +189,7 @@ class TestContinuumPartition:
     def test_quadrature_cross_check(self):
         for beta_b in (0.1, 1.0, 10.0):
             val, _ = integrate.quad(lambda e: math.exp(-beta_b * e), 0.0, np.inf)
-            assert continuum_partition(beta_b) == pytest.approx(val, rel=1e-10)
+            assert continuum_partition(beta_b) == pytest.approx(val, rel=1e-10, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -202,7 +202,7 @@ class TestContinuumHusimi:
     def test_frozen_value(self):
         assert continuum_husimi(CSLabel(2.0), 1.0) == pytest.approx(
             0.0725783711414998, rel=1e-9
-        )
+        , abs=0)
 
     def test_origin_limit(self):
         assert continuum_husimi(CSLabel(0.0), 0.7) == 0.7
@@ -230,10 +230,10 @@ class TestContinuumP:
     def test_origin_values(self):
         assert continuum_p_function(CSLabel(0.0), 1.0) == pytest.approx(
             math.e, rel=1e-14
-        )
+        , abs=0)
         assert continuum_p_function(CSLabel(0.0), 0.5) == pytest.approx(
             0.5 * math.exp(0.5), rel=1e-14
-        )
+        , abs=0)
 
     def test_default_convention_decays(self):
         vals = [continuum_p_function(CSLabel(math.sqrt(x)), 1.0) for x in (0.0, 1.0, 4.0)]
@@ -248,7 +248,7 @@ class TestContinuumP:
         for beta_b in (0.5, 1.0):
             for e in (0.0, 1.0, 2.0):
                 want = beta_b * math.exp(-beta_b * e)
-                assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-4)
+                assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-4, abs=0)
 
     def test_diagonal_at_large_energy(self):
         # (100, 5) is 3.6e-217: only a relative target certifies it, and only
@@ -271,7 +271,7 @@ class TestContinuumP:
 class TestEnergyDensityState:
     def test_build_uses_nu_norm(self):
         state = EnergyDensityState.build(CSLabel(2.0))
-        assert state.norm == pytest.approx(nu_function(4.0), rel=1e-10)
+        assert state.norm == pytest.approx(nu_function(4.0), rel=1e-10, abs=0)
 
     def test_mass_normalization(self):
         state = EnergyDensityState.build(CSLabel(2.0))
@@ -280,7 +280,7 @@ class TestEnergyDensityState:
     def test_literal_normalization_gap(self):
         # squared literal amplitudes integrate to well under 1
         state = EnergyDensityState.build(CSLabel(2.0))
-        assert state.norm_literal() == pytest.approx(0.20308683187231728, rel=1e-8)
+        assert state.norm_literal() == pytest.approx(0.20308683187231728, rel=1e-8, abs=0)
 
     def test_amplitude_and_density_are_consistent(self):
         state = EnergyDensityState.build(CSLabel(1.5, 0.9))
@@ -288,9 +288,9 @@ class TestEnergyDensityState:
             amp = state.amplitude(e)
             assert abs(amp) ** 2 * math.gamma(e + 1.0) == pytest.approx(
                 state.mass_density(e), rel=1e-12
-            )
+            , abs=0)
         assert math.atan2(state.amplitude(2.0).imag, state.amplitude(2.0).real) == (
-            pytest.approx(1.8 % (2.0 * math.pi), rel=1e-12)
+            pytest.approx(1.8 % (2.0 * math.pi), rel=1e-12, abs=0)
         )
 
     def test_density_integrates_to_one(self):

@@ -63,7 +63,7 @@ class TestMeijerKernel:
         for x in (0.05, 0.3, 1.0, 2.5, 8.0):
             assert meijer_g_weight(UNIT_PARAMS, x) == pytest.approx(
                 math.exp(-x), rel=1e-13
-            )
+            , abs=0)
 
     def test_matches_independent_oracle(self):
         cases = [
@@ -75,13 +75,13 @@ class TestMeijerKernel:
         for params, x in cases:
             assert meijer_g_weight(params, x) == pytest.approx(
                 reference_kernel(params, x), rel=1e-10
-            )
+            , abs=0)
 
     def test_origin_limit_frozen_value(self):
         # a1 = 3, b2 = 1.5: gamma(1.5)/gamma(3)
         assert meijer_g_weight(MLParams(2.0, 5.0, 4.0, 1.0), 0.0) == pytest.approx(
             0.44311346272637900, rel=1e-14
-        )
+        , abs=0)
 
     def test_origin_limit_branches(self):
         assert meijer_g_weight(UNIT_PARAMS, 0.0) == 1.0
@@ -107,19 +107,19 @@ class TestMeijerKernel:
         # where the naive Tricomi backend loses up to 3e-2 of the value
         params = MLParams(0.2, 1.2, 1.0, 1.0)
         assert params.beta_over_alpha != 6.0
-        assert meijer_g_weight(params, 0.2) == pytest.approx(math.exp(-1.0), rel=1e-13)
+        assert meijer_g_weight(params, 0.2) == pytest.approx(math.exp(-1.0), rel=1e-13, abs=0)
 
         nearly = MLParams(0.25, 0.99999, 1.0, 1.5)
         x = 2.0 * 0.25 / 1.5
         assert meijer_g_weight(nearly, x) == pytest.approx(
             reference_kernel(nearly, x), rel=1e-11
-        )
+        , abs=0)
         # negative first index takes the recurrence path
         neg = MLParams(1.0, 4.0000001, 1.0, 2.0)
         for x in (0.3, 2.0, 9.0):
             assert meijer_g_weight(neg, x) == pytest.approx(
                 reference_kernel(neg, x), rel=1e-10
-            )
+            , abs=0)
 
     @pytest.mark.parametrize("a1", [-0.9, -0.45, -1e-3, 1e-3, 0.3, 1.0, 1.7, 3.0])
     def test_small_argument_grid(self, a1):
@@ -171,7 +171,7 @@ class TestMeijerKernel:
                           (MLParams(1.0, 0.3, 2.0, 1.0), 2.5e-6)):
             assert meijer_g_weight(params, x) == pytest.approx(
                 reference_kernel(params, x), rel=1e-12
-            )
+            , abs=0)
             assert math.isfinite(measure_weight_h(params, x))
             cfg = ThermalConfig(0.5, LinearSpectrum.from_params(params))
             assert math.isfinite(p_function(CSLabel(math.sqrt(x)), params, cfg))
@@ -183,7 +183,7 @@ class TestMeijerKernel:
         x = 8.0
         assert meijer_g_weight(params, x) == pytest.approx(
             reference_kernel(params, x), rel=1e-11
-        )
+        , abs=0)
 
     @given(alpha=PARAM, beta=PARAM, gamma=PARAM, k=PARAM,
            y=st.floats(min_value=0.05, max_value=15.0))
@@ -235,7 +235,7 @@ class TestMeijerKernel:
         with pytest.raises(RouteMismatchError) as exc:
             meijer_g_weight(params, 1.0, check=True)
         assert exc.value.first == honest
-        assert exc.value.second == pytest.approx(1.5 * honest, rel=1e-15)
+        assert exc.value.second == pytest.approx(1.5 * honest, rel=1e-15, abs=0)
 
 
 class TestArrayKernel:
@@ -267,9 +267,10 @@ class TestArrayKernel:
         params = MLParams(2.0, 5.0, 4.0, 1.0)
         got = meijer_g_weight(params, np.array([0.0, 1.0, 0.0]))
         assert got[0] == got[2] == meijer_g_weight(params, 0.0)
-        assert got[0] == pytest.approx(0.44311346272637900, rel=1e-14)
+        assert got[0] == pytest.approx(0.44311346272637900, rel=1e-14, abs=0)
         assert meijer_g_weight(MLParams(1.0, 1.0, 2.0, 1.0), np.array([0.0, 1.0]))[0] == math.inf
-        assert measure_weight_h(UNIT_PARAMS, np.array([0.0, 2.0])) == pytest.approx(1.0, rel=1e-12)
+        assert measure_weight_h(UNIT_PARAMS, np.array([0.0, 2.0])) == pytest.approx(
+            1.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_bad_entry_is_a_domain_error(self, bad):
@@ -341,7 +342,7 @@ class TestArrayKernel:
 class TestMeasureWeight:
     def test_unit_parameters_give_flat_weight(self):
         for x in (0.0, 0.1, 1.0, 3.0, 9.0):
-            assert measure_weight_h(UNIT_PARAMS, x) == pytest.approx(1.0, rel=1e-12)
+            assert measure_weight_h(UNIT_PARAMS, x) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
@@ -358,7 +359,7 @@ class TestMomentIdentity:
         for s in (1.0, 2.0, 3.5, 6.0):
             assert moment_closed_form(UNIT_PARAMS, s) == pytest.approx(
                 math.gamma(s), rel=1e-13
-            )
+            , abs=0)
 
     def test_closed_form_domain(self):
         with pytest.raises(DomainError):
@@ -372,7 +373,7 @@ class TestMomentIdentity:
             report = verify_resolution(params, s_max=6)
             assert report.max_rel_err <= 1e-8
             for l, r in zip(report.lhs, report.rhs):
-                assert l == pytest.approx(r, rel=1e-8)
+                assert l == pytest.approx(r, rel=1e-8, abs=0)
 
     def test_gamma_k_and_beta_alpha_below_one(self):
         # the rule's nodes reach far below y = 1e-4, where the Laplace route
@@ -398,7 +399,7 @@ class TestMomentIdentity:
         with pytest.raises(DomainError):
             MomentReport((), (), ())
         rep = MomentReport((1.0, 2.0), (1.0, 2.0), (1.0, 2.2))
-        assert rep.max_rel_err == pytest.approx(0.2 / 2.2, rel=1e-12)
+        assert rep.max_rel_err == pytest.approx(0.2 / 2.2, rel=1e-12, abs=0)
 
 
 class TestResolutionIdentity:
@@ -497,7 +498,7 @@ class TestHalfLineRule:
 
     def test_scale_moves_the_bulk(self):
         values, _ = half_line_quad(lambda x: np.exp(-x / 250.0), 250.0)
-        assert values[0] == pytest.approx(250.0, rel=1e-13)
+        assert values[0] == pytest.approx(250.0, rel=1e-13, abs=0)
 
     def test_failures_are_typed(self):
         with pytest.raises(DomainError):

@@ -186,6 +186,20 @@ class TestSeriesDiagnostics:
         assert loose.converged
         assert abs(loose.value - truth) <= loose.tail_bound + 1e-15 * abs(truth)
 
+    def test_reflected_bound_certifies_small_beta(self):
+        # beta/alpha - gamma/k = -1.21 with beta = 0.2: the fixed bound
+        # |z| max(|c|/beta, k/alpha) of the reflected series is about 12,500,
+        # so it spent all 10,000 terms; the index-dependent bound certifies
+        # after a few hundred
+        params = MLParams(4.71378691, 0.201477084, 4.43363155, 3.54385016)
+        z = -585.724824
+        truth = reference_value(params, z)
+        for res in (ml_eval(params, z), ml_eval_via_1f1(params, z)):
+            assert res.converged
+            assert res.terms_used < 1000
+            assert res.value == pytest.approx(truth, rel=1e-11, abs=0)
+            assert abs(res.value - truth) <= res.tail_bound + 1e-13 * abs(truth)
+
     def test_unconverged_result_is_flagged_not_raised(self):
         res = ml_eval(UNIT_PARAMS, 40.0, EvalConfig(rel_tol=1e-12, max_terms=12))
         assert not res.converged
