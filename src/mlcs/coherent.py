@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
-from .kcore import MLParams
+from .kcore import MLParams, _require_nonnegative
 from .mlfunc import _BIG, _DOWN, EvalConfig, _ml_sum
 
 __all__ = [
@@ -59,12 +59,9 @@ class CSLabel:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.modulus, (int, float)) and math.isfinite(self.modulus)
-                and self.modulus >= 0.0):
-            raise DomainError(f"modulus must be finite and >= 0, got {self.modulus!r}")
+        object.__setattr__(self, "modulus", _require_nonnegative(self.modulus, "modulus"))
         if not (isinstance(self.phase, (int, float)) and math.isfinite(self.phase)):
             raise DomainError(f"phase must be finite, got {self.phase!r}")
-        object.__setattr__(self, "modulus", float(self.modulus))
         object.__setattr__(self, "phase", float(self.phase) % _TWO_PI)
 
     @classmethod

@@ -27,8 +27,8 @@ from scipy import integrate, optimize, special
 
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _require_positive
-from .quadrature import RELATIVE_SPEC, QuadratureSpec, gauss_legendre_panels, half_line_quad
+from .kcore import MLParams, _require_nonnegative, _require_positive
+from .quadrature import _MAX_NODES, RELATIVE_ABS_TOL, gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "EnergyDensityState",
@@ -42,8 +42,6 @@ __all__ = [
     "continuum_diagonal",
     "verify_continuum_moments",
 ]
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 _SCHEMES = ("adaptive", "fixed")
 
@@ -61,22 +59,20 @@ def _solve_peak(slope_fn, hi_guess: float) -> float:
     return float(optimize.brentq(slope_fn, 0.0, hi, xtol=1e-9, rtol=1e-12))
 
 
-def _peaked_integral(log_f, peak: float, spec: QuadratureSpec, scheme: str) -> float:
+def _peaked_integral(log_f, peak: float, scheme: str) -> float:
     """log of int_0^U exp(log_f(E)) dE with U = peak + 40 + 10 sqrt(peak),
     computed with the peak value factored out."""
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    upper = spec.upper_cutoff
-    if upper is None:
-        upper = peak + 40.0 + 10.0 * math.sqrt(peak)
+    upper = peak + 40.0 + 10.0 * math.sqrt(peak)
     scale = float(log_f(peak))
 
     if scheme == "adaptive":
         def g(e):
             return math.exp(float(log_f(e)) - scale)
 
-        limit = max(50, spec.max_nodes // 21)
-        pts = [peak] if 0.0 < peak < upper else None
+        limit = _MAX_NODES // 21
+        pts = [peak] if peak > 0.0 else None
         value, err = integrate.quad(
             g, 0.0, upper, epsabs=1e-14, epsrel=1e-12, limit=limit, points=pts
         )
@@ -86,35 +82,19 @@ def _peaked_integral(log_f, peak: float, spec: QuadratureSpec, scheme: str) -> f
 
     order = 24
     panels = max(12, int(math.ceil(upper / 3.0)))
-    panels = min(panels, max(12, spec.max_nodes // order))
+    panels = min(panels, _MAX_NODES // order)
     total = gauss_legendre_panels(lambda e: np.exp(log_f(e) - scale), 0.0, upper, panels, order)
     if total <= 0.0:
         raise ConvergenceError("fixed-rule peaked integral came out nonpositive")
     return scale + math.log(total)
 
 
-def _check_energy(e) -> float:
-    e = float(e)
-    if not (math.isfinite(e) and e >= 0.0):
-        raise DomainError(f"E must be a finite real >= 0, got {e!r}")
-    return e
-
-
-def _check_x(x) -> float:
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be a finite real, got {x!r}")
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    return float(x)
-
-
-def log_nu(x: float, quad: QuadratureSpec | None = None, scheme: str = "adaptive") -> float:
+def log_nu(x: float, scheme: str = "adaptive") -> float:
     """log of nu(x); -inf at x = 0.  Usable far beyond where nu itself
     overflows (nu grows like e^x)."""
-    x = _check_x(x)
+    x = _require_nonnegative(x, "x")
     if x == 0.0:
         return -math.inf
-    quad = quad or _DEFAULT_SPEC
     lx = math.log(x)
 
     def slope(e):
@@ -125,23 +105,22 @@ def log_nu(x: float, quad: QuadratureSpec | None = None, scheme: str = "adaptive
     def log_f(e):
         return e * lx - special.gammaln(e + 1.0)
 
-    return _peaked_integral(log_f, peak, quad, scheme)
+    return _peaked_integral(log_f, peak, scheme)
 
 
-def nu_function(x: float, quad: QuadratureSpec | None = None,
-                scheme: str = "adaptive") -> float:
+def nu_function(x: float, scheme: str = "adaptive") -> float:
     """nu(x) = int_0^inf x**E / Gamma(E+1) dE, the integral analogue of e^x.
 
     Vanishes (slowly, like 1/|log x|) as x -> 0 and tracks e^x for large x;
     for x past ~700 the value overflows float64, use log_nu instead.
     """
-    x = _check_x(x)
+    x = _require_nonnegative(x, "x")
     if x == 0.0:
         return 0.0
-    return math.exp(log_nu(x, quad, scheme))
+    return math.exp(log_nu(x, scheme))
 
 
-def _log_nu_gamma2(x: float, quad: QuadratureSpec, scheme: str = "adaptive") -> float:
+def _log_nu_gamma2(x: float) -> float:
     """log of int_0^inf x**E / Gamma(E+1)**2 dE (literal-normalization kernel)."""
     if x == 0.0:
         return -math.inf
@@ -155,11 +134,10 @@ def _log_nu_gamma2(x: float, quad: QuadratureSpec, scheme: str = "adaptive") -> 
     def log_f(e):
         return e * lx - 2.0 * special.gammaln(e + 1.0)
 
-    return _peaked_integral(log_f, peak, quad, scheme)
+    return _peaked_integral(log_f, peak, "adaptive")
 
 
-def tilde_ml(params: MLParams, x: float, quad: QuadratureSpec | None = None,
-             scheme: str = "adaptive") -> float:
+def tilde_ml(params: MLParams, x: float, scheme: str = "adaptive") -> float:
     """Four-parameter integral analogue of the series function:
 
         int_0^inf [Gamma(beta/alpha) / (Gamma(gamma/k) Gamma(beta))]
@@ -168,10 +146,9 @@ def tilde_ml(params: MLParams, x: float, quad: QuadratureSpec | None = None,
 
     Unit parameters collapse it to nu_function.
     """
-    x = _check_x(x)
+    x = _require_nonnegative(x, "x")
     if x == 0.0:
         return 0.0
-    quad = quad or _DEFAULT_SPEC
     a = params.gamma_over_k
     b = params.beta_over_alpha
     lw = math.log(params.k / params.alpha) + math.log(x)
@@ -192,16 +169,15 @@ def tilde_ml(params: MLParams, x: float, quad: QuadratureSpec | None = None,
         )
 
     log_pref = math.lgamma(b) - math.lgamma(a) - math.lgamma(params.beta)
-    return math.exp(log_pref + _peaked_integral(log_f, peak, quad, scheme))
+    return math.exp(log_pref + _peaked_integral(log_f, peak, scheme))
 
 
-def continuum_measure_weight(x: float, quad: QuadratureSpec | None = None,
-                             scheme: str = "adaptive") -> float:
+def continuum_measure_weight(x: float, scheme: str = "adaptive") -> float:
     """Radial measure weight h(x) = exp(-x) * nu(x) of the continuum family."""
-    x = _check_x(x)
+    x = _require_nonnegative(x, "x")
     if x == 0.0:
         return 0.0
-    return math.exp(log_nu(x, quad, scheme) - x)
+    return math.exp(log_nu(x, scheme) - x)
 
 
 def continuum_partition(beta_b: float) -> float:
@@ -210,9 +186,7 @@ def continuum_partition(beta_b: float) -> float:
     return 1.0 / beta_b
 
 
-def continuum_husimi(z: CSLabel, beta_b: float,
-                     quad: QuadratureSpec | None = None,
-                     scheme: str = "adaptive") -> float:
+def continuum_husimi(z: CSLabel, beta_b: float, scheme: str = "adaptive") -> float:
     """Husimi weight of the continuum Gibbs state:
 
         Q(|z|^2) = beta_b * nu(exp(-beta_b) |z|^2) / nu(|z|^2)
@@ -225,9 +199,8 @@ def continuum_husimi(z: CSLabel, beta_b: float,
     x = z.modulus ** 2
     if x == 0.0:
         return beta_b
-    quad = quad or _DEFAULT_SPEC
-    num = log_nu(x * math.exp(-beta_b), quad, scheme)
-    den = log_nu(x, quad, scheme)
+    num = log_nu(x * math.exp(-beta_b), scheme)
+    den = log_nu(x, scheme)
     return beta_b * math.exp(num - den)
 
 
@@ -274,14 +247,14 @@ class EnergyDensityState:
         _require_positive(self.norm, "norm")
 
     @classmethod
-    def build(cls, z: CSLabel, quad: QuadratureSpec | None = None) -> "EnergyDensityState":
+    def build(cls, z: CSLabel) -> "EnergyDensityState":
         if z.modulus == 0.0:
             raise DomainError("zero label has no normalizable energy density")
-        return cls(z, nu_function(z.modulus ** 2, quad))
+        return cls(z, nu_function(z.modulus ** 2))
 
     def amplitude(self, e: float) -> complex:
         """Literal amplitude c(E) = z**E / (sqrt(norm) Gamma(E+1))."""
-        e = _check_energy(e)
+        e = _require_nonnegative(e, "E")
         mag = math.exp(
             e * math.log(self.z.modulus ** 2) / 2.0
             - special.gammaln(e + 1.0)
@@ -291,28 +264,23 @@ class EnergyDensityState:
 
     def mass_density(self, e: float) -> float:
         """Normalized energy density |z|**(2E) / (norm * Gamma(E+1))."""
-        e = _check_energy(e)
+        e = _require_nonnegative(e, "E")
         return math.exp(
             e * math.log(self.z.modulus ** 2)
             - special.gammaln(e + 1.0)
             - math.log(self.norm)
         )
 
-    def norm_mass(self, quad: QuadratureSpec | None = None) -> float:
+    def norm_mass(self) -> float:
         """int mass_density dE; equals 1 by construction (quadrature check)."""
-        quad = quad or _DEFAULT_SPEC
-        x = self.z.modulus ** 2
-        return math.exp(log_nu(x, quad) - math.log(self.norm))
+        return math.exp(log_nu(self.z.modulus ** 2) - math.log(self.norm))
 
-    def norm_literal(self, quad: QuadratureSpec | None = None) -> float:
+    def norm_literal(self) -> float:
         """int |amplitude(E)|^2 dE; generally below 1 (the convention gap)."""
-        quad = quad or _DEFAULT_SPEC
-        x = self.z.modulus ** 2
-        return math.exp(_log_nu_gamma2(x, quad) - math.log(self.norm))
+        return math.exp(_log_nu_gamma2(self.z.modulus ** 2) - math.log(self.norm))
 
 
-def continuum_diagonal(e: float, beta_b: float,
-                       quad: QuadratureSpec | None = None) -> float:
+def continuum_diagonal(e: float, beta_b: float) -> float:
     """Boltzmann diagonal recovered from the P weight and the measure:
 
         int_0^inf h(x) / nu(x) * P(x) * x**E / Gamma(E+1) dx
@@ -320,31 +288,29 @@ def continuum_diagonal(e: float, beta_b: float,
 
     which should equal beta_b exp(-beta_b E) = exp(-beta_b E) / Z.  One
     half-line rule call with scale max(1, E) exp(-beta_b), the peak of the
-    integrand; quad sets its tolerance, cutoff and node budget, and by
-    default the target is relative (the value can sit far below 1e-100).
+    integrand, with a relative target (the value can sit far below 1e-100).
     """
-    e = _check_energy(e)
+    e = _require_nonnegative(e, "E")
     beta_b = _require_positive(beta_b, "beta_b")
     lg = math.lgamma(e + 1.0)
 
     def f(xs):
         return np.exp(e * np.log(xs) - xs - lg) * _p_weight(xs, beta_b)
 
-    value, _ = half_line_quad(f, max(1.0, e) * math.exp(-beta_b), quad or RELATIVE_SPEC)
+    value, _ = half_line_quad(f, max(1.0, e) * math.exp(-beta_b), RELATIVE_ABS_TOL)
     return float(value[0])
 
 
-def verify_continuum_moments(e_values, quad: QuadratureSpec | None = None):
+def verify_continuum_moments(e_values):
     """Measure-moment identity int h(x)/nu(x) * x**E dx = Gamma(E+1) over a
     grid of E; returns the same report type the discrete measure uses.
 
     All E share the nodes of one half-line rule call with scale
-    max(1, max E); quad sets its tolerance, cutoff and node budget, and by
-    default the target is relative.
+    max(1, max E) and a relative target.
     """
     from .measure import MomentReport
 
-    e_values = [_check_energy(e) for e in e_values]
+    e_values = [_require_nonnegative(e, "E") for e in e_values]
     if not e_values:
         raise DomainError("need a nonempty grid of E")
     powers = np.array(e_values)
@@ -352,6 +318,6 @@ def verify_continuum_moments(e_values, quad: QuadratureSpec | None = None):
     def moments(xs):
         return np.exp(np.log(xs)[:, None] * powers - xs[:, None])
 
-    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)), quad or RELATIVE_SPEC)
+    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)), RELATIVE_ABS_TOL)
     rhs = [math.gamma(e + 1.0) for e in e_values]
     return MomentReport(tuple(e_values), tuple(lhs), tuple(rhs))

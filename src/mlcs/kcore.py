@@ -32,6 +32,13 @@ def _require_positive(value, name: str) -> float:
     return float(value)
 
 
+def _require_nonnegative(value, name: str) -> float:
+    """The package's one nonnegative-finite check; returns value as a float."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MLParams:
     """Parameter quadruple (alpha, beta, gamma, k), all strictly positive."""

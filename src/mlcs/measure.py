@@ -47,10 +47,9 @@ from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 from .mlfunc import EvalConfig, ml_eval
-from .quadrature import RELATIVE_SPEC, QuadratureSpec, gauss_legendre_panels, half_line_quad
+from .quadrature import RELATIVE_ABS_TOL, gauss_legendre_panels, half_line_quad
 
 __all__ = [
-    "QuadratureSpec",
     "MomentReport",
     "meijer_g_weight",
     "meijer_g_weight_mb",
@@ -177,7 +176,7 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray) -> np.ndarray:
         return np.hstack([f(s) for f, _ in families])
 
     # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
-    totals, _ = half_line_quad(integrands, max(1.0, b2, a1), RELATIVE_SPEC)
+    totals, _ = half_line_quad(integrands, max(1.0, b2, a1), RELATIVE_ABS_TOL)
     g = [kernel(totals[i * m:(i + 1) * m]) for i, (_, kernel) in enumerate(families)]
     if len(g) == 1:
         return g[0]
@@ -443,8 +442,7 @@ def moment_closed_form(params: MLParams, s: float) -> float:
     return math.exp(log_val)
 
 
-def verify_resolution(params: MLParams, s_max: int = 8,
-                      quad: QuadratureSpec | None = None) -> MomentReport:
+def verify_resolution(params: MLParams, s_max: int = 8) -> MomentReport:
     """Moments of the Meijer kernel, quadrature vs closed form, s = 1..s_max.
 
     All moments share the nodes of one half-line rule, so the kernel is
@@ -458,14 +456,13 @@ def verify_resolution(params: MLParams, s_max: int = 8,
     def moments(xs):
         return xs[:, None] ** powers * meijer_g_weight(params, xs)[:, None]
 
-    lhs, _ = half_line_quad(moments, params.alpha / params.k, quad)
+    lhs, _ = half_line_quad(moments, params.alpha / params.k)
     s_values = range(1, s_max + 1)
     rhs = [moment_closed_form(params, float(s)) for s in s_values]
     return MomentReport(tuple(s_values), tuple(lhs), tuple(rhs))
 
 
 def resolution_identity_matrix(params: MLParams, n_max: int = 10,
-                               quad: QuadratureSpec | None = None,
                                cfg: EvalConfig | None = None) -> np.ndarray:
     """Gram matrix of the basis against the coherent family and its measure.
 
@@ -487,5 +484,5 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10,
             row[: coeffs.size] = np.abs(coeffs) ** 2
         return measure_weight_h(params, xs, cfg)[:, None] * out
 
-    diag, _ = half_line_quad(weighted_probs, params.alpha / params.k, quad)
+    diag, _ = half_line_quad(weighted_probs, params.alpha / params.k)
     return np.diag(diag)

@@ -38,8 +38,9 @@ near 1e8 times the value).  Whenever float rounding of that peak could exceed
 rel_tol of the sum, the same loop sums the series again in decimal
 arithmetic from the exact float inputs, at a precision that covers the peak.
 
-The series code needs the standard library only: scipy.integrate is imported
-inside ml_laplace_quad, the quadrature route, and nothing here uses numpy.
+The series code needs the standard library only: ml_laplace_quad, the
+quadrature route, imports the half-line rule of the quadrature module (and
+with it numpy) on first use, and loads no scipy.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
         if c < 0.0 and peak * (math.ceil(-c / q) + 1) * _EPS > cfg.rel_tol * abs(total):
             total, e, used, tail, ok = _decimal_sum(t0, y, c, q, r, s, cap, cfg)
         scale = math.exp((q / s) * z + e * _LN2)
-    return scale * total, 0, used, abs(scale) * tail, ok
+    # a budget spent leaves tail = inf, and a scale underflowed to 0 must not
+    # turn that bound into NaN
+    return scale * total, 0, used, abs(scale) * tail if tail < math.inf else tail, ok
 
 
 def _ml_sum(params: MLParams, z, cfg: EvalConfig):
@@ -308,19 +311,15 @@ def ml_laplace(params: MLParams, s: float, cfg: EvalConfig | None = None) -> flo
     )
 
 
-def ml_laplace_quad(
-    params: MLParams,
-    s: float,
-    cfg: EvalConfig | None = None,
-    rel_tol: float = 1e-11,
-) -> float:
+def ml_laplace_quad(params: MLParams, s: float, cfg: EvalConfig | None = None) -> float:
     """Verification route: numerically integrate exp(-s x) E(x) on [0, inf).
 
-    The integrand decays like exp(-(s - k/alpha) x) times a power, so the
-    cutoff doubles until the estimated remainder is negligible against the
-    running value.  scipy.integrate is imported here, on first use.
+    The integrand decays like exp(-(s - k/alpha) x) times a power, so one
+    call of the half-line rule with scale 1 / (s - k/alpha) and a relative
+    target covers it, one ml_eval per node.  E overflowing float64 before
+    the tail is negligible raises ConvergenceError.
     """
-    from scipy import integrate
+    from .quadrature import RELATIVE_ABS_TOL, half_line_quad
 
     cfg = cfg or _DEFAULT_CONFIG
     rate = s - params.k / params.alpha
@@ -329,31 +328,13 @@ def ml_laplace_quad(
             f"integral diverges for s <= k/alpha = {params.k / params.alpha}"
         )
 
-    def f(x):
-        return math.exp(-s * x) * ml_eval(params, x, cfg).value
+    def f(xs):
+        return [math.exp(-s * x) * ml_eval(params, x, cfg).value for x in xs.tolist()]
 
-    def probe(x):
-        # E grows with x, so a finite value at the cutoff vouches for [0, x]
-        try:
-            return f(x)
-        except OverflowError as exc:
-            raise ConvergenceError(
-                f"integrand not finite at x={x} (s={s}): E overflows before the tail is negligible"
-            ) from exc
-
-    upper = 16.0 / rate
-    tail = probe(upper)
-    value, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=rel_tol, limit=200)
-    while tail * 2.0 / rate > rel_tol * abs(value):
-        upper *= 2.0
-        if upper > 1e7:
-            raise ConvergenceError(f"cutoff search runaway at s={s}")
-        tail = probe(upper)
-        value, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=rel_tol, limit=400)
-    if not math.isfinite(value):
-        raise ConvergenceError(f"quadrature value {value!r} at s={s}")
-    if err > 100.0 * rel_tol * abs(value) + 1e-300:
+    try:
+        value, _ = half_line_quad(f, 1.0 / rate, RELATIVE_ABS_TOL)
+    except OverflowError as exc:
         raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} too large for value {value:.6e}"
-        )
-    return value
+            f"E overflows before the tail of the transform is negligible (s={s}): {exc}"
+        ) from exc
+    return float(value[0])

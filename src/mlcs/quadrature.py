@@ -1,9 +1,10 @@
-"""Quadrature helpers shared by the measure, thermal and continuum modules.
+"""Quadrature rules shared by the mlfunc, measure and continuum modules.
 
 Three schemes are kept deliberately distinct:
 
 * an adaptive QUADPACK route (scipy.integrate.quad, whose extrapolation also
-  absorbs integrable endpoint singularities);
+  absorbs integrable endpoint singularities), improper_quad, which the tests
+  use as their reference rule;
 * a composite Gauss-Legendre rule over equal panels, the one fixed-order
   rule of the package: nodes and weights are cached per order, and the
   integrand is called once on the array of all nodes;
@@ -22,7 +23,8 @@ Three schemes are kept deliberately distinct:
   nodes are the midpoints of the previous level, so no value is computed
   twice.  Every integrand of a family shares the same nodes, which lets the
   identity suites and the Meijer kernel make one call per level for all
-  their nodes and members.
+  their nodes and members.  The caller sets only the absolute floor of the
+  target; the node budget is the constant _MAX_NODES.
 
 The continuum integrals in the energy variable run on either of the first
 two (their `scheme` argument), so one integrand can be checked on both.
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .errors import ConvergenceError, DomainError
 from .kcore import _require_positive
 
 __all__ = [
-    "QuadratureSpec",
     "improper_quad",
     "half_line_quad",
     "gauss_legendre",
@@ -50,67 +50,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Improper-integral controls: fixed cutoff (else the rule finds one),
-    absolute tolerance, node budget."""
-
-    upper_cutoff: float | None = None
-    abs_tol: float = 1e-10
-    max_nodes: int = 100000
-
-    def __post_init__(self):
-        if self.upper_cutoff is not None:
-            _require_positive(self.upper_cutoff, "upper_cutoff")
-        _require_positive(self.abs_tol, "abs_tol")
-        if not (isinstance(self.max_nodes, int) and self.max_nodes >= 100):
-            raise DomainError(f"max_nodes must be an integer >= 100, got {self.max_nodes!r}")
+# Integrand evaluations one half-line rule call may spend; the QUADPACK
+# subinterval limits of improper_quad and the continuum module derive from it.
+_MAX_NODES = 100000
+# abs_tol for integrals whose size is not known beforehand (values down to
+# 1e-300): the half-line rule's target is then 1e-12 of each value alone,
+# where the default absolute floor would certify nothing.
+RELATIVE_ABS_TOL = 1e-300
 
 
-_DEFAULT_SPEC = QuadratureSpec()
-# For integrals whose size is not known beforehand (values down to 1e-300):
-# the half-line rule's target is then 1e-12 of each value alone, where the
-# default absolute floor would certify nothing.
-RELATIVE_SPEC = QuadratureSpec(abs_tol=1e-300)
-
-
-def resolve_cutoff(f, spec: QuadratureSpec, start: float = 32.0) -> float:
-    """Upper limit for an integrand decaying at least exponentially past its
-    bulk: double until |f(X)| * X drops under abs_tol (crude but safe bound
-    on the remaining tail for such decay)."""
-    if spec.upper_cutoff is not None:
-        return float(spec.upper_cutoff)
-    upper = float(start)
-    while True:
-        probe = abs(f(upper)) * upper
-        if math.isnan(probe):
-            raise ConvergenceError(f"integrand is NaN at x={upper}")
-        if probe <= spec.abs_tol:
-            return upper
-        upper *= 2.0
-        if upper > 1e9:
-            raise ConvergenceError("cutoff search exceeded 1e9; integrand not decaying?")
-
-
-def improper_quad(
-    f,
-    spec: QuadratureSpec | None = None,
-    start: float = 32.0,
-    rel_tol: float = 1e-10,
-) -> tuple[float, float]:
+def improper_quad(f, abs_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate f over [0, inf) as [0, cutoff]; returns (value, error estimate).
 
+    The cutoff doubles from 32 until |f(X)| * X drops under abs_tol (crude
+    but safe bound on the remaining tail for at least exponential decay).
     The first unit panel is integrated separately so QUADPACK's extrapolation
     concentrates on any x**(p-1) behavior at the origin.
     """
     from scipy import integrate
 
-    spec = spec or _DEFAULT_SPEC
-    upper = resolve_cutoff(f, spec, start)
-    limit = max(50, spec.max_nodes // 42)
-    split = min(1.0, upper / 2.0)
-    v1, e1 = integrate.quad(f, 0.0, split, epsabs=spec.abs_tol, epsrel=rel_tol, limit=limit)
-    v2, e2 = integrate.quad(f, split, upper, epsabs=spec.abs_tol, epsrel=rel_tol, limit=limit)
+    abs_tol = _require_positive(abs_tol, "abs_tol")
+    upper = 32.0
+    while True:
+        probe = abs(f(upper)) * upper
+        if math.isnan(probe):
+            raise ConvergenceError(f"integrand is NaN at x={upper}")
+        if probe <= abs_tol:
+            break
+        upper *= 2.0
+        if upper > 1e9:
+            raise ConvergenceError("cutoff search exceeded 1e9; integrand not decaying?")
+    limit = _MAX_NODES // 42
+    v1, e1 = integrate.quad(f, 0.0, 1.0, epsabs=abs_tol, epsrel=1e-10, limit=limit)
+    v2, e2 = integrate.quad(f, 1.0, upper, epsabs=abs_tol, epsrel=1e-10, limit=limit)
     return v1 + v2, e1 + e2
 
 
@@ -133,7 +105,7 @@ def _de_nodes(scale: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, x * (1.0 + e)
 
 
-def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
+def half_line_quad(f, scale: float, abs_tol: float = 1e-10
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a family of integrands over [0, inf) with the double-exponential
     rule; returns (values, error estimates), one entry per family member.
@@ -141,17 +113,15 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
     f maps a 1-d array of nodes x to an array of shape (len(x), m) holding the
     m integrands at each node (or shape (len(x),) for one integrand).  scale
     places the bulk of the integrands near t = 0, i.e. near x = scale.  The
-    target of member i is max(spec.abs_tol, 1e-12 |value_i|).  The range
-    grows until each end node contributes at most a thousandth of it (the
-    omitted tail is smaller still, the decay being double exponential), and
-    the error estimate, the change under one halving plus the end-node
-    contributions, must meet it.
-    spec.upper_cutoff caps the node range and spec.max_nodes the number of
-    integrand evaluations; a target that is not met raises ConvergenceError.
+    target of member i is max(abs_tol, 1e-12 |value_i|).  The range grows
+    until each end node contributes at most a thousandth of it (the omitted
+    tail is smaller still, the decay being double exponential), and the
+    error estimate, the change under one halving plus the end-node
+    contributions, must meet it.  A target that is not met within
+    _MAX_NODES integrand evaluations raises ConvergenceError.
     """
-    spec = spec or _DEFAULT_SPEC
     _require_positive(scale, "scale")
-    cap = math.inf if spec.upper_cutoff is None else float(spec.upper_cutoff)
+    abs_tol = _require_positive(abs_tol, "abs_tol")
     h = _DE_STEP
     count = 0
 
@@ -159,9 +129,9 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
         # integrand values times h dx/dt at the nodes of t, not yet checked
         nonlocal count
         count += t.size
-        if count > spec.max_nodes:
+        if count > _MAX_NODES:
             raise ConvergenceError(
-                f"node budget {spec.max_nodes} spent before the target was met")
+                f"node budget {_MAX_NODES} spent before the target was met")
         x, dx = _de_nodes(scale, t)
         return np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * dx)[:, None]
 
@@ -172,7 +142,7 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
         return vals
 
     def target(total):
-        return np.maximum(spec.abs_tol, _DE_REL_TOL * np.abs(total))
+        return np.maximum(abs_tol, _DE_REL_TOL * np.abs(total))
 
     def extend(end, edge, step, total):
         # add nodes end + step, end + 2 step, ... until one contributes at most
@@ -180,11 +150,10 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
         # the total.  Same stopping node and sums as a node-by-node loop: the
         # nodes of the last block past that one are dropped.  Stops early,
         # with the end still above the target, where the next node
-        # underflows to 0 or passes the cap.
+        # underflows to 0.
         while (np.abs(edge) > 1e-3 * target(total)).any():
             t = h * (end + step * _DE_BLOCK_STEPS)
-            x = _de_nodes(scale, t)[0]
-            usable = int(np.count_nonzero((x > 0.0) & (x <= cap)))  # a prefix
+            usable = int(np.count_nonzero(_de_nodes(scale, t)[0] > 0.0))  # a prefix
             if usable == 0:
                 break
             vals = weighted(t[:usable])
@@ -198,10 +167,6 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
         return end, edge, total
 
     lo, hi = -24, 24  # t in [-3, 3]
-    while _de_nodes(scale, np.array([h * hi]))[0][0] > cap:
-        hi -= 1
-    if hi <= lo:
-        raise DomainError(f"upper_cutoff {cap} leaves no room for the rule at scale {scale}")
     block = finite(weighted(h * np.arange(lo, hi + 1)), h * lo)
     total = block.sum(axis=0)
     lo, head, total = extend(lo, block[0], -1, total)
@@ -209,8 +174,6 @@ def half_line_quad(f, scale: float, spec: QuadratureSpec | None = None
         raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
     hi, tail, total = extend(hi, block[-1], 1, total)
     truncation = np.abs(head) + np.abs(tail)
-    if (truncation > target(total)).any():
-        raise ConvergenceError(f"upper_cutoff {cap} truncates more than the target")
     while True:
         # midpoints of the current level halve the step; T(h/2) = T(h)/2 + mids
         mids = h * (np.arange(lo, hi) + 0.5)

@@ -20,7 +20,6 @@ from mlcs import (
     FockExpansion,
     MLParams,
     QuadraticSpectrum,
-    QuadratureSpec,
     ThermalConfig,
     UNIT_PARAMS,
     ansatz_error_curve,
@@ -160,7 +159,7 @@ def test_criterion_07_laplace_transform():
 def test_criterion_08_thermal_distributions():
     params = MLParams(2.0, 3.0, 1.0, 1.0)
     cfg = ThermalConfig(0.4, LinearSpectrum.from_params(params))
-    quad = QuadratureSpec(abs_tol=1e-13)
+    abs_tol = 1e-13
 
     route_gap = 0.0
     for z in (CSLabel(0.0), CSLabel(0.8, 0.5), CSLabel(1.7), CSLabel(2.4, 3.0)):
@@ -170,7 +169,7 @@ def test_criterion_08_thermal_distributions():
     norm, _ = improper_quad(
         lambda x: measure_weight_h(params, x)
         * husimi_q(CSLabel(math.sqrt(x)), params, cfg),
-        quad,
+        abs_tol,
     )
     norm_err = abs(norm - 1.0)
 
@@ -183,7 +182,7 @@ def test_criterion_08_thermal_distributions():
             return measure_weight_h(params, x) * p_function(
                 CSLabel(math.sqrt(x)), params, cfg) * pn
 
-        value, _ = improper_quad(integrand, quad)
+        value, _ = improper_quad(integrand, abs_tol)
         want = math.exp(-cfg.beta_b * cfg.spectrum.slope * n) / zpart
         diag_err = max(diag_err, abs(value - want) / want)
 

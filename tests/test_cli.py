@@ -268,6 +268,7 @@ class TestImportBudget:
         (["scan", "--quantity", "pn", "--zmod", "1.2"], {"numpy"}),
         (["scan", "--quantity", "husimi", "--x-steps", "3"], {"numpy"}),
         (["verify", "ansatz", "--B", "0.005"], {"numpy"}),
+        (["verify", "laplace", "--s", "3"], {"numpy"}),
     ])
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"

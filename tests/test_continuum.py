@@ -12,7 +12,6 @@ from mlcs import (
     DomainError,
     EnergyDensityState,
     MLParams,
-    QuadratureSpec,
     UNIT_PARAMS,
     continuum_diagonal,
     continuum_husimi,

@@ -13,6 +13,8 @@ from mlcs import (
     MLParams,
     ThermalConfig,
     UNIT_PARAMS,
+    continuum_diagonal,
+    continuum_measure_weight,
     continuum_partition,
     gen_gamma,
     k_gamma,
@@ -20,6 +22,10 @@ from mlcs import (
     log_gen_gamma,
     log_k_gamma,
     log_k_pochhammer,
+    log_nu,
+    nu_function,
+    tilde_ml,
+    verify_continuum_moments,
 )
 from mlcs.kcore import MAX_GAMMA_ARG
 
@@ -171,4 +177,25 @@ class TestPositiveValidator:
         for name, make in makers:
             for bad in (0.0, -2.0, math.nan, math.inf, "1"):
                 with pytest.raises(DomainError, match=f"{name} must be positive"):
+                    make(bad)
+
+    def test_every_nonnegative_input_shares_one_check(self):
+        # the label modulus, the continuum x and the energy E go through
+        # kcore._require_nonnegative: 0 passes, the same values fail alike
+        state = EnergyDensityState(CSLabel(1.0), 1.0)
+        makers = [
+            ("modulus", CSLabel),
+            ("x", log_nu),
+            ("x", nu_function),
+            ("x", continuum_measure_weight),
+            ("x", lambda v: tilde_ml(UNIT_PARAMS, v)),
+            ("E", state.amplitude),
+            ("E", state.mass_density),
+            ("E", lambda v: continuum_diagonal(v, 1.0)),
+            ("E", lambda v: verify_continuum_moments([v])),
+        ]
+        for name, make in makers:
+            make(0.0)
+            for bad in (-2.0, math.nan, math.inf, "1"):
+                with pytest.raises(DomainError, match=f"{name} must be finite and >= 0"):
                     make(bad)

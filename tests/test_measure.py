@@ -14,7 +14,6 @@ from mlcs import (
     LinearSpectrum,
     MLParams,
     MomentReport,
-    QuadratureSpec,
     RouteMismatchError,
     ThermalConfig,
     UNIT_PARAMS,
@@ -381,11 +380,12 @@ class TestMomentIdentity:
         report = verify_resolution(MLParams(1.5, 1.2, 0.6, 1.0), s_max=10)
         assert report.max_rel_err <= 1e-10
 
-    def test_node_budget_and_cutoff_are_enforced(self):
-        with pytest.raises(ConvergenceError):
-            verify_resolution(UNIT_PARAMS, s_max=40, quad=QuadratureSpec(max_nodes=100))
-        with pytest.raises(ConvergenceError):
-            verify_resolution(UNIT_PARAMS, s_max=8, quad=QuadratureSpec(upper_cutoff=5.0))
+    def test_node_budget_is_enforced(self, monkeypatch):
+        import mlcs.quadrature as quadrature_mod
+
+        monkeypatch.setattr(quadrature_mod, "_MAX_NODES", 100)
+        with pytest.raises(ConvergenceError, match="node budget 100"):
+            verify_resolution(UNIT_PARAMS, s_max=40)
 
     def test_report_dict_shape(self):
         report = verify_resolution(UNIT_PARAMS, s_max=3)
@@ -424,13 +424,10 @@ class TestResolutionIdentity:
         with pytest.raises(DomainError):
             verify_resolution(UNIT_PARAMS, s_max=0)
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(upper_cutoff=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_nodes=10)
+    def test_rule_tolerance_validation(self):
+        for bad in (0.0, -1e-10, math.nan):
+            with pytest.raises(DomainError, match="abs_tol must be positive"):
+                half_line_quad(np.exp, 1.0, abs_tol=bad)
 
 
 def node_by_node_rule(f, scale, abs_tol=1e-10):
@@ -479,9 +476,9 @@ class TestHalfLineRule:
             sizes.append(x.size)
             return x[:, None] ** powers * np.exp(-x / 3.0)[:, None]
 
-        values, _ = half_line_quad(family, scale, QuadratureSpec(abs_tol=abs_tol))
+        values, _ = half_line_quad(family, scale, abs_tol)
         growth = [n for n in sizes if n <= 8]
-        assert growth and set(growth) == {8}  # whole blocks, no cap to cut one short
+        assert growth and set(growth) == {8}  # whole blocks, none cut short
         want = node_by_node_rule(lambda x: x[:, None] ** powers * np.exp(-x / 3.0)[:, None],
                                  scale, abs_tol)
         assert np.array_equal(values, want)

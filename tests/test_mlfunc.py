@@ -200,6 +200,17 @@ class TestSeriesDiagnostics:
             assert res.value == pytest.approx(truth, rel=1e-11, abs=0)
             assert abs(res.value - truth) <= res.tail_bound + 1e-13 * abs(truth)
 
+    def test_spent_budget_with_underflowed_scale_has_no_nan_bound(self):
+        # |z| k/alpha = 27,766 terms are needed; after 10,000 the reflection
+        # factor exp((k/alpha) z) has underflowed to 0, and 0 times the
+        # infinite tail bound gave NaN
+        params = MLParams(0.2678261523233445, 2.058285639066555,
+                          3.0414599535391176, 4.7010531303667005)
+        for res in (ml_eval(params, -1581.8601650386486),
+                    ml_eval_via_1f1(params, -1581.8601650386486)):
+            assert not res.converged
+            assert res.tail_bound == math.inf
+
     def test_unconverged_result_is_flagged_not_raised(self):
         res = ml_eval(UNIT_PARAMS, 40.0, EvalConfig(rel_tol=1e-12, max_terms=12))
         assert not res.converged
@@ -281,13 +292,17 @@ class TestLaplace:
             (MLParams(0.8, 1.1, 2.0, 1.6), 4.5),
             (MLParams(2.5, 4.0, 1.2, 0.9), 2.0),
         ]
+        cases += [(UNIT_PARAMS, s) for s in (2.0, 3.0, 5.0)]
+        for anchor in ((2.0, 3.0, 1.5, 0.7), (1.0, 2.0, 3.0, 1.0), (1.5, 1.2, 0.6, 1.0)):
+            params = MLParams(*anchor)
+            cases += [(params, params.k / params.alpha * f) for f in (2.0, 3.0, 4.0)]
         for params, s in cases:
             closed = ml_laplace(params, s)
             quad = ml_laplace_quad(params, s)
-            assert closed == pytest.approx(quad, rel=1e-8)
+            assert closed == pytest.approx(quad, rel=1e-12, abs=0), (params, s)
 
     def test_quadrature_route_raises_when_e_overflows(self):
-        # s sits 0.01 above k/alpha: the cutoff doubles past x ~ 2030, where
+        # s sits 0.01 above k/alpha: the rule's nodes pass x ~ 2030, where
         # E(x) leaves float range, long before the tail is negligible
         with pytest.raises(ConvergenceError):
             ml_laplace_quad(MLParams(2.0, 3.0, 1.5, 0.7), 0.36)

@@ -11,7 +11,6 @@ from mlcs import (
     LinearSpectrum,
     MLParams,
     QuadraticSpectrum,
-    QuadratureSpec,
     ThermalConfig,
     UNIT_PARAMS,
     ansatz_error_curve,
@@ -203,7 +202,6 @@ class TestHusimi:
         cfg = linear_cfg(1.0, 3.0)
         total, _ = improper_quad(
             lambda x: measure_weight_h(params, x) * husimi_q(CSLabel(math.sqrt(x)), params, cfg),
-            QuadratureSpec(),
         )
         assert total == pytest.approx(1.0, abs=1e-5)
 
@@ -240,7 +238,7 @@ class TestPFunction:
                 return measure_weight_h(params, x) * p_function(
                     CSLabel(math.sqrt(x)), params, cfg) * pn
 
-            value, _ = improper_quad(integrand, QuadratureSpec())
+            value, _ = improper_quad(integrand)
             want = math.exp(-cfg.beta_b * 3.0 * n) / zpart
             assert value == pytest.approx(want, rel=1e-5, abs=0)
 
