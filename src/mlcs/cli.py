@@ -21,7 +21,8 @@ from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 
 # Each command imports the modules it computes with, so `ml-eval` loads
-# neither numpy nor scipy and only the continuum quantities load scipy.
+# neither numpy nor scipy, and only the Meijer kernel of `scan pfn` and
+# `verify resolution` loads scipy.special.
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 

@@ -1,14 +1,36 @@
-"""Continuous-spectrum limit: the nu-function (an integral analogue of the
-exponential), its four-parameter generalization, and the continuum versions
-of the measure, partition function, Husimi Q and diagonal P weights.
+"""Continuous-spectrum limit: the nu-function (Volterra's integral analogue
+of the exponential), its four-parameter generalization, and the continuum
+versions of the measure, partition function, Husimi Q and diagonal P weights.
 
-The point functions integrate over the energy variable E on [0, inf) with
-integrands of the shape exp(E log x - log Gamma(E+1) + gamma-ratio terms):
-sharply peaked once x is large, so every evaluation first locates the peak E*
-(a digamma root), factors out the peak magnitude, and integrates the rescaled
-integrand on [0, E* + 40 + 10 sqrt(E*)].  Two schemes are available,
-adaptive QUADPACK and the fixed composite Gauss-Legendre rule of the
-quadrature module; the tests hold them to each other.
+The point functions integrate exp(L(E)) over the energy variable E on
+[0, inf), with
+
+    L(E) = E log w + log Gamma(a+E) - log Gamma(b+E) - m log Gamma(E+1),
+
+the gamma ratio only in tilde_ml and m = 2 only in the literal-normalization
+kernel.  The integrand is sharply peaked once w is large.  Two schemes:
+
+* "fixed", the default, is one peak window on numpy and math.lgamma.
+  - The peak E* comes in closed form from psi(z) ~ log(z - 1/2) (DLMF
+    5.11.2): E* = w - 1/2 for nu, sqrt(w) - 1/2 for the Gamma**2 kernel,
+    and for tilde_ml the positive root of (E+b-1/2)(E+1/2) = w (E+a-1/2);
+    0 when there is none.
+  - The window is [max(0, E* - H), E* + H] with H = 40 + 10 sqrt(E*).  Its
+    panel edges sit at E* +- s (2**j - 1), where s is the width of the peak,
+    sqrt((E* + 1/2) / m), or the decay length 1/|log w| when that is shorter.
+    Where the pole of Gamma(a+E) at -a lies within s / 4 of E = 0, the
+    points a (4**j - 1) grade the first panels toward it.
+  - Each panel carries a 16-point and a 12-point Gauss-Legendre rule on
+    math.lgamma values, scaled by the largest log-integrand value at the
+    nodes.  The 16-point sum is the value; its distance from the 12-point sum
+    is the error estimate.
+  - The estimate must meet 1e-12 of the value, or the rounding floor of L
+    where that is larger, and the end nodes of the window must be
+    negligible.  Otherwise every panel is halved or H doubled, and a node
+    budget spent raises ConvergenceError.  No value is returned unchecked.
+* "adaptive" is QUADPACK on [0, E* + H] with a breakpoint at E*, on scipy's
+  gammaln: the referee the tests hold the window to.  scipy is imported in
+  that branch only.
 
 The two identity suites (measure moments and Boltzmann diagonals) integrate
 in x instead, on the half-line double-exponential rule of the quadrature
@@ -19,16 +41,17 @@ algebra and the P-weight convention, not the nu quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams, _require_nonnegative, _require_positive
-from .quadrature import _MAX_NODES, RELATIVE_ABS_TOL, gauss_legendre_panels, half_line_quad
+from .quadrature import _MAX_NODES, RELATIVE_ABS_TOL, gauss_legendre, half_line_quad
 
 __all__ = [
     "EnergyDensityState",
@@ -43,72 +66,159 @@ __all__ = [
     "verify_continuum_moments",
 ]
 
-_SCHEMES = ("adaptive", "fixed")
+_SCHEMES = ("fixed", "adaptive")
+# Gauss-Legendre orders of the window's value and of its check
+_ORDER, _CHECK_ORDER = 16, 12
+# panel edges at E* +- s (2**j - 1), j = 1..5
+_STEPS = (1.0, 3.0, 7.0, 15.0, 31.0)
+_REL_TOL = 1e-12
+_EPS = 2.0 ** -52
 
 
-def _solve_peak(slope_fn, hi_guess: float) -> float:
-    """Root of a decreasing function on [0, inf); returns 0 when already
-    negative at the origin."""
-    if slope_fn(0.0) <= 0.0:
-        return 0.0
-    hi = max(4.0, hi_guess)
-    while slope_fn(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e15:
-            raise ConvergenceError("integrand peak not bracketed below 1e15")
-    return float(optimize.brentq(slope_fn, 0.0, hi, xtol=1e-9, rtol=1e-12))
+class _Kernel(NamedTuple):
+    """The integrand exp(L(E)) of the module docstring: w = exp(lw), the
+    gamma ratio Gamma(a+E) / Gamma(b+E) (absent when a == b) and the power m
+    of Gamma(E+1)."""
+
+    lw: float
+    power: int = 1
+    a: float = 1.0
+    b: float = 1.0
+
+    def log_f(self, e, lgamma):
+        out = e * self.lw - self.power * lgamma(e + 1.0)
+        if self.a != self.b:
+            out = out + lgamma(self.a + e) - lgamma(self.b + e)
+        return out
+
+    def peak(self) -> float:
+        """E* from psi(z) ~ log(z - 1/2), DLMF 5.11.2."""
+        if self.power == 2:
+            return max(0.0, math.exp(0.5 * self.lw) - 0.5)
+        w = math.exp(self.lw)
+        # (E + b - 1/2)(E + 1/2) = w (E + a - 1/2) as u**2 + lin u + c = 0 in
+        # u = E / s, scaled so that no coefficient overflows at large w
+        s = max(1.0, w)
+        lin = (self.b - w) / s
+        c = (0.5 * (self.b - 0.5) / s - (w / s) * (self.a - 0.5)) / s
+        disc = lin * lin - 4.0 * c
+        return max(0.0, 0.5 * s * (math.sqrt(disc) - lin)) if disc > 0.0 else 0.0
 
 
-def _peaked_integral(log_f, peak: float, scheme: str) -> float:
-    """log of int_0^U exp(log_f(E)) dE with U = peak + 40 + 10 sqrt(peak),
-    computed with the peak value factored out."""
-    if scheme not in _SCHEMES:
-        raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    upper = peak + 40.0 + 10.0 * math.sqrt(peak)
-    scale = float(log_f(peak))
+def _half_width(peak: float) -> float:
+    """H of the window [max(0, E* - H), E* + H]."""
+    return 40.0 + 10.0 * math.sqrt(peak)
 
+
+def _lgamma(e: np.ndarray) -> np.ndarray:
+    """math.lgamma elementwise over a 1-d array."""
+    return np.fromiter(map(math.lgamma, e.tolist()), float, e.size)
+
+
+@functools.cache
+def _rule_pair() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in [0, 2] of both rules, the 16-point ones first, and the
+    (nodes, 2) matrix whose columns are the weights of each rule."""
+    x16, w16 = gauss_legendre(_ORDER)
+    x12, w12 = gauss_legendre(_CHECK_ORDER)
+    weights = np.zeros((_ORDER + _CHECK_ORDER, 2))
+    weights[:_ORDER, 0] = w16
+    weights[_ORDER:, 1] = w12
+    return np.concatenate((x16, x12)) + 1.0, weights
+
+
+def _panel_edges(lo: float, peak: float, hi: float, width: float, pole: float | None):
+    """Panel edges of the window [lo, hi]: the peak, peak +- width (2**j - 1)
+    inside it, and pole (4**j - 1) below width when lo = 0 and a pole sits at
+    -pole, so that no panel there is wider than three times its distance
+    from the pole."""
+    edges = {lo, peak, hi}
+    for step in _STEPS:
+        edges.update((peak - width * step, peak + width * step))
+    if pole is not None and lo == 0.0 and 4.0 * pole < width:
+        edges.update(pole * (4.0 ** j - 1.0) for j in range(1, int(math.log(width / pole, 4.0)) + 1))
+    return np.array(sorted(v for v in edges if lo <= v <= hi))
+
+
+def _window(kernel: _Kernel) -> float:
+    """log of int_0^inf exp(L(E)) dE on the peak window (module docstring)."""
+    peak = kernel.peak()
+    width = math.sqrt((peak + 0.5) / kernel.power)
+    if kernel.lw < -1.0:
+        width = min(width, -1.0 / kernel.lw)
+    pole = kernel.a if kernel.a != kernel.b else None
+    t, weights = _rule_pair()
+    half = _half_width(peak)
+    halvings = spent = 0
+    while True:
+        lo, hi = max(0.0, peak - half), peak + half
+        edges = _panel_edges(lo, peak, hi, width, pole)
+        if edges.size < 2:
+            raise ConvergenceError(f"peak window is narrower than the float spacing at E* = {peak:.6e}")
+        for _ in range(halvings):
+            edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+        h = 0.5 * (edges[1:] - edges[:-1])
+        e = (np.outer(h, t) + edges[:-1, None]).ravel()
+        spent += e.size
+        if spent > _MAX_NODES:
+            raise ConvergenceError(
+                f"peak window spent its {_MAX_NODES} node budget near E* = {peak:.6e}")
+        log_f = kernel.log_f(e, _lgamma).reshape(h.size, t.size)
+        scale = log_f.max()
+        f = np.exp(log_f - scale)
+        value, check = h @ (f @ weights)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConvergenceError(f"peak window integral is {value} near E* = {peak:.6e}")
+        # L is a difference of terms up to about hi |log w| in size, so its
+        # rounding bounds the relative accuracy any rule can certify
+        target = max(_REL_TOL, 8.0 * _EPS * hi * (abs(kernel.lw) + 1.0)) * value
+        # the log-integrand falls by at least 1/H per unit beyond an end node,
+        # so its value times H bounds the tail the window leaves out
+        ends = f[-1, _ORDER - 1] + (f[0, 0] if lo > 0.0 else 0.0)
+        if ends * half > 1e-3 * target:
+            half *= 2.0
+        elif abs(value - check) > target:
+            halvings += 1
+        else:
+            return float(scale + math.log(value))
+
+
+def _quadpack(kernel: _Kernel) -> float:
+    """log of the same integral by QUADPACK with scipy's gammaln: the referee."""
+    from scipy import integrate, special
+
+    peak = kernel.peak()
+    upper = peak + _half_width(peak)
+    scale = float(kernel.log_f(peak, special.gammaln))
+
+    def g(e):
+        return math.exp(float(kernel.log_f(e, special.gammaln)) - scale)
+
+    value, err = integrate.quad(g, 0.0, upper, epsabs=1e-14, epsrel=1e-12,
+                                limit=_MAX_NODES // 21, points=[peak] if peak > 0.0 else None)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ConvergenceError(f"peaked integral failed: value={value}, err={err}")
+    return scale + math.log(value)
+
+
+def _log_integral(kernel: _Kernel, scheme: str) -> float:
+    if scheme == "fixed":
+        return _window(kernel)
     if scheme == "adaptive":
-        def g(e):
-            return math.exp(float(log_f(e)) - scale)
-
-        limit = _MAX_NODES // 21
-        pts = [peak] if peak > 0.0 else None
-        value, err = integrate.quad(
-            g, 0.0, upper, epsabs=1e-14, epsrel=1e-12, limit=limit, points=pts
-        )
-        if not math.isfinite(value) or value <= 0.0:
-            raise ConvergenceError(f"peaked integral failed: value={value}, err={err}")
-        return scale + math.log(value)
-
-    order = 24
-    panels = max(12, int(math.ceil(upper / 3.0)))
-    panels = min(panels, _MAX_NODES // order)
-    total = gauss_legendre_panels(lambda e: np.exp(log_f(e) - scale), 0.0, upper, panels, order)
-    if total <= 0.0:
-        raise ConvergenceError("fixed-rule peaked integral came out nonpositive")
-    return scale + math.log(total)
+        return _quadpack(kernel)
+    raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
 
 
-def log_nu(x: float, scheme: str = "adaptive") -> float:
+def log_nu(x: float, scheme: str = "fixed") -> float:
     """log of nu(x); -inf at x = 0.  Usable far beyond where nu itself
     overflows (nu grows like e^x)."""
     x = _require_nonnegative(x, "x")
     if x == 0.0:
         return -math.inf
-    lx = math.log(x)
-
-    def slope(e):
-        return lx - float(special.digamma(e + 1.0))
-
-    peak = _solve_peak(slope, 2.0 * math.exp(min(lx, 34.0)))
-
-    def log_f(e):
-        return e * lx - special.gammaln(e + 1.0)
-
-    return _peaked_integral(log_f, peak, scheme)
+    return _log_integral(_Kernel(math.log(x)), scheme)
 
 
-def nu_function(x: float, scheme: str = "adaptive") -> float:
+def nu_function(x: float, scheme: str = "fixed") -> float:
     """nu(x) = int_0^inf x**E / Gamma(E+1) dE, the integral analogue of e^x.
 
     Vanishes (slowly, like 1/|log x|) as x -> 0 and tracks e^x for large x;
@@ -124,20 +234,10 @@ def _log_nu_gamma2(x: float) -> float:
     """log of int_0^inf x**E / Gamma(E+1)**2 dE (literal-normalization kernel)."""
     if x == 0.0:
         return -math.inf
-    lx = math.log(x)
-
-    def slope(e):
-        return lx - 2.0 * float(special.digamma(e + 1.0))
-
-    peak = _solve_peak(slope, 2.0 * math.exp(min(0.5 * lx, 34.0)))
-
-    def log_f(e):
-        return e * lx - 2.0 * special.gammaln(e + 1.0)
-
-    return _peaked_integral(log_f, peak, "adaptive")
+    return _window(_Kernel(math.log(x), power=2))
 
 
-def tilde_ml(params: MLParams, x: float, scheme: str = "adaptive") -> float:
+def tilde_ml(params: MLParams, x: float, scheme: str = "fixed") -> float:
     """Four-parameter integral analogue of the series function:
 
         int_0^inf [Gamma(beta/alpha) / (Gamma(gamma/k) Gamma(beta))]
@@ -152,27 +252,11 @@ def tilde_ml(params: MLParams, x: float, scheme: str = "adaptive") -> float:
     a = params.gamma_over_k
     b = params.beta_over_alpha
     lw = math.log(params.k / params.alpha) + math.log(x)
-
-    def slope(e):
-        return lw + float(
-            special.digamma(a + e) - special.digamma(b + e) - special.digamma(e + 1.0)
-        )
-
-    peak = _solve_peak(slope, 2.0 * math.exp(min(lw, 34.0)))
-
-    def log_f(e):
-        return (
-            e * lw
-            + special.gammaln(a + e)
-            - special.gammaln(b + e)
-            - special.gammaln(e + 1.0)
-        )
-
     log_pref = math.lgamma(b) - math.lgamma(a) - math.lgamma(params.beta)
-    return math.exp(log_pref + _peaked_integral(log_f, peak, scheme))
+    return math.exp(log_pref + _log_integral(_Kernel(lw, a=a, b=b), scheme))
 
 
-def continuum_measure_weight(x: float, scheme: str = "adaptive") -> float:
+def continuum_measure_weight(x: float, scheme: str = "fixed") -> float:
     """Radial measure weight h(x) = exp(-x) * nu(x) of the continuum family."""
     x = _require_nonnegative(x, "x")
     if x == 0.0:
@@ -186,7 +270,7 @@ def continuum_partition(beta_b: float) -> float:
     return 1.0 / beta_b
 
 
-def continuum_husimi(z: CSLabel, beta_b: float, scheme: str = "adaptive") -> float:
+def continuum_husimi(z: CSLabel, beta_b: float, scheme: str = "fixed") -> float:
     """Husimi weight of the continuum Gibbs state:
 
         Q(|z|^2) = beta_b * nu(exp(-beta_b) |z|^2) / nu(|z|^2)
@@ -257,7 +341,7 @@ class EnergyDensityState:
         e = _require_nonnegative(e, "E")
         mag = math.exp(
             e * math.log(self.z.modulus ** 2) / 2.0
-            - special.gammaln(e + 1.0)
+            - math.lgamma(e + 1.0)
             - 0.5 * math.log(self.norm)
         )
         return mag * complex(math.cos(self.z.phase * e), math.sin(self.z.phase * e))
@@ -267,7 +351,7 @@ class EnergyDensityState:
         e = _require_nonnegative(e, "E")
         return math.exp(
             e * math.log(self.z.modulus ** 2)
-            - special.gammaln(e + 1.0)
+            - math.lgamma(e + 1.0)
             - math.log(self.norm)
         )
 

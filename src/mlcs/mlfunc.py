@@ -40,7 +40,9 @@ arithmetic from the exact float inputs, at a precision that covers the peak.
 
 The series code needs the standard library only: ml_laplace_quad, the
 quadrature route, imports the half-line rule of the quadrature module (and
-with it numpy) on first use, and loads no scipy.
+with it numpy) on first use, and loads no scipy.  It takes the sums in their
+power-of-two scale and folds exp(-s x) into that exponent, so a node where
+E(x) is beyond float64 still counts.
 """
 
 from __future__ import annotations
@@ -316,8 +318,10 @@ def ml_laplace_quad(params: MLParams, s: float, cfg: EvalConfig | None = None) -
 
     The integrand decays like exp(-(s - k/alpha) x) times a power, so one
     call of the half-line rule with scale 1 / (s - k/alpha) and a relative
-    target covers it, one ml_eval per node.  E overflowing float64 before
-    the tail is negligible raises ConvergenceError.
+    target covers it, one series sum per node.  The factor exp(-s x) is
+    folded into the power-of-two exponent of the sum, so nodes where E(x)
+    itself is beyond float64 still contribute; a series that does not
+    converge at a node raises ConvergenceError.
     """
     from .quadrature import RELATIVE_ABS_TOL, half_line_quad
 
@@ -329,12 +333,14 @@ def ml_laplace_quad(params: MLParams, s: float, cfg: EvalConfig | None = None) -
         )
 
     def f(xs):
-        return [math.exp(-s * x) * ml_eval(params, x, cfg).value for x in xs.tolist()]
+        out = []
+        for x in xs.tolist():
+            total, e, used, tail, ok = _ml_sum(params, x, cfg)
+            if not ok:
+                raise ConvergenceError(
+                    f"series at x={x} not converged after {used} terms (tail bound {tail:.3e})")
+            out.append(total * math.exp(e * _LN2 - s * x))
+        return out
 
-    try:
-        value, _ = half_line_quad(f, 1.0 / rate, RELATIVE_ABS_TOL)
-    except OverflowError as exc:
-        raise ConvergenceError(
-            f"E overflows before the tail of the transform is negligible (s={s}): {exc}"
-        ) from exc
+    value, _ = half_line_quad(f, 1.0 / rate, RELATIVE_ABS_TOL)
     return float(value[0])

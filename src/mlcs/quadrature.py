@@ -26,10 +26,10 @@ Three schemes are kept deliberately distinct:
   their nodes and members.  The caller sets only the absolute floor of the
   target; the node budget is the constant _MAX_NODES.
 
-The continuum integrals in the energy variable run on either of the first
-two (their `scheme` argument), so one integrand can be checked on both.
-scipy.integrate is imported inside improper_quad, its one user, so the two
-fixed rules need numpy only.
+The peak window of the continuum module (its default scheme) places the
+cached Gauss-Legendre nodes on its own panels, and its QUADPACK referee
+imports scipy for itself.  scipy.integrate is imported inside improper_quad,
+its one user here, so the two fixed rules need numpy only.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 
-# Integrand evaluations one half-line rule call may spend; the QUADPACK
-# subinterval limits of improper_quad and the continuum module derive from it.
+# Integrand evaluations one half-line rule call may spend; the node budget of
+# the continuum peak window and the QUADPACK subinterval limits of
+# improper_quad and the continuum referee derive from it.
 _MAX_NODES = 100000
 # abs_tol for integrals whose size is not known beforehand (values down to
 # 1e-300): the half-line rule's target is then 1e-12 of each value alone,

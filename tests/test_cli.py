@@ -269,6 +269,10 @@ class TestImportBudget:
         (["scan", "--quantity", "husimi", "--x-steps", "3"], {"numpy"}),
         (["verify", "ansatz", "--B", "0.005"], {"numpy"}),
         (["verify", "laplace", "--s", "3"], {"numpy"}),
+        (["scan", "--quantity", "nu", "--x-steps", "3"], {"numpy"}),
+        (["scan", "--quantity", "husimi-cont", "--x-steps", "3"], {"numpy"}),
+        (["scan", "--quantity", "p-cont", "--x-steps", "3"], {"numpy"}),
+        (["verify", "moments-continuum"], {"numpy"}),
     ])
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from mlcs import (
     CSLabel,
+    ConvergenceError,
     DomainError,
     EnergyDensityState,
     MLParams,
@@ -23,6 +24,7 @@ from mlcs import (
     tilde_ml,
     verify_continuum_moments,
 )
+from test_cli import heavy_imports_after
 
 
 def reference_nu(x):
@@ -31,6 +33,20 @@ def reference_nu(x):
         val = mpmath.quad(lambda e: mpmath.mpf(x) ** e / mpmath.gamma(e + 1),
                           [0, mpmath.inf])
         return float(val)
+
+
+def reference_tilde(params, x):
+    """mpmath value of tilde_ml, with breakpoints at the pole scale gamma/k of
+    Gamma(gamma/k + E) and around the peak near E = (k/alpha) x.  40 digits,
+    since mpmath's quad also stops at an absolute error near its epsilon."""
+    a, b = params.gamma_over_k, params.beta_over_alpha
+    with mpmath.workdps(40):
+        w = mpmath.mpf(params.k) / params.alpha * x
+        pref = mpmath.gamma(b) / (mpmath.gamma(a) * mpmath.gamma(params.beta))
+        pts = sorted({0, a, 1, float(w), 2 * float(w) + 20})
+        val = mpmath.quad(lambda e: w ** e * mpmath.gamma(a + e)
+                          / (mpmath.gamma(b + e) * mpmath.gamma(e + 1)), pts + [mpmath.inf])
+        return float(pref * val)
 
 
 class TestNuFunction:
@@ -111,6 +127,57 @@ class TestTildeML:
             f = tilde_ml(params, x, scheme="fixed")
             assert abs(a - f) <= 1e-7 * abs(a)
 
+    @pytest.mark.parametrize("gamma, x", [(0.05, 1.0), (0.3, 1.0), (0.05, 100.0)])
+    def test_pole_near_zero_energy(self, gamma, x):
+        # small gamma/k puts the pole of Gamma(gamma/k + E) just below E = 0,
+        # where the integrand is steep; at x = 100 it falls from E = 0 before
+        # it rises to its peak near E = 100
+        params = MLParams(1.0, 1.0, gamma, 1.0)
+        assert tilde_ml(params, x) == pytest.approx(reference_tilde(params, x), rel=1e-11, abs=0)
+
+
+class TestPeakWindow:
+    """The window returns only values that passed its error estimate and
+    end-node check, widening or halving until they do."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        import mlcs.continuum as continuum_mod
+
+        windows = []
+        edges = continuum_mod._panel_edges
+
+        def spy(lo, peak, hi, *rest):
+            windows.append((lo, hi))
+            return edges(lo, peak, hi, *rest)
+
+        monkeypatch.setattr(continuum_mod, "_panel_edges", spy)
+        return windows
+
+    def test_widens_until_the_end_nodes_are_negligible(self, passes):
+        # beta/alpha = 30 makes the integrand decay slowly from E = 0, past
+        # the first window's end at E = 40
+        params = MLParams(1.0, 30.0, 1.0, 1.0)
+        value = tilde_ml(params, 20.0)
+        assert passes[0] == (0.0, 40.0) and passes[-1][1] > 40.0
+        assert value == pytest.approx(reference_tilde(params, 20.0), rel=1e-11, abs=0)
+
+    def test_halves_the_panels_until_the_estimate_is_met(self, passes):
+        params = MLParams(1.0, 1.0, 0.05, 1.0)
+        value = tilde_ml(params, 1.0)
+        assert len(passes) == 2 and passes[0] == passes[1]
+        assert value == pytest.approx(reference_tilde(params, 1.0), rel=1e-11, abs=0)
+
+    def test_an_unmet_estimate_raises(self, monkeypatch):
+        # a check rule 1 % off can never agree with the value to 1e-12
+        import mlcs.continuum as continuum_mod
+
+        nodes, weights = continuum_mod._rule_pair()
+        skewed = weights * [1.0, 1.01]
+        monkeypatch.setattr(continuum_mod, "_rule_pair", lambda: (nodes, skewed))
+        with pytest.raises(ConvergenceError, match="node budget"):
+            log_nu(5.0)
+
 
 class TestContinuumMeasure:
     def test_weight_is_damped_nu(self):
@@ -142,8 +209,7 @@ class TestContinuumMeasure:
                 verify_continuum_moments([1.0, bad])
 
     def test_suites_need_no_nu_quadrature(self, monkeypatch):
-        # h / nu is exactly exp(-x): neither suite may compute nu, solve for a
-        # peak or call QUADPACK
+        # h / nu is exactly exp(-x): neither suite may compute nu
         import mlcs.continuum as continuum_mod
 
         def forbidden(*args, **kwargs):
@@ -151,10 +217,16 @@ class TestContinuumMeasure:
 
         for name in ("log_nu", "nu_function", "continuum_measure_weight"):
             monkeypatch.setattr(continuum_mod, name, forbidden)
-        monkeypatch.setattr(continuum_mod.optimize, "brentq", forbidden)
-        monkeypatch.setattr(continuum_mod.integrate, "quad", forbidden)
         assert verify_continuum_moments([0.0, 2.0]).max_rel_err <= 1e-12
         assert continuum_diagonal(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0)
+
+    def test_suites_load_no_scipy(self):
+        # nor may they reach QUADPACK, a peak solve or any other scipy code:
+        # in a fresh interpreter both suites leave no scipy module loaded
+        code = ("from mlcs import continuum_diagonal, verify_continuum_moments\n"
+                "verify_continuum_moments([0.0, 2.0])\n"
+                "continuum_diagonal(1.0, 1.0)")
+        assert heavy_imports_after(code) == {"numpy"}
 
 
 class TestNuSecondRoutes:

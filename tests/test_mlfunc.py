@@ -301,11 +301,13 @@ class TestLaplace:
             quad = ml_laplace_quad(params, s)
             assert closed == pytest.approx(quad, rel=1e-12, abs=0), (params, s)
 
-    def test_quadrature_route_raises_when_e_overflows(self):
+    def test_quadrature_route_survives_e_beyond_float64(self):
         # s sits 0.01 above k/alpha: the rule's nodes pass x ~ 2030, where
-        # E(x) leaves float range, long before the tail is negligible
-        with pytest.raises(ConvergenceError):
-            ml_laplace_quad(MLParams(2.0, 3.0, 1.5, 0.7), 0.36)
+        # E(x) leaves float range, long before the tail is negligible; the
+        # factor exp(-s x) is folded into the sums' power-of-two exponent
+        assert ml_laplace_quad(F2, 0.36) == pytest.approx(ml_laplace(F2, 0.36), rel=1e-12, abs=0)
+        # at unit parameters the transform is 1 / (s - 1)
+        assert ml_laplace_quad(UNIT_PARAMS, 1.05) == pytest.approx(20.0, rel=1e-12, abs=0)
 
     def test_abscissa_is_enforced(self):
         params = MLParams(1.0, 2.0, 1.0, 3.0)

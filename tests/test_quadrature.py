@@ -53,9 +53,9 @@ class TestPanels:
 
 
 class TestLogNuSchemes:
-    @pytest.mark.parametrize("x", [100.0, 500.0])
+    @pytest.mark.parametrize("x", [100.0, 500.0, 1e4, 1e5])
     def test_fixed_and_adaptive_agree_far_out(self, x):
-        # about 50 and 250 panels of the fixed rule
+        # the peak window against QUADPACK, with the peak out to E* = 1e5
         adaptive = log_nu(x, scheme="adaptive")
         fixed = log_nu(x, scheme="fixed")
         assert abs(adaptive - fixed) <= 1e-12 * abs(adaptive)
