@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
 from .kcore import MLParams, _require_nonnegative
-from .mlfunc import _BIG, _DOWN, EvalConfig, _ml_sum
+from .mlfunc import _BIG, _DEFAULT_CONFIG, _DOWN, EvalConfig, _ml_sum
 
 __all__ = [
     "TOP_COEFF_TOL",
@@ -49,6 +49,7 @@ __all__ = [
 TOP_COEFF_TOL = 1e-14
 
 _TWO_PI = 2.0 * math.pi
+_MAX_TERMS = 10000  # term budget of a state's series window
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def ladder_raise(state: FockExpansion) -> FockExpansion:
     return FockExpansion(out, state.params, state.tail_mass)
 
 
-def _series_terms(params: MLParams, x: float, cfg: EvalConfig):
+def _series_terms(params: MLParams, x: float):
     """Positive series terms t_n(x) until both the geometric tail and the last
     kept term are negligible; returns (terms, total, tail_bound), all three
     scaled by the same power of two.  A term past 2**960 scales everything
@@ -163,7 +164,7 @@ def _series_terms(params: MLParams, x: float, cfg: EvalConfig):
     if x == 0.0:
         return terms, total, 0.0
     cap = x * max(g / b, k / a)
-    for n in range(1, cfg.max_terms):
+    for n in range(1, _MAX_TERMS):
         t *= x * (g + (n - 1) * k) / ((b + (n - 1) * a) * n)
         terms.append(t)
         total += t
@@ -172,26 +173,25 @@ def _series_terms(params: MLParams, x: float, cfg: EvalConfig):
             tail = t * q / (1.0 - q)
             # deep cut: the top kept probability must be tiny so ladder raises
             # stay legal and eigenvalue checks hold through the last slot
-            if tail <= min(cfg.rel_tol, 1e-13) * total and t <= 1e-30 * total:
+            if tail <= 1e-13 * total and t <= 1e-30 * total:
                 return terms, total, tail
         elif t > _BIG:  # terms grow only while q >= 1
             terms = [v * _DOWN for v in terms]
             t, total = t * _DOWN, total * _DOWN
     raise ConvergenceError(
-        f"series terms at x={x} not settled after {cfg.max_terms} terms"
+        f"series terms at x={x} not settled after {_MAX_TERMS} terms"
     )
 
 
-def cs_build(z: CSLabel, params: MLParams, cfg: EvalConfig | None = None) -> FockExpansion:
+def cs_build(z: CSLabel, params: MLParams) -> FockExpansion:
     """Build the normalized eigenstate of the lowering operator with label z.
 
     Probabilities are series terms over their sum, so sum |c_n|^2 = 1 up to
     rounding regardless of where the window is cut; the discarded mass
     (reported as tail_mass, relative) stays below 1e-12.
     """
-    cfg = cfg or EvalConfig()
     x = z.modulus ** 2
-    terms, total, tail = _series_terms(params, x, cfg)
+    terms, total, tail = _series_terms(params, x)
     amps = np.sqrt(np.asarray(terms) / total)
     if z.phase != 0.0 and z.modulus > 0.0:
         amps = amps * np.exp(1j * z.phase * np.arange(len(terms)))
@@ -207,7 +207,7 @@ def overlap(z1: CSLabel, z2: CSLabel, params: MLParams,
     Equal labels return exactly 1 (the normalization identity,
     applied as a shortcut rather than re-derived through rounded sums).
     """
-    cfg = cfg or EvalConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if z1 == z2:
         return 1.0 + 0.0j
     w = z1.value.conjugate() * z2.value
@@ -236,13 +236,12 @@ def expectation_ordered_power(z: CSLabel, params: MLParams, m: int) -> float:
     return (z.modulus ** 2) ** m
 
 
-def ordered_moment_fock(z: CSLabel, params: MLParams, m: int,
-                        cfg: EvalConfig | None = None) -> float:
+def ordered_moment_fock(z: CSLabel, params: MLParams, m: int) -> float:
     """Same ordered moment summed over the photon distribution:
     sum_n p_n * e_n e_{n-1} ... e_{n-m+1}."""
     if not (isinstance(m, int) and not isinstance(m, bool)) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    state = cs_build(z, params, cfg)
+    state = cs_build(z, params)
     p = np.abs(state.coeffs) ** 2
     e = _structure(params, np.arange(1, p.size))
     w = np.ones(max(p.size - m, 0))
@@ -264,10 +263,9 @@ class PhotonDistribution:
         object.__setattr__(self, "probs", arr)
 
 
-def photon_distribution(z: CSLabel, params: MLParams,
-                        cfg: EvalConfig | None = None) -> PhotonDistribution:
+def photon_distribution(z: CSLabel, params: MLParams) -> PhotonDistribution:
     """p_n = t_n(|z|^2) / E(|z|^2) for the eigenstate with label z."""
-    state = cs_build(z, params, cfg)
+    state = cs_build(z, params)
     return PhotonDistribution(np.abs(state.coeffs) ** 2, state.tail_mass)
 
 

@@ -299,8 +299,14 @@ def continuum_p_function(z: CSLabel, beta_b: float, literal_sign: bool = False) 
     with a harmonic-oscillator-like thermal state.  literal_sign=True instead
     evaluates beta_b * exp(+(exp(beta_b) - 1) |z|^2), the growing variant
     (kept only for comparison; it cannot reproduce Boltzmann diagonals).
+    A weight, or a factor of it, beyond float64 raises OverflowError.
     """
-    return float(_p_weight(z.modulus ** 2, _require_positive(beta_b, "beta_b"), literal_sign))
+    beta_b = _require_positive(beta_b, "beta_b")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(_p_weight(z.modulus ** 2, beta_b, literal_sign))
+    if not math.isfinite(value):
+        raise OverflowError(f"P weight at |z|^2 = {z.modulus ** 2!r} overflows float64")
+    return value
 
 
 def _p_weight(x, beta_b: float, literal_sign: bool = False):

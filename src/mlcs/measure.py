@@ -45,8 +45,8 @@ import numpy as np
 
 from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
-from .kcore import MLParams
-from .mlfunc import EvalConfig, ml_eval
+from .kcore import MLParams, _require_positive
+from .mlfunc import ml_eval
 from .quadrature import RELATIVE_ABS_TOL, gauss_legendre_panels, half_line_quad
 
 __all__ = [
@@ -373,8 +373,7 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     return float(g[0]) if scalar else g
 
 
-def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
-                       panels: int = 40, order: int = 24) -> float:
+def meijer_g_weight_mb(params: MLParams, x: float) -> float:
     """Same kernel by numerical Mellin-Barnes inversion:
 
         G(y) = (1/pi) Re int_0^T Gamma(s) Gamma(b2+s) / Gamma(a1+s) y**(-s) dt,
@@ -402,17 +401,16 @@ def meijer_g_weight_mb(params: MLParams, x: float, t_max: float = 80.0,
         )
         return np.exp(lg).real
 
-    return gauss_legendre_panels(integrand, 0.0, t_max, panels, order) / math.pi
+    return gauss_legendre_panels(integrand, 0.0, 80.0, 40, 24) / math.pi
 
 
-def measure_weight_h(params: MLParams, x, cfg: EvalConfig | None = None):
+def measure_weight_h(params: MLParams, x):
     """Full radial weight h(x); identically 1 at unit parameters.  x is a
     float or a 1-d array, as for meijer_g_weight."""
     xs, scalar = _x_values(x)
-    cfg = cfg or EvalConfig()
     series = np.empty_like(xs)
     for i, xi in enumerate(xs.tolist()):
-        result = ml_eval(params, xi, cfg)
+        result = ml_eval(params, xi)
         if not result.converged:
             raise ConvergenceError(f"series for h({xi}) did not converge", partial=result)
         series[i] = result.value
@@ -428,8 +426,7 @@ def measure_weight_h(params: MLParams, x, cfg: EvalConfig | None = None):
 
 def moment_closed_form(params: MLParams, s: float) -> float:
     """Right-hand side (alpha/k)**s Gamma(s) Gamma(b2+s) / Gamma(a1+s)."""
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
+    s = _require_positive(s, "s")
     a1, b2 = _g_params(params)
     if b2 + s <= 0.0 or a1 + s <= 0.0:
         raise DomainError(f"moment undefined at s={s} for these parameters")
@@ -462,8 +459,7 @@ def verify_resolution(params: MLParams, s_max: int = 8) -> MomentReport:
     return MomentReport(tuple(s_values), tuple(lhs), tuple(rhs))
 
 
-def resolution_identity_matrix(params: MLParams, n_max: int = 10,
-                               cfg: EvalConfig | None = None) -> np.ndarray:
+def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     """Gram matrix of the basis against the coherent family and its measure.
 
     Entry (m, n) is int_0^inf h(x) c_m(sqrt(x)) c_n(sqrt(x)) dx after the
@@ -475,14 +471,13 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10,
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    cfg = cfg or EvalConfig()
 
     def weighted_probs(xs):
         out = np.zeros((xs.size, n_max + 1))
         for row, x in zip(out, xs.tolist()):
-            coeffs = cs_build(CSLabel(math.sqrt(x)), params, cfg).coeffs[: n_max + 1]
+            coeffs = cs_build(CSLabel(math.sqrt(x)), params).coeffs[: n_max + 1]
             row[: coeffs.size] = np.abs(coeffs) ** 2
-        return measure_weight_h(params, xs, cfg)[:, None] * out
+        return measure_weight_h(params, xs)[:, None] * out
 
     diag, _ = half_line_quad(weighted_probs, params.alpha / params.k)
     return np.diag(diag)

@@ -211,7 +211,7 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
     return scale * total, 0, used, abs(scale) * tail if tail < math.inf else tail, ok
 
 
-def _ml_sum(params: MLParams, z, cfg: EvalConfig):
+def _ml_sum(params: MLParams, z, cfg: EvalConfig = _DEFAULT_CONFIG):
     """E(z) = total * 2**e as _kummer_sum in the k-symbol grouping
     (x, p, q, r, s) = (z, gamma, k, beta, alpha)."""
     return _kummer_sum(1.0 / math.gamma(params.beta), z, params.gamma, params.k,
@@ -265,25 +265,20 @@ def ml_eval_complex(params: MLParams, z: complex, cfg: EvalConfig | None = None)
     return value
 
 
-def ml_eval_via_1f1(params: MLParams, z: float, cfg: EvalConfig | None = None) -> SeriesResult:
+def ml_eval_via_1f1(params: MLParams, z: float) -> SeriesResult:
     """Cross-check route: E(z) = 1F1(gamma/k; beta/alpha; (k/alpha) z) / Gamma(beta),
     summed as a Kummer series in the rescaled argument, (x, p, q, r, s) =
     ((k/alpha) z, gamma/k, 1, beta/alpha, 1)."""
     z = _real_arg(z)
     w = (params.k / params.alpha) * z
     sums = _kummer_sum(1.0 / math.gamma(params.beta), w, params.gamma_over_k, 1.0,
-                       params.beta_over_alpha, 1.0, cfg or _DEFAULT_CONFIG)
+                       params.beta_over_alpha, 1.0, _DEFAULT_CONFIG)
     return SeriesResult(*_unscale(z, sums))
 
 
-def ml_laplace(params: MLParams, s: float, cfg: EvalConfig | None = None) -> float:
-    """Laplace transform of E over [0, inf) in closed form:
-
-        (1/s) * 2F1(1, gamma/k; beta/alpha; (k/alpha)/s) / Gamma(beta)
-
-    valid for s > k/alpha; smaller s is reported as divergent (DomainError).
-    """
-    cfg = cfg or _DEFAULT_CONFIG
+def _laplace_arg(params: MLParams, s) -> float:
+    """s as a float; DomainError unless it is a finite real above k/alpha,
+    where the transform converges."""
     thresh = params.k / params.alpha
     if not (isinstance(s, (int, float)) and math.isfinite(s)):
         raise DomainError(f"s must be a finite real, got {s!r}")
@@ -291,7 +286,18 @@ def ml_laplace(params: MLParams, s: float, cfg: EvalConfig | None = None) -> flo
         raise DomainError(
             f"transform diverges for s <= k/alpha = {thresh}; got s = {s}"
         )
-    w = thresh / s
+    return float(s)
+
+
+def ml_laplace(params: MLParams, s: float) -> float:
+    """Laplace transform of E over [0, inf) in closed form:
+
+        (1/s) * 2F1(1, gamma/k; beta/alpha; (k/alpha)/s) / Gamma(beta)
+
+    valid for s > k/alpha; smaller s is reported as divergent (DomainError).
+    """
+    s = _laplace_arg(params, s)
+    w = params.k / params.alpha / s
     a = params.gamma_over_k
     b = params.beta_over_alpha
 
@@ -299,21 +305,21 @@ def ml_laplace(params: MLParams, s: float, cfg: EvalConfig | None = None) -> flo
     term = 1.0
     total = 1.0
     comp = 0.0
-    for n in range(1, cfg.max_terms):
+    for n in range(1, _DEFAULT_CONFIG.max_terms):
         term = term * w * (a + (n - 1)) / (b + (n - 1))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         r = w * max((a + n) / (b + n), 1.0)
-        if r < 1.0 and abs(term) * r / (1.0 - r) <= cfg.rel_tol * abs(total):
+        if r < 1.0 and abs(term) * r / (1.0 - r) <= _DEFAULT_CONFIG.rel_tol * abs(total):
             return total / (s * math.gamma(params.beta))
     raise ConvergenceError(
-        f"2F1 series at w={w} not converged after {cfg.max_terms} terms"
+        f"2F1 series at w={w} not converged after {_DEFAULT_CONFIG.max_terms} terms"
     )
 
 
-def ml_laplace_quad(params: MLParams, s: float, cfg: EvalConfig | None = None) -> float:
+def ml_laplace_quad(params: MLParams, s: float) -> float:
     """Verification route: numerically integrate exp(-s x) E(x) on [0, inf).
 
     The integrand decays like exp(-(s - k/alpha) x) times a power, so one
@@ -325,22 +331,17 @@ def ml_laplace_quad(params: MLParams, s: float, cfg: EvalConfig | None = None) -
     """
     from .quadrature import RELATIVE_ABS_TOL, half_line_quad
 
-    cfg = cfg or _DEFAULT_CONFIG
-    rate = s - params.k / params.alpha
-    if rate <= 0.0:
-        raise DomainError(
-            f"integral diverges for s <= k/alpha = {params.k / params.alpha}"
-        )
+    s = _laplace_arg(params, s)
 
     def f(xs):
         out = []
         for x in xs.tolist():
-            total, e, used, tail, ok = _ml_sum(params, x, cfg)
+            total, e, used, tail, ok = _ml_sum(params, x)
             if not ok:
                 raise ConvergenceError(
                     f"series at x={x} not converged after {used} terms (tail bound {tail:.3e})")
             out.append(total * math.exp(e * _LN2 - s * x))
         return out
 
-    value, _ = half_line_quad(f, 1.0 / rate, RELATIVE_ABS_TOL)
+    value, _ = half_line_quad(f, 1.0 / (s - params.k / params.alpha), RELATIVE_ABS_TOL)
     return float(value[0])

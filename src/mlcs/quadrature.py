@@ -16,15 +16,14 @@ Three schemes are kept deliberately distinct:
 
   turns both ends into double-exponential decay in t, so the trapezoid rule
   in t converges geometrically in the number of nodes.  The node range grows
-  until the end nodes contribute less than the target, a block of eight
-  nodes per call of the integrand (the stopping node and the sums are those
-  of a node-by-node loop; the surplus nodes of the last block are dropped).
-  The error estimate is the change under one halving of the step, whose
-  nodes are the midpoints of the previous level, so no value is computed
-  twice.  Every integrand of a family shares the same nodes, which lets the
-  identity suites and the Meijer kernel make one call per level for all
-  their nodes and members.  The caller sets only the absolute floor of the
-  target; the node budget is the constant _MAX_NODES.
+  by whole blocks of eight nodes, one call of the integrand per block, until
+  the end nodes contribute less than the target; every node evaluated is
+  summed.  The error estimate is the change under one halving of the step,
+  whose nodes are the midpoints of the previous level, so no value is
+  computed twice.  Every integrand of a family shares the same nodes, which
+  lets the identity suites and the Meijer kernel make one call per level for
+  all their nodes and members.  The caller sets only the absolute floor of
+  the target; the node budget is the constant _MAX_NODES.
 
 The peak window of the continuum module (its default scheme) places the
 cached Gauss-Legendre nodes on its own panels, and its QUADPACK referee
@@ -114,12 +113,12 @@ def half_line_quad(f, scale: float, abs_tol: float = 1e-10
     f maps a 1-d array of nodes x to an array of shape (len(x), m) holding the
     m integrands at each node (or shape (len(x),) for one integrand).  scale
     places the bulk of the integrands near t = 0, i.e. near x = scale.  The
-    target of member i is max(abs_tol, 1e-12 |value_i|).  The range grows
-    until each end node contributes at most a thousandth of it (the omitted
-    tail is smaller still, the decay being double exponential), and the
-    error estimate, the change under one halving plus the end-node
-    contributions, must meet it.  A target that is not met within
-    _MAX_NODES integrand evaluations raises ConvergenceError.
+    target of member i is max(abs_tol, 1e-12 |value_i|).  The range grows by
+    blocks of eight nodes until each end node contributes at most a
+    thousandth of it (the omitted tail is smaller still, the decay being
+    double exponential), and the error estimate, the change under one
+    halving plus the end-node contributions, must meet it.  A target that is
+    not met within _MAX_NODES integrand evaluations raises ConvergenceError.
     """
     _require_positive(scale, "scale")
     abs_tol = _require_positive(abs_tol, "abs_tol")
@@ -127,48 +126,39 @@ def half_line_quad(f, scale: float, abs_tol: float = 1e-10
     count = 0
 
     def weighted(t):
-        # integrand values times h dx/dt at the nodes of t, not yet checked
+        # integrand values times h dx/dt at the nodes of t
         nonlocal count
         count += t.size
         if count > _MAX_NODES:
             raise ConvergenceError(
                 f"node budget {_MAX_NODES} spent before the target was met")
         x, dx = _de_nodes(scale, t)
-        return np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * dx)[:, None]
-
-    def finite(vals, t):
+        vals = np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * dx)[:, None]
         if not np.isfinite(vals).all():
-            x = _de_nodes(scale, np.array([t]))[0][0]
-            raise ConvergenceError(f"integrand is not finite near x={x:.6e}")
+            raise ConvergenceError(f"integrand is not finite near x={x[0]:.6e}")
         return vals
 
     def target(total):
         return np.maximum(abs_tol, _DE_REL_TOL * np.abs(total))
 
     def extend(end, edge, step, total):
-        # add nodes end + step, end + 2 step, ... until one contributes at most
-        # a thousandth of the target; returns the new end node, its values and
-        # the total.  Same stopping node and sums as a node-by-node loop: the
-        # nodes of the last block past that one are dropped.  Stops early,
-        # with the end still above the target, where the next node
-        # underflows to 0.
+        # add blocks of nodes end + step, ..., end + 8 step until the outermost
+        # contributes at most a thousandth of the target; returns the new end
+        # node, its values and the total.  Stops early, with the end still
+        # above the target, where the nodes underflow to 0.
         while (np.abs(edge) > 1e-3 * target(total)).any():
             t = h * (end + step * _DE_BLOCK_STEPS)
             usable = int(np.count_nonzero(_de_nodes(scale, t)[0] > 0.0))  # a prefix
             if usable == 0:
                 break
             vals = weighted(t[:usable])
-            running = np.cumsum(np.concatenate((total[None], vals)), axis=0)[1:]
-            small = (np.abs(vals) <= 1e-3 * target(running)).all(axis=1)
-            last = int(small.argmax()) if small.any() else usable - 1
-            edge = finite(vals[: last + 1], t[0])[last]
-            end, total = end + step * (last + 1), running[last]
+            end, edge, total = end + step * usable, vals[-1], total + vals.sum(axis=0)
             if usable < _DE_BLOCK:
                 break
         return end, edge, total
 
     lo, hi = -24, 24  # t in [-3, 3]
-    block = finite(weighted(h * np.arange(lo, hi + 1)), h * lo)
+    block = weighted(h * np.arange(lo, hi + 1))
     total = block.sum(axis=0)
     lo, head, total = extend(lo, block[0], -1, total)
     if (np.abs(head) > 1e-3 * target(total)).any():
@@ -178,7 +168,7 @@ def half_line_quad(f, scale: float, abs_tol: float = 1e-10
     while True:
         # midpoints of the current level halve the step; T(h/2) = T(h)/2 + mids
         mids = h * (np.arange(lo, hi) + 0.5)
-        finer = 0.5 * (total + finite(weighted(mids), mids[0]).sum(axis=0))
+        finer = 0.5 * (total + weighted(mids).sum(axis=0))
         err = np.abs(finer - total) + truncation
         total = finer
         if (err <= target(total)).all():

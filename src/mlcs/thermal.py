@@ -14,6 +14,7 @@ regimes where those degenerate to straight or quadratic growth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams, _require_positive
 from .measure import meijer_g_weight
-from .mlfunc import EvalConfig, SeriesResult, _ml_sum
+from .mlfunc import SeriesResult, _ml_sum
 
 __all__ = [
     "LinearSpectrum",
@@ -99,10 +100,15 @@ class ThermalConfig:
 
 
 def partition_linear(cfg: ThermalConfig) -> float:
-    """Geometric-series partition function 1 / (1 - exp(-beta_b * slope))."""
+    """Geometric-series partition function 1 / (1 - exp(-beta_b * slope));
+    OverflowError where it exceeds float64 (beta_b * slope below ~1e-308)."""
     if not isinstance(cfg.spectrum, LinearSpectrum):
         raise DomainError("partition_linear needs a LinearSpectrum")
-    return -1.0 / math.expm1(-cfg.beta_b * cfg.spectrum.slope)
+    gap = -math.expm1(-cfg.beta_b * cfg.spectrum.slope)
+    if gap <= 1.0 / sys.float_info.max:
+        raise OverflowError("partition function exceeds float64 range at beta_b * slope"
+                            f" = {cfg.beta_b * cfg.spectrum.slope!r}")
+    return 1.0 / gap
 
 
 def _bose_power_sum(m: int, y: float) -> float:
@@ -190,8 +196,7 @@ def _require_linear(cfg: ThermalConfig) -> float:
     return cfg.spectrum.slope
 
 
-def husimi_q(z: CSLabel, params: MLParams, cfg: ThermalConfig,
-             eval_cfg: EvalConfig | None = None) -> float:
+def husimi_q(z: CSLabel, params: MLParams, cfg: ThermalConfig) -> float:
     """Husimi function of the Gibbs state at phase-space point z:
 
         Q(|z|^2) = (1/Z) E(exp(-beta_b * slope) |z|^2) / E(|z|^2)
@@ -200,22 +205,20 @@ def husimi_q(z: CSLabel, params: MLParams, cfg: ThermalConfig,
     finite where E(|z|^2) itself leaves float64.
     """
     slope = _require_linear(cfg)
-    eval_cfg = eval_cfg or EvalConfig()
     x = z.modulus ** 2
     zpart = partition_linear(cfg)
-    num, num_exp, _, _, num_ok = _ml_sum(params, math.exp(-cfg.beta_b * slope) * x, eval_cfg)
-    den, den_exp, _, _, den_ok = _ml_sum(params, x, eval_cfg)
+    num, num_exp, _, _, num_ok = _ml_sum(params, math.exp(-cfg.beta_b * slope) * x)
+    den, den_exp, _, _, den_ok = _ml_sum(params, x)
     if not (num_ok and den_ok):
         raise ConvergenceError("Husimi series did not converge")
     return math.ldexp(num / den, num_exp - den_exp) / zpart
 
 
-def husimi_q_fock(z: CSLabel, params: MLParams, cfg: ThermalConfig,
-                  eval_cfg: EvalConfig | None = None) -> float:
+def husimi_q_fock(z: CSLabel, params: MLParams, cfg: ThermalConfig) -> float:
     """Cross-check route: (1/Z) sum_n exp(-beta_b E_n) p_n over the photon
     distribution of z."""
     slope = _require_linear(cfg)
-    state = cs_build(z, params, eval_cfg)
+    state = cs_build(z, params)
     boltzmann = np.exp(-cfg.beta_b * slope * np.arange(state.coeffs.size))
     return float(np.dot(boltzmann, np.abs(state.coeffs) ** 2)) / partition_linear(cfg)
 

@@ -10,6 +10,7 @@ behavior instead.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -249,11 +250,14 @@ def test_criterion_10_continuum_limit():
 
 
 def run_cli(*argv):
+    # the child runs this source tree whether or not PYTHONPATH names it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     return subprocess.run(
         [sys.executable, "-m", "mlcs", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
     )
 
 

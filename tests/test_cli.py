@@ -27,6 +27,7 @@ def run_subprocess(*argv):
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
 
 
@@ -202,6 +203,14 @@ class TestScan:
         values = [row[1] for row in json.loads(out)["results"]["rows"]]
         assert values[0] > values[1] > values[2] > 0.0
 
+    def test_partition_beyond_float64_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--quantity", "husimi",
+                                 "--betaB", "1e-300", "--beta", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mlcs: partition function exceeds float64")
+        assert err.count("\n") == 1
+
     def test_grid_validation_exits_one(self, capsys):
         for argv in (
             ("scan", "--quantity", "nu", "--x-min", "5", "--x-max", "1"),
@@ -255,6 +264,18 @@ def heavy_imports_after(code):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+class TestCheckout:
+    def test_plain_pytest_collects_without_pythonpath(self):
+        # pyproject.toml points pytest at tests/ and puts src/ on the path
+        root = os.path.join(SRC, os.pardir)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+             "tests/test_kcore.py"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestImportBudget:

@@ -315,6 +315,15 @@ class TestContinuumP:
         hi = continuum_p_function(CSLabel(2.0), 1.0, literal_sign=True)
         assert hi > lo > 0.0
 
+    def test_literal_variant_beyond_float64_is_an_overflow(self):
+        # exp((e - 1) 900) is past float max; no value, not inf
+        with pytest.raises(OverflowError, match="overflows float64"):
+            continuum_p_function(CSLabel(30.0), 1.0, literal_sign=True)
+        assert continuum_p_function(CSLabel(30.0), 1.0) == 0.0
+        # beta_b exp(beta_b) overflows at beta_b = 709: inf * 0 was a silent NaN
+        with pytest.raises(OverflowError, match="overflows float64"):
+            continuum_p_function(CSLabel(1.0), 709.0)
+
     def test_reproduces_boltzmann_diagonals(self):
         for beta_b in (0.5, 1.0):
             for e in (0.0, 1.0, 2.0):

@@ -365,6 +365,9 @@ class TestMomentIdentity:
             moment_closed_form(UNIT_PARAMS, 0.0)
         with pytest.raises(DomainError):
             moment_closed_form(UNIT_PARAMS, -2.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="s must be positive and finite"):
+                moment_closed_form(UNIT_PARAMS, bad)
 
     def test_quadrature_matches_closed_form(self):
         for params in (UNIT_PARAMS, MLParams(2.0, 3.0, 1.0, 1.0),
@@ -430,45 +433,11 @@ class TestResolutionIdentity:
                 half_line_quad(np.exp, 1.0, abs_tol=bad)
 
 
-def node_by_node_rule(f, scale, abs_tol=1e-10):
-    """The half-line rule with its range grown one node per call of f: the
-    reference for the block growth, same arithmetic in the same order."""
-    h = 0.125
-
-    def weighted(t):
-        e = np.exp(-t)
-        x = scale * np.exp(t - e)
-        return np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * (x * (1.0 + e)))[:, None]
-
-    def small(v, total):
-        return np.all(np.abs(v) <= 1e-3 * np.maximum(abs_tol, 1e-12 * np.abs(total)))
-
-    lo, hi = -24, 24
-    block = weighted(h * np.arange(lo, hi + 1))
-    head, tail, total = block[0], block[-1], block.sum(axis=0)
-    while not small(head, total):
-        lo -= 1
-        head = weighted(np.array([h * lo]))[0]
-        total += head
-    while not small(tail, total):
-        hi += 1
-        tail = weighted(np.array([h * hi]))[0]
-        total += tail
-    truncation = np.abs(head) + np.abs(tail)
-    while True:
-        finer = 0.5 * (total + weighted(h * (np.arange(lo, hi) + 0.5)).sum(axis=0))
-        err = np.abs(finer - total) + truncation
-        total = finer
-        if np.all(err <= np.maximum(abs_tol, 1e-12 * np.abs(total))):
-            return total
-        h *= 0.5
-        lo, hi = 2 * lo, 2 * hi
-
-
 class TestHalfLineRule:
     @pytest.mark.parametrize("scale, abs_tol", [(1.0, 1e-10), (1e-3, 1e-300), (40.0, 1e-300)])
-    def test_block_growth_matches_node_by_node(self, scale, abs_tol):
-        # x**-0.6 and x**9 need many extra nodes at the two ends
+    def test_block_growth_matches_gamma_moments(self, scale, abs_tol):
+        # x**-0.6 and x**9 need many extra nodes at the two ends;
+        # int_0^inf x**p exp(-x/3) dx = Gamma(p + 1) 3**(p + 1)
         powers = np.array([-0.6, 0.0, 2.5, 9.0])
         sizes = []
 
@@ -479,9 +448,8 @@ class TestHalfLineRule:
         values, _ = half_line_quad(family, scale, abs_tol)
         growth = [n for n in sizes if n <= 8]
         assert growth and set(growth) == {8}  # whole blocks, none cut short
-        want = node_by_node_rule(lambda x: x[:, None] ** powers * np.exp(-x / 3.0)[:, None],
-                                 scale, abs_tol)
-        assert np.array_equal(values, want)
+        want = np.array([math.gamma(p + 1.0) * 3.0 ** (p + 1.0) for p in powers])
+        assert np.allclose(values, want, rtol=1e-13, atol=0.0)
 
     def test_gamma_family_on_shared_nodes(self):
         # int_0^inf x**p exp(-x) dx = Gamma(p + 1), endpoint behavior x**p

@@ -2,6 +2,7 @@
 
 import cmath
 import decimal
+import inspect
 import math
 
 import mpmath
@@ -22,6 +23,7 @@ from mlcs import (
     ml_laplace_quad,
     mlfunc,
 )
+import mlcs
 
 PARAM = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 # E(x) of these parameters leaves float64 range near x = 2030
@@ -251,6 +253,19 @@ class TestSeriesDiagnostics:
         with pytest.raises(DomainError):
             EvalConfig(max_terms=0)
 
+    def test_config_only_where_a_caller_sets_it(self):
+        # the CLI sets ml_eval's; the overlap and complex tests need a tight one
+        setters = {"ml_eval", "ml_eval_complex", "overlap"}
+        for name in mlcs.__all__:
+            fn = getattr(mlcs, name)
+            if not callable(fn) or isinstance(fn, type):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            takes = any("EvalConfig" in str(p.annotation) for p in params)
+            assert takes == (name in setters), name
+            assert "eval_cfg" not in {p.name for p in params}, name
+        assert list(inspect.signature(mlcs.meijer_g_weight_mb).parameters) == ["params", "x"]
+
 
 class TestPositivity:
     @given(alpha=PARAM, beta=PARAM, gamma=PARAM, k=PARAM,
@@ -308,6 +323,13 @@ class TestLaplace:
         assert ml_laplace_quad(F2, 0.36) == pytest.approx(ml_laplace(F2, 0.36), rel=1e-12, abs=0)
         # at unit parameters the transform is 1 / (s - 1)
         assert ml_laplace_quad(UNIT_PARAMS, 1.05) == pytest.approx(20.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("route", [ml_laplace, ml_laplace_quad])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, "2.0", 1.0])
+    def test_both_routes_share_one_check_of_s(self, route, s):
+        want = "must be a finite real" if s != 1.0 else "diverges for s <= k/alpha"
+        with pytest.raises(DomainError, match=want):
+            route(UNIT_PARAMS, s)
 
     def test_abscissa_is_enforced(self):
         params = MLParams(1.0, 2.0, 1.0, 3.0)

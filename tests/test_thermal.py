@@ -77,6 +77,14 @@ class TestPartitionLinear:
         with pytest.raises(DomainError):
             partition_linear(cfg)
 
+    def test_beyond_float64_is_an_overflow(self):
+        # beta_b * slope underflows to 0, or 1 / (1 - exp(-it)) passes float max
+        for beta_b, slope in ((1e-300, 1e-300), (1e-300, 1e-10)):
+            with pytest.raises(OverflowError, match="partition function"):
+                partition_linear(ThermalConfig(beta_b, LinearSpectrum(slope)))
+        assert partition_linear(ThermalConfig(1e-300, LinearSpectrum(1.0))) == pytest.approx(
+            1e300, rel=1e-15, abs=0)
+
 
 class TestPartitionQuadratic:
     def test_direct_sum_matches_geometric_when_purely_linear(self):
