@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
-from .kcore import MLParams, _require_nonnegative
+from .kcore import MLParams, _gamma, _require_nonnegative
 from .mlfunc import _BIG, _DEFAULT_CONFIG, _DOWN, EvalConfig, _ml_sum
 
 __all__ = [
@@ -158,7 +158,7 @@ def _series_terms(params: MLParams, x: float):
     scaled by the same power of two.  A term past 2**960 scales everything
     kept by 2**-960, as mlfunc._series does, so the sum stays finite."""
     a, b, g, k = params.alpha, params.beta, params.gamma, params.k
-    t = 1.0 / math.gamma(b)
+    t = 1.0 / _gamma(b)
     terms = [t]
     total = t
     if x == 0.0:

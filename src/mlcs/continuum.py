@@ -314,7 +314,11 @@ def _p_weight(x, beta_b: float, literal_sign: bool = False):
     growth = math.expm1(beta_b)  # e^{beta_b} - 1
     if literal_sign:
         return beta_b * np.exp(growth * x)
-    return beta_b * math.exp(beta_b) * np.exp(-growth * x)
+    head = beta_b * math.exp(beta_b)
+    if math.isfinite(head):
+        return head * np.exp(-growth * x)
+    # beta_b e^{beta_b} alone overflows from beta_b ~ 703 on, the weight only at x = 0
+    return np.exp(math.log(beta_b) + beta_b - growth * x)
 
 
 @dataclass(frozen=True)

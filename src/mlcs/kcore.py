@@ -64,6 +64,15 @@ class MLParams:
 UNIT_PARAMS = MLParams(1.0, 1.0, 1.0, 1.0)
 
 
+def _gamma(x: float, name: str = "beta") -> float:
+    """Gamma(x) of a parameter called name; OverflowError naming it once the
+    value leaves float64 (math.gamma's own message names nothing)."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"Gamma({name}) exceeds float64 range at {name} = {x!r}") from None
+
+
 def k_gamma(x: float, k: float) -> float:
     """Deformed gamma function k**(x/k - 1) * Gamma(x/k).
 

@@ -30,10 +30,11 @@ Both identity suites integrate with the half-line double-exponential rule of
 the quadrature module (nodes x = (alpha/k) exp(t - exp(-t)), error estimate
 from one halving of the step).  Every moment s shares the same nodes, and
 every diagonal entry n shares the nodes of the Gram matrix, so each level of
-the rule makes one kernel call (one h(x) call for the Gram matrix) for all
-its nodes, and the coherent state is built once per node.  The Gram matrix
-goes through h(x) and the state coefficients, not the moment sums, so it
-stays an independent check.
+the rule makes one kernel call for all its nodes.  h(x) takes E(x) from one
+term table of the mlfunc module per call, and for the Gram matrix the same
+table gives the state probabilities t_n(x) / E(x), so each level sums the
+series once for all its nodes.  The Gram matrix goes through h(x) and the
+state probabilities, not the moment sums, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError, RouteMismatchError
-from .kcore import MLParams, _require_positive
-from .mlfunc import ml_eval
+from .kcore import MLParams, _gamma, _require_positive
+from .mlfunc import _ml_table
 from .quadrature import RELATIVE_ABS_TOL, gauss_legendre_panels, half_line_quad
 
 __all__ = [
@@ -408,20 +408,27 @@ def measure_weight_h(params: MLParams, x):
     """Full radial weight h(x); identically 1 at unit parameters.  x is a
     float or a 1-d array, as for meijer_g_weight."""
     xs, scalar = _x_values(x)
-    series = np.empty_like(xs)
-    for i, xi in enumerate(xs.tolist()):
-        result = ml_eval(params, xi)
-        if not result.converged:
-            raise ConvergenceError(f"series for h({xi}) did not converge", partial=result)
-        series[i] = result.value
+    h = _weight_and_probs(params, xs, 0)[0]
+    return float(h[0]) if scalar else h
+
+
+def _weight_and_probs(params: MLParams, xs: np.ndarray, width: int):
+    """h at the nodes xs and the first width probabilities t_n(x) / E(x) of
+    each node, both from one term table; OverflowError where E(x) is beyond
+    float64."""
+    terms, sums, exps, _ = _ml_table(params, xs, width)
+    with np.errstate(over="ignore"):
+        series = np.ldexp(sums, exps)
+    if not np.isfinite(series).all():
+        x = float(xs[np.argmin(np.isfinite(series))])
+        raise OverflowError(f"E at x = {x!r} exceeds float64 range")
     pref = (
         (params.k / params.alpha)
-        * math.gamma(params.gamma_over_k)
-        / math.gamma(params.beta_over_alpha)
-        * math.gamma(params.beta)
+        * _gamma(params.gamma_over_k, "gamma/k")
+        / _gamma(params.beta_over_alpha, "beta/alpha")
+        * _gamma(params.beta)
     )
-    h = pref * series * meijer_g_weight(params, xs)
-    return float(h[0]) if scalar else h
+    return pref * series * meijer_g_weight(params, xs), terms / sums[:, None]
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -465,19 +472,17 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     Entry (m, n) is int_0^inf h(x) c_m(sqrt(x)) c_n(sqrt(x)) dx after the
     angular integral has killed m != n (coefficients at zero phase are real);
     off-diagonal entries are written as exact zeros and the diagonal is
-    computed by quadrature, so the result should be the identity.  h(x)
-    comes from one call per level of the half-line rule, and each node
-    builds the coherent state once for every n.
+    computed by quadrature, so the result should be the identity.  Each
+    level of the half-line rule makes one term table for all its nodes,
+    which gives both h(x) and the probabilities |c_n|^2 = t_n(x) / E(x),
+    n <= n_max.
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
 
     def weighted_probs(xs):
-        out = np.zeros((xs.size, n_max + 1))
-        for row, x in zip(out, xs.tolist()):
-            coeffs = cs_build(CSLabel(math.sqrt(x)), params).coeffs[: n_max + 1]
-            row[: coeffs.size] = np.abs(coeffs) ** 2
-        return measure_weight_h(params, xs)[:, None] * out
+        h, probs = _weight_and_probs(params, xs, n_max + 1)
+        return h[:, None] * probs
 
     diag, _ = half_line_quad(weighted_probs, params.alpha / params.k)
     return np.diag(diag)

@@ -6,8 +6,8 @@
 by direct term recursion, plus a confluent-hypergeometric cross-check route
 and the Laplace transform of E in closed form and by quadrature.
 
-Every ML and 1F1 series is summed by one Kahan-compensated loop, _series,
-for the term ratio x (p + n q) / ((r + n s) (n + 1)) given as numbers:
+Every ML and 1F1 series at one argument is summed by one Kahan-compensated
+loop, _series, for the term ratio x (p + n q) / ((r + n s) (n + 1)) given as numbers:
 (x, p, q, r, s) = (z, gamma, k, beta, alpha) on the direct route and
 ((k/alpha) z, gamma/k, 1, beta/alpha, 1) on the 1F1 route.  From order n on
 the ratio is bounded by cap / (n + 1), cap = |x| max(|p|/r, q/s); on the
@@ -38,11 +38,22 @@ near 1e8 times the value).  Whenever float rounding of that peak could exceed
 rel_tol of the sum, the same loop sums the series again in decimal
 arithmetic from the exact float inputs, at a precision that covers the peak.
 
-The series code needs the standard library only: ml_laplace_quad, the
-quadrature route, imports the half-line rule of the quadrature module (and
-with it numpy) on first use, and loads no scipy.  It takes the sums in their
-power-of-two scale and folds exp(-s x) into that exponent, so a node where
-E(x) is beyond float64 still counts.
+Callers that need E at many nonnegative x at once (the nodes of a rule)
+take _ml_table instead: the direct-route terms t_n(x_i) as one array, row i
+a cumulative product of the term ratios x_i (gamma + j k) / ((beta + j alpha)
+(j + 1)), built 64 columns at a time.  Each row has its own power-of-two
+exponent, moved out of its partial sum between blocks, and stops at its own
+first index where the _series rule certifies rel_tol, the terms past it
+masked to 0, so a row's value does not depend on the other x of its call.
+The table returns each row's sum, exponent and tail bound, and the leading
+columns of the terms themselves when asked.
+
+The scalar series code needs the standard library only; _ml_table imports
+numpy when called, and ml_laplace_quad, the quadrature route, imports the
+half-line rule of the quadrature module on first use.  Neither loads scipy.
+ml_laplace_quad takes one table per level of the rule and folds exp(-s x)
+into the rows' exponents, so a node where E(x) is beyond float64 still
+counts.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams
+from .kcore import MLParams, _gamma
 
 __all__ = [
     "EvalConfig",
@@ -214,8 +225,87 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
 def _ml_sum(params: MLParams, z, cfg: EvalConfig = _DEFAULT_CONFIG):
     """E(z) = total * 2**e as _kummer_sum in the k-symbol grouping
     (x, p, q, r, s) = (z, gamma, k, beta, alpha)."""
-    return _kummer_sum(1.0 / math.gamma(params.beta), z, params.gamma, params.k,
+    return _kummer_sum(1.0 / _gamma(params.beta), z, params.gamma, params.k,
                        params.beta, params.alpha, cfg)
+
+
+# columns of the term table built per cumulative product
+_TABLE_BLOCK = 64
+# a row whose partial sum passes this moves its power of two into the row
+# exponent; the ratios of one block, each at most cap / n with cap below the
+# term budget, multiply a term by at most 2**555, so no block overflows
+_TABLE_SHIFT = 2.0 ** 400
+
+
+def _ml_table(params: MLParams, x, width: int = 0):
+    """E on the direct route at a 1-d float array x >= 0, one row per x.
+
+    Returns (terms, sums, exps, tails): the first width columns of the term
+    table t_n(x_i) and each row's sum and tail bound, all in units of
+    2**exps[i].  Row i stops at its first index n >= max(1, width - 1) where
+    cap_i / (n + 1) < 1, cap_i = x_i max(gamma/beta, k/alpha), and the
+    geometric tail bound is at most rel_tol of its partial sum, the rule of
+    _series; its terms past n are 0.  ConvergenceError when a row needs more
+    than the term budget, OverflowError when Gamma(beta) is beyond float64.
+    """
+    import numpy as np
+
+    a, b, g, k = params.alpha, params.beta, params.gamma, params.k
+    tol, budget = _DEFAULT_CONFIG.rel_tol, _DEFAULT_CONFIG.max_terms
+    cap = x * max(g / b, k / a)
+    if cap.size and cap.max() >= budget:
+        # cap / (n + 1) < 1 needs more terms than the budget
+        raise ConvergenceError(
+            f"series at x={float(x[cap.argmax()])} needs over {budget} terms")
+    m = x.size
+    t0 = 1.0 / _gamma(b)
+    sums, tails, exps = np.empty(m), np.empty(m), np.zeros(m, dtype=int)
+    table = np.zeros((m, width))
+    table[:, :1] = t0
+    # the rows still summing: index, x, cap, last term, partial sum, exponent
+    idx, xa, ca = np.arange(m), x, cap
+    carry, total, e = np.full(m, t0), np.full(m, t0), np.zeros(m, dtype=int)
+    cols = np.arange(_TABLE_BLOCK)
+    for start in range(1, budget, _TABLE_BLOCK):
+        j = cols + start
+        ratios = xa[:, None] * ((g + (j - 1) * k) / ((b + (j - 1) * a) * j))
+        terms = carry[:, None] * np.cumprod(ratios, axis=1)
+        bound = ca[:, None] / (j + 1)
+        # tail bound terms * bound / (1 - bound) within tol of the partial sum
+        done = (bound < 1.0) & (terms * bound <= tol * (1.0 - bound)
+                                * (total[:, None] + np.cumsum(terms, axis=1)))
+        done[:, :max(0, width - 1 - start)] = False
+        hit = done.any(axis=1)
+        last = np.where(hit, done.argmax(axis=1), _TABLE_BLOCK - 1)
+        terms[cols > last[:, None]] = 0.0
+        total = total + terms.sum(axis=1)
+        if start < width:
+            table[idx, start:start + _TABLE_BLOCK] = terms[:, :width - start]
+        if hit.any():
+            rows = hit.nonzero()[0]
+            ended, at = idx[rows], last[rows]
+            sums[ended], exps[ended] = total[rows], e[rows]
+            edge = bound[rows, at]
+            tails[ended] = terms[rows, at] * edge / (1.0 - edge)
+            if rows.size == idx.size:
+                break
+            going = ~hit
+            idx, xa, ca, total, e, terms = (v[going] for v in (idx, xa, ca, total, e, terms))
+        elif not m:
+            break
+        carry = terms[:, -1]
+        big = total > _TABLE_SHIFT
+        if big.any():
+            shift = np.frexp(total[big])[1]
+            total[big] = np.ldexp(total[big], -shift)
+            carry[big] = np.ldexp(carry[big], -shift)
+            e[big] += shift
+            if width:
+                table[idx[big]] = np.ldexp(table[idx[big]], -shift[:, None])
+    else:
+        raise ConvergenceError(
+            f"series at x={float(xa[0])} not converged after {budget} terms")
+    return table, sums, exps, tails
 
 
 def _unscale(z, sums):
@@ -271,7 +361,7 @@ def ml_eval_via_1f1(params: MLParams, z: float) -> SeriesResult:
     ((k/alpha) z, gamma/k, 1, beta/alpha, 1)."""
     z = _real_arg(z)
     w = (params.k / params.alpha) * z
-    sums = _kummer_sum(1.0 / math.gamma(params.beta), w, params.gamma_over_k, 1.0,
+    sums = _kummer_sum(1.0 / _gamma(params.beta), w, params.gamma_over_k, 1.0,
                        params.beta_over_alpha, 1.0, _DEFAULT_CONFIG)
     return SeriesResult(*_unscale(z, sums))
 
@@ -313,7 +403,7 @@ def ml_laplace(params: MLParams, s: float) -> float:
         total = t
         r = w * max((a + n) / (b + n), 1.0)
         if r < 1.0 and abs(term) * r / (1.0 - r) <= _DEFAULT_CONFIG.rel_tol * abs(total):
-            return total / (s * math.gamma(params.beta))
+            return total / (s * _gamma(params.beta))
     raise ConvergenceError(
         f"2F1 series at w={w} not converged after {_DEFAULT_CONFIG.max_terms} terms"
     )
@@ -324,24 +414,20 @@ def ml_laplace_quad(params: MLParams, s: float) -> float:
 
     The integrand decays like exp(-(s - k/alpha) x) times a power, so one
     call of the half-line rule with scale 1 / (s - k/alpha) and a relative
-    target covers it, one series sum per node.  The factor exp(-s x) is
-    folded into the power-of-two exponent of the sum, so nodes where E(x)
-    itself is beyond float64 still contribute; a series that does not
+    target covers it, one term table per level of the rule.  The factor
+    exp(-s x) is folded into the rows' power-of-two exponents, so nodes where
+    E(x) itself is beyond float64 still contribute; a series that does not
     converge at a node raises ConvergenceError.
     """
+    import numpy as np
+
     from .quadrature import RELATIVE_ABS_TOL, half_line_quad
 
     s = _laplace_arg(params, s)
 
     def f(xs):
-        out = []
-        for x in xs.tolist():
-            total, e, used, tail, ok = _ml_sum(params, x)
-            if not ok:
-                raise ConvergenceError(
-                    f"series at x={x} not converged after {used} terms (tail bound {tail:.3e})")
-            out.append(total * math.exp(e * _LN2 - s * x))
-        return out
+        _, sums, exps, _ = _ml_table(params, xs)
+        return sums * np.exp(exps * _LN2 - s * xs)
 
     value, _ = half_line_quad(f, 1.0 / (s - params.k / params.alpha), RELATIVE_ABS_TOL)
     return float(value[0])

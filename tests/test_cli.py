@@ -85,6 +85,14 @@ class TestMlEval:
         assert out == ""
         assert err.startswith("mlcs:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [("ml-eval", "--z", "1"),
+                                      ("scan", "--quantity", "pn", "--x-steps", "3")])
+    def test_gamma_beyond_float64_names_beta(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--beta", "200")
+        assert code == 2
+        assert out == ""
+        assert err == "mlcs: Gamma(beta) exceeds float64 range at beta = 200.0\n"
+
     def test_non_finite_argument_exits_one(self, capsys):
         for z in ("nan", "inf", "-inf"):
             code, out, err = run_cli(capsys, "ml-eval", "--z", z)
@@ -298,6 +306,11 @@ class TestImportBudget:
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"
         assert heavy_imports_after(code) <= allowed
+
+    def test_series_call_loads_no_numpy(self):
+        # the term table of mlfunc imports numpy inside itself, not at import
+        code = "from mlcs import MLParams, ml_eval\nml_eval(MLParams(2, 3, 1.5, 0.7), 2.5)"
+        assert heavy_imports_after(code) == set()
 
     def test_public_names_resolve_to_their_submodule_objects(self):
         for module, names in mlcs._EXPORTS.items():

@@ -320,9 +320,18 @@ class TestContinuumP:
         with pytest.raises(OverflowError, match="overflows float64"):
             continuum_p_function(CSLabel(30.0), 1.0, literal_sign=True)
         assert continuum_p_function(CSLabel(30.0), 1.0) == 0.0
-        # beta_b exp(beta_b) overflows at beta_b = 709: inf * 0 was a silent NaN
+
+    @pytest.mark.parametrize("beta_b", [705.0, 709.0])
+    def test_weight_past_the_overflow_of_its_head(self, beta_b):
+        # beta_b exp(beta_b) alone overflows float64 here, the weight only at
+        # |z| = 0: elsewhere it is the log form, down to an underflowed 0
+        assert continuum_p_function(CSLabel(1.0), beta_b) == 0.0
+        x = 1e-304
+        want = math.exp(math.log(beta_b) + beta_b - math.expm1(beta_b) * x)
+        assert continuum_p_function(CSLabel(math.sqrt(x)), beta_b) == pytest.approx(
+            want, rel=1e-15, abs=0)
         with pytest.raises(OverflowError, match="overflows float64"):
-            continuum_p_function(CSLabel(1.0), 709.0)
+            continuum_p_function(CSLabel(0.0), beta_b)
 
     def test_reproduces_boltzmann_diagonals(self):
         for beta_b in (0.5, 1.0):

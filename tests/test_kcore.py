@@ -27,7 +27,7 @@ from mlcs import (
     tilde_ml,
     verify_continuum_moments,
 )
-from mlcs.kcore import MAX_GAMMA_ARG
+from mlcs.kcore import MAX_GAMMA_ARG, _gamma
 
 POSITIVE = st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False)
 
@@ -76,6 +76,19 @@ class TestKGamma:
                 k_gamma(bad, 1.0)
             with pytest.raises(DomainError):
                 k_gamma(1.0, bad)
+
+
+class TestNamedGamma:
+    def test_value_is_math_gamma(self):
+        for x in (0.3, 1.0, 4.5, 171.0):
+            assert _gamma(x) == math.gamma(x)
+
+    def test_overflow_names_the_argument(self):
+        want = r"^Gamma\(beta\) exceeds float64 range at beta = 200.0$"
+        with pytest.raises(OverflowError, match=want):
+            _gamma(200.0)
+        with pytest.raises(OverflowError, match=r"^Gamma\(gamma/k\) .* at gamma/k = 180.5$"):
+            _gamma(180.5, "gamma/k")
 
 
 class TestKPochhammer:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import mlcs
+
 from mlcs import (
     CSLabel,
     ConvergenceError,
@@ -17,6 +19,7 @@ from mlcs import (
     RouteMismatchError,
     ThermalConfig,
     UNIT_PARAMS,
+    cs_build,
     half_line_quad,
     measure_weight_h,
     meijer_g_weight,
@@ -420,6 +423,76 @@ class TestResolutionIdentity:
     def test_unit_parameters_identity(self):
         mat = resolution_identity_matrix(UNIT_PARAMS, n_max=4)
         assert np.allclose(mat, np.eye(5), atol=1e-9)
+
+    @pytest.mark.parametrize("params", [
+        UNIT_PARAMS, MLParams(1.5, 2.5, 1.0, 1.0), MLParams(1.5, 1.2, 0.6, 1.0),
+        MLParams(2.0, 3.0, 0.3, 1.0), MLParams(2.0, 3.0, 1.5, 0.7), MLParams(0.6, 1.4, 2.8, 1.1)])
+    def test_diagonal_at_roundoff(self, params):
+        # h(x) and |c_n|^2 share one E(x) sum per node, so its truncation
+        # cancels; with two separately truncated sums the worst was 5.8e-13
+        diag = np.diag(resolution_identity_matrix(params, n_max=10))
+        assert np.max(np.abs(diag - 1.0)) <= 1e-14
+
+    def test_one_term_table_per_rule_level(self, monkeypatch):
+        import mlcs.coherent as coherent_mod
+        import mlcs.measure as measure_mod
+        import mlcs.mlfunc as mlfunc_mod
+        import mlcs.quadrature as quadrature_mod
+
+        def forbidden(*args):
+            raise AssertionError("a scalar series loop ran")
+
+        monkeypatch.setattr(mlfunc_mod, "_series", forbidden)
+        monkeypatch.setattr(coherent_mod, "_series_terms", forbidden)
+        tables, levels = [], []
+        table = mlfunc_mod._ml_table
+
+        def counted_table(params, x, width=0):
+            tables.append(x)
+            return table(params, x, width)
+
+        rule = quadrature_mod.half_line_quad
+        depth = []
+
+        def counted_rule(f, *args):
+            # only the outermost rule's levels; the kernel nests its own rule
+            def g(x):
+                if len(depth) == 1:
+                    levels.append(x)
+                return f(x)
+
+            depth.append(f)
+            try:
+                return rule(g, *args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(measure_mod, "_ml_table", counted_table)
+        monkeypatch.setattr(mlfunc_mod, "_ml_table", counted_table)
+        monkeypatch.setattr(measure_mod, "half_line_quad", counted_rule)
+        monkeypatch.setattr(quadrature_mod, "half_line_quad", counted_rule)
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        for run in (lambda: resolution_identity_matrix(params, n_max=10),
+                    lambda: mlcs.ml_laplace_quad(params, 1.0)):
+            tables.clear()
+            levels.clear()
+            run()
+            assert levels and len(tables) == len(levels)
+            assert all(t is x for t, x in zip(tables, levels))
+        tables.clear()
+        measure_weight_h(params, np.array([0.5, 2.0, 8.0]))
+        assert len(tables) == 1
+
+    def test_gamma_beyond_float64_is_named(self):
+        params = MLParams(1.0, 200.0, 1.0, 1.0)
+        want = r"Gamma\(beta\) exceeds float64 range at beta = 200.0"
+        for run in (lambda: measure_weight_h(params, 1.0),
+                    lambda: resolution_identity_matrix(params, n_max=2),
+                    lambda: cs_build(CSLabel(1.0), params)):
+            with pytest.raises(OverflowError, match=want):
+                run()
+        with pytest.raises(OverflowError, match=r"Gamma\(beta/alpha\) .* at beta/alpha = 200.0"):
+            measure_weight_h(MLParams(0.5, 100.0, 1.0, 1.0), 1.0)
 
     def test_invalid_sizes(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mlcs import (
+    CSLabel,
     ConvergenceError,
     DomainError,
     EvalConfig,
@@ -22,6 +23,7 @@ from mlcs import (
     ml_laplace,
     ml_laplace_quad,
     mlfunc,
+    photon_distribution,
 )
 import mlcs
 
@@ -178,6 +180,56 @@ class TestLogScale:
         # the decimal re-sum of a long alternating prefix runs the same loop
         ml_eval(MLParams(0.2, 0.2, 5.0, 0.2), -20.0)
         assert kinds[5] is float and decimal.Decimal in kinds[6:]
+
+
+class TestTermTable:
+    """mlfunc._ml_table against the scalar engine it replaces at rule nodes."""
+
+    SETS = [UNIT_PARAMS, F2, MLParams(0.6, 1.4, 2.8, 1.1), MLParams(1.5, 1.2, 0.6, 1.0),
+            MLParams(3.0, 0.2, 0.1, 5.0)]
+
+    @pytest.mark.parametrize("params", SETS)
+    def test_sums_match_ml_eval(self, params):
+        xs = np.geomspace(1e-30, 2000.0, 90)
+        # small x next to x a thousand times larger in one call
+        xs = np.concatenate([xs, np.geomspace(1e-3, 2.0, 20), np.geomspace(1.0, 2000.0, 20)])
+        _, sums, exps, tails = mlfunc._ml_table(params, xs)
+        for x, total, e, tail in zip(xs.tolist(), sums, exps.tolist(), tails):
+            try:
+                want = math.ldexp(ml_eval(params, x).value, -e)
+            except OverflowError:  # E beyond float64: the same sum in its own scale
+                total_s, e_s, *_ = mlfunc._ml_sum(params, x)
+                want = math.ldexp(total_s, e_s - e)
+            assert total == pytest.approx(want, rel=1e-13, abs=0), x
+            assert 0.0 <= tail <= 1e-12 * total
+
+    def test_row_ignores_its_companions(self):
+        alone = mlfunc._ml_table(F2, np.array([2.0]), 3)
+        shared = mlfunc._ml_table(F2, np.array([2000.0, 2.0, 1e-30]), 3)
+        for got, want in zip(shared, alone):
+            assert np.array_equal(got[1], want[0])
+
+    def test_columns_are_the_state_probabilities(self):
+        xs = np.array([0.0, 0.3, 4.0, 40.0])
+        terms, sums, _, _ = mlfunc._ml_table(F2, xs, 12)
+        assert terms.shape == (4, 12)
+        for x, row, total in zip(xs.tolist(), terms, sums):
+            want = photon_distribution(CSLabel(math.sqrt(x)), F2).probs[:12]
+            got = (row / total)[:want.size]
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
+
+    def test_budget_and_empty_call(self):
+        with pytest.raises(ConvergenceError, match="10000 terms"):
+            mlfunc._ml_table(UNIT_PARAMS, np.array([1.0, 2e4]))
+        terms, sums, exps, tails = mlfunc._ml_table(UNIT_PARAMS, np.array([]), 3)
+        assert terms.shape == (0, 3) and sums.size == exps.size == tails.size == 0
+
+    def test_gamma_of_beta_beyond_float64_is_named(self):
+        params = MLParams(1.0, 200.0, 1.0, 1.0)
+        want = r"Gamma\(beta\) exceeds float64 range at beta = 200.0"
+        for route in (ml_eval, ml_eval_via_1f1, ml_laplace, ml_laplace_quad):
+            with pytest.raises(OverflowError, match=want):
+                route(params, 2.0)
 
 
 class TestSeriesDiagnostics:
