@@ -50,8 +50,8 @@ import numpy as np
 
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _require_nonnegative, _require_positive
-from .quadrature import _MAX_NODES, RELATIVE_ABS_TOL, gauss_legendre, half_line_quad
+from .kcore import _LOG_MAX, MLParams, _gamma, _require_nonnegative, _require_positive
+from .quadrature import _MAX_NODES, gauss_legendre, half_line_quad
 
 __all__ = [
     "EnergyDensityState",
@@ -227,7 +227,15 @@ def nu_function(x: float, scheme: str = "fixed") -> float:
     x = _require_nonnegative(x, "x")
     if x == 0.0:
         return 0.0
-    return math.exp(log_nu(x, scheme))
+    return _exp(log_nu(x, scheme), f"nu(x) exceeds float64 range at x = {x!r}; use log_nu")
+
+
+def _exp(log_value: float, overflow: str) -> float:
+    """exp(log_value); OverflowError with the given message beyond float64."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(overflow) from None
 
 
 def _log_nu_gamma2(x: float) -> float:
@@ -253,7 +261,8 @@ def tilde_ml(params: MLParams, x: float, scheme: str = "fixed") -> float:
     b = params.beta_over_alpha
     lw = math.log(params.k / params.alpha) + math.log(x)
     log_pref = math.lgamma(b) - math.lgamma(a) - math.lgamma(params.beta)
-    return math.exp(log_pref + _log_integral(_Kernel(lw, a=a, b=b), scheme))
+    return _exp(log_pref + _log_integral(_Kernel(lw, a=a, b=b), scheme),
+                f"tilde_ml(x) exceeds float64 range at x = {x!r}")
 
 
 def continuum_measure_weight(x: float, scheme: str = "fixed") -> float:
@@ -302,23 +311,34 @@ def continuum_p_function(z: CSLabel, beta_b: float, literal_sign: bool = False) 
     A weight, or a factor of it, beyond float64 raises OverflowError.
     """
     beta_b = _require_positive(beta_b, "beta_b")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_p_weight(z.modulus ** 2, beta_b, literal_sign))
+    x = z.modulus ** 2
+    # beta_b e^{beta_b} (inf where e^{beta_b} is) alone overflows from
+    # beta_b ~ 703 on, the decaying weight only at x = 0
+    head = beta_b * math.exp(min(beta_b, _LOG_MAX))
+    with np.errstate(over="ignore"):
+        if literal_sign:
+            value = float(beta_b * np.exp(_growth(x, beta_b)))
+        elif math.isfinite(head):
+            value = float(head * np.exp(-_growth(x, beta_b)))
+        else:
+            value = float(np.exp(_log_p_weight(x, beta_b)))
     if not math.isfinite(value):
-        raise OverflowError(f"P weight at |z|^2 = {z.modulus ** 2!r} overflows float64")
+        raise OverflowError(f"P weight at |z|^2 = {x!r} overflows float64")
     return value
 
 
-def _p_weight(x, beta_b: float, literal_sign: bool = False):
-    """P weight at |z|^2 = x, elementwise over an array x; beta_b already validated."""
-    growth = math.expm1(beta_b)  # e^{beta_b} - 1
-    if literal_sign:
-        return beta_b * np.exp(growth * x)
-    head = beta_b * math.exp(beta_b)
-    if math.isfinite(head):
-        return head * np.exp(-growth * x)
-    # beta_b e^{beta_b} alone overflows from beta_b ~ 703 on, the weight only at x = 0
-    return np.exp(math.log(beta_b) + beta_b - growth * x)
+def _growth(x, beta_b: float):
+    """(e^{beta_b} - 1) x, as e^{beta_b + log x} where e^{beta_b} is beyond
+    float64 (the 1 is then below its rounding); 0 at x = 0."""
+    if beta_b < _LOG_MAX:
+        return math.expm1(beta_b) * x
+    with np.errstate(divide="ignore"):
+        return np.exp(beta_b + np.log(x))
+
+
+def _log_p_weight(x, beta_b: float):
+    """log of the decaying P weight, log beta_b + beta_b - (e^{beta_b} - 1) x."""
+    return math.log(beta_b) + beta_b - _growth(x, beta_b)
 
 
 @dataclass(frozen=True)
@@ -381,18 +401,22 @@ def continuum_diagonal(e: float, beta_b: float) -> float:
             = int_0^inf exp(-x) P(x) x**E / Gamma(E+1) dx,
 
     which should equal beta_b exp(-beta_b E) = exp(-beta_b E) / Z.  One
-    half-line rule call with scale max(1, E) exp(-beta_b), the peak of the
-    integrand, with a relative target (the value can sit far below 1e-100).
+    half-line rule call in u = x / c, c = max(1, E) exp(-beta_b) the peak,
+    on the integrand over its value at c: values near 1 at nodes near 1, even
+    where the integrand is beyond float64 or subnormal.  The log of c times
+    that value is added back to the log of the rule's value.
     """
     e = _require_nonnegative(e, "E")
     beta_b = _require_positive(beta_b, "beta_b")
-    lg = math.lgamma(e + 1.0)
+    c = _require_positive(max(1.0, e) * math.exp(-beta_b), "max(1, E) exp(-beta_b)")
+    log_p_c = _log_p_weight(c, beta_b)
 
-    def f(xs):
-        return np.exp(e * np.log(xs) - xs - lg) * _p_weight(xs, beta_b)
+    def ratio(u):
+        return np.exp(e * np.log(u) - c * (u - 1.0) + (_log_p_weight(c * u, beta_b) - log_p_c))
 
-    value, _ = half_line_quad(f, max(1.0, e) * math.exp(-beta_b), RELATIVE_ABS_TOL)
-    return float(value[0])
+    value, _ = half_line_quad(ratio, 1.0)
+    log_f_c = e * math.log(c) - c - math.lgamma(e + 1.0) + log_p_c
+    return math.exp(log_f_c + math.log(c) + math.log(value[0]))
 
 
 def verify_continuum_moments(e_values):
@@ -407,11 +431,12 @@ def verify_continuum_moments(e_values):
     e_values = [_require_nonnegative(e, "E") for e in e_values]
     if not e_values:
         raise DomainError("need a nonempty grid of E")
+    # a moment beyond float64 is named before any node is evaluated
+    rhs = [_gamma(e + 1.0, "E+1") for e in e_values]
     powers = np.array(e_values)
 
     def moments(xs):
         return np.exp(np.log(xs)[:, None] * powers - xs[:, None])
 
-    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)), RELATIVE_ABS_TOL)
-    rhs = [math.gamma(e + 1.0) for e in e_values]
+    lhs, _ = half_line_quad(moments, max(1.0, max(e_values)))
     return MomentReport(tuple(e_values), tuple(lhs), tuple(rhs))

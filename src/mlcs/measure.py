@@ -31,10 +31,10 @@ the quadrature module (nodes x = (alpha/k) exp(t - exp(-t)), error estimate
 from one halving of the step).  Every moment s shares the same nodes, and
 every diagonal entry n shares the nodes of the Gram matrix, so each level of
 the rule makes one kernel call for all its nodes.  h(x) takes E(x) from one
-term table of the mlfunc module per call, and for the Gram matrix the same
-table gives the state probabilities t_n(x) / E(x), so each level sums the
-series once for all its nodes.  The Gram matrix goes through h(x) and the
-state probabilities, not the moment sums, so it stays an independent check.
+term table of the mlfunc module per call, and for the Gram matrix the state
+probabilities p_0 = t_0 / E(x), p_n = p_{n-1} x / e_n share that E(x), which
+cancels.  The Gram matrix goes through h(x) and the state probabilities,
+not the moment sums, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams, _gamma, _require_positive
 from .mlfunc import _ml_table
-from .quadrature import RELATIVE_ABS_TOL, gauss_legendre_panels, half_line_quad
+from .quadrature import gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "MomentReport",
@@ -76,7 +77,7 @@ class MomentReport:
         object.__setattr__(self, "lhs", tuple(float(v) for v in self.lhs))
         object.__setattr__(self, "rhs", tuple(float(v) for v in self.rhs))
         worst = max(
-            abs(l - r) / max(abs(r), 1e-300)
+            abs(l - r) / abs(r) if r else (0.0 if l == 0.0 else math.inf)
             for l, r in zip(self.lhs, self.rhs)
         )
         object.__setattr__(self, "max_rel_err", worst)
@@ -176,7 +177,7 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray) -> np.ndarray:
         return np.hstack([f(s) for f, _ in families])
 
     # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
-    totals, _ = half_line_quad(integrands, max(1.0, b2, a1), RELATIVE_ABS_TOL)
+    totals, _ = half_line_quad(integrands, max(1.0, b2, a1))
     g = [kernel(totals[i * m:(i + 1) * m]) for i, (_, kernel) in enumerate(families)]
     if len(g) == 1:
         return g[0]
@@ -384,8 +385,7 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
     """
     from scipy import special
 
-    if x <= 0.0:
-        raise DomainError(f"contour route needs x > 0, got {x}")
+    x = _require_positive(x, "x")
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * x
     c = max(0.0, -b2) + 0.75
@@ -412,11 +412,12 @@ def measure_weight_h(params: MLParams, x):
     return float(h[0]) if scalar else h
 
 
-def _weight_and_probs(params: MLParams, xs: np.ndarray, width: int):
-    """h at the nodes xs and the first width probabilities t_n(x) / E(x) of
-    each node, both from one term table; OverflowError where E(x) is beyond
-    float64."""
-    terms, sums, exps, _ = _ml_table(params, xs, width)
+def _weight_and_probs(params: MLParams, xs: np.ndarray, n_max: int):
+    """h at the nodes xs and the state probabilities p_n(x), n <= n_max, of
+    each node, both on the E(x) of one term table: p_0 = t_0 / E(x) and
+    p_n = p_{n-1} x / e_n, the ladder recursion.  OverflowError where E(x)
+    is beyond float64."""
+    sums, exps, _ = _ml_table(params, xs)
     with np.errstate(over="ignore"):
         series = np.ldexp(sums, exps)
     if not np.isfinite(series).all():
@@ -428,7 +429,9 @@ def _weight_and_probs(params: MLParams, xs: np.ndarray, width: int):
         / _gamma(params.beta_over_alpha, "beta/alpha")
         * _gamma(params.beta)
     )
-    return pref * series * meijer_g_weight(params, xs), terms / sums[:, None]
+    ladder = xs[:, None] / _structure(params, np.arange(1, n_max + 1))
+    probs = np.cumprod(np.hstack(((1.0 / _gamma(params.beta)) / series[:, None], ladder)), axis=1)
+    return pref * series * meijer_g_weight(params, xs), probs
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -474,14 +477,13 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     off-diagonal entries are written as exact zeros and the diagonal is
     computed by quadrature, so the result should be the identity.  Each
     level of the half-line rule makes one term table for all its nodes,
-    which gives both h(x) and the probabilities |c_n|^2 = t_n(x) / E(x),
-    n <= n_max.
+    whose E(x) gives both h(x) and the probabilities |c_n|^2, n <= n_max.
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
 
     def weighted_probs(xs):
-        h, probs = _weight_and_probs(params, xs, n_max + 1)
+        h, probs = _weight_and_probs(params, xs, n_max)
         return h[:, None] * probs
 
     diag, _ = half_line_quad(weighted_probs, params.alpha / params.k)

@@ -45,8 +45,7 @@ a cumulative product of the term ratios x_i (gamma + j k) / ((beta + j alpha)
 exponent, moved out of its partial sum between blocks, and stops at its own
 first index where the _series rule certifies rel_tol, the terms past it
 masked to 0, so a row's value does not depend on the other x of its call.
-The table returns each row's sum, exponent and tail bound, and the leading
-columns of the terms themselves when asked.
+The table returns each row's sum, exponent and tail bound.
 
 The scalar series code needs the standard library only; _ml_table imports
 numpy when called, and ml_laplace_quad, the quadrature route, imports the
@@ -237,12 +236,11 @@ _TABLE_BLOCK = 64
 _TABLE_SHIFT = 2.0 ** 400
 
 
-def _ml_table(params: MLParams, x, width: int = 0):
+def _ml_table(params: MLParams, x):
     """E on the direct route at a 1-d float array x >= 0, one row per x.
 
-    Returns (terms, sums, exps, tails): the first width columns of the term
-    table t_n(x_i) and each row's sum and tail bound, all in units of
-    2**exps[i].  Row i stops at its first index n >= max(1, width - 1) where
+    Returns (sums, exps, tails): each row's sum and tail bound, both in units
+    of 2**exps[i].  Row i stops at its first index n >= 1 where
     cap_i / (n + 1) < 1, cap_i = x_i max(gamma/beta, k/alpha), and the
     geometric tail bound is at most rel_tol of its partial sum, the rule of
     _series; its terms past n are 0.  ConvergenceError when a row needs more
@@ -260,8 +258,6 @@ def _ml_table(params: MLParams, x, width: int = 0):
     m = x.size
     t0 = 1.0 / _gamma(b)
     sums, tails, exps = np.empty(m), np.empty(m), np.zeros(m, dtype=int)
-    table = np.zeros((m, width))
-    table[:, :1] = t0
     # the rows still summing: index, x, cap, last term, partial sum, exponent
     idx, xa, ca = np.arange(m), x, cap
     carry, total, e = np.full(m, t0), np.full(m, t0), np.zeros(m, dtype=int)
@@ -274,13 +270,10 @@ def _ml_table(params: MLParams, x, width: int = 0):
         # tail bound terms * bound / (1 - bound) within tol of the partial sum
         done = (bound < 1.0) & (terms * bound <= tol * (1.0 - bound)
                                 * (total[:, None] + np.cumsum(terms, axis=1)))
-        done[:, :max(0, width - 1 - start)] = False
         hit = done.any(axis=1)
         last = np.where(hit, done.argmax(axis=1), _TABLE_BLOCK - 1)
         terms[cols > last[:, None]] = 0.0
         total = total + terms.sum(axis=1)
-        if start < width:
-            table[idx, start:start + _TABLE_BLOCK] = terms[:, :width - start]
         if hit.any():
             rows = hit.nonzero()[0]
             ended, at = idx[rows], last[rows]
@@ -300,12 +293,10 @@ def _ml_table(params: MLParams, x, width: int = 0):
             total[big] = np.ldexp(total[big], -shift)
             carry[big] = np.ldexp(carry[big], -shift)
             e[big] += shift
-            if width:
-                table[idx[big]] = np.ldexp(table[idx[big]], -shift[:, None])
     else:
         raise ConvergenceError(
             f"series at x={float(xa[0])} not converged after {budget} terms")
-    return table, sums, exps, tails
+    return sums, exps, tails
 
 
 def _unscale(z, sums):
@@ -421,13 +412,13 @@ def ml_laplace_quad(params: MLParams, s: float) -> float:
     """
     import numpy as np
 
-    from .quadrature import RELATIVE_ABS_TOL, half_line_quad
+    from .quadrature import half_line_quad
 
     s = _laplace_arg(params, s)
 
     def f(xs):
-        _, sums, exps, _ = _ml_table(params, xs)
+        sums, exps, _ = _ml_table(params, xs)
         return sums * np.exp(exps * _LN2 - s * xs)
 
-    value, _ = half_line_quad(f, 1.0 / (s - params.k / params.alpha), RELATIVE_ABS_TOL)
+    value, _ = half_line_quad(f, 1.0 / (s - params.k / params.alpha))
     return float(value[0])

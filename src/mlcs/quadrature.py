@@ -15,15 +15,15 @@ Three schemes are kept deliberately distinct:
       x = scale * exp(t - exp(-t))
 
   turns both ends into double-exponential decay in t, so the trapezoid rule
-  in t converges geometrically in the number of nodes.  The node range grows
-  by whole blocks of eight nodes, one call of the integrand per block, until
-  the end nodes contribute less than the target; every node evaluated is
-  summed.  The error estimate is the change under one halving of the step,
-  whose nodes are the midpoints of the previous level, so no value is
-  computed twice.  Every integrand of a family shares the same nodes, which
-  lets the identity suites and the Meijer kernel make one call per level for
-  all their nodes and members.  The caller sets only the absolute floor of
-  the target; the node budget is the constant _MAX_NODES.
+  in t converges geometrically in the number of nodes.  Both ends of the
+  node range grow by whole blocks of eight nodes, one call of the integrand
+  per step for both, until the end nodes contribute less than the target;
+  every node evaluated is summed.  The error estimate is the change under
+  one halving of the step, whose nodes are the midpoints of the previous
+  level, so no value is computed twice.  Every integrand of a family shares
+  the same nodes, which lets the identity suites and the Meijer kernel make
+  one call per level for all their nodes and members.  The caller passes
+  only the integrand and a scale: the target and node budget are constants.
 
 The peak window of the continuum module (its default scheme) places the
 cached Gauss-Legendre nodes on its own panels, and its QUADPACK referee
@@ -53,10 +53,6 @@ __all__ = [
 # the continuum peak window and the QUADPACK subinterval limits of
 # improper_quad and the continuum referee derive from it.
 _MAX_NODES = 100000
-# abs_tol for integrals whose size is not known beforehand (values down to
-# 1e-300): the half-line rule's target is then 1e-12 of each value alone,
-# where the default absolute floor would certify nothing.
-RELATIVE_ABS_TOL = 1e-300
 
 
 def improper_quad(f, abs_tol: float = 1e-10) -> tuple[float, float]:
@@ -89,89 +85,94 @@ def improper_quad(f, abs_tol: float = 1e-10) -> tuple[float, float]:
 # First step of the half-line rule in t; its trapezoid error is already near
 # roundoff for the kernel families it serves, so one halving certifies it.
 _DE_STEP = 0.125
-# Relative floor of the target: for integrals far above 1, abs_tol alone would
-# demand digits below the roundoff of the integrand values.
+# Target of every family member, relative to its own value: the integrals
+# of the package range from 1e-300 to far above 1.
 _DE_REL_TOL = 1e-12
 # Nodes per call of f while the range grows: one node per call would spend
 # most of a small family's time in call overhead.
 _DE_BLOCK = 8
 _DE_BLOCK_STEPS = np.arange(1, _DE_BLOCK + 1)
+_NO_STEPS = _DE_BLOCK_STEPS[:0]
 
 
-def _de_nodes(scale: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x = scale * exp(t - exp(-t)) and the Jacobian dx/dt."""
-    e = np.exp(-t)
-    x = scale * np.exp(t - e)
-    return x, x * (1.0 + e)
-
-
-def half_line_quad(f, scale: float, abs_tol: float = 1e-10
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def half_line_quad(f, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a family of integrands over [0, inf) with the double-exponential
     rule; returns (values, error estimates), one entry per family member.
 
     f maps a 1-d array of nodes x to an array of shape (len(x), m) holding the
     m integrands at each node (or shape (len(x),) for one integrand).  scale
     places the bulk of the integrands near t = 0, i.e. near x = scale.  The
-    target of member i is max(abs_tol, 1e-12 |value_i|).  The range grows by
-    blocks of eight nodes until each end node contributes at most a
-    thousandth of it (the omitted tail is smaller still, the decay being
-    double exponential), and the error estimate, the change under one
-    halving plus the end-node contributions, must meet it.  A target that is
-    not met within _MAX_NODES integrand evaluations raises ConvergenceError.
+    target of member i is 1e-12 |value_i|.  Both ends grow by blocks of
+    eight nodes until each end node contributes at most a thousandth of it
+    (the omitted tail is smaller still, the decay being double exponential),
+    and the error estimate, the change under one halving plus the end-node
+    contributions, must meet it.  Nodes whose x underflows to 0 are left
+    out; an integrand not negligible there, or a target not met within
+    _MAX_NODES integrand evaluations, raises ConvergenceError.
     """
     _require_positive(scale, "scale")
-    abs_tol = _require_positive(abs_tol, "abs_tol")
     h = _DE_STEP
     count = 0
 
     def weighted(t):
-        # integrand values times h dx/dt at the nodes of t
+        # integrand values times h dx/dt at the nodes x = scale exp(t - e**-t)
+        # of t, leaving out those that underflow to 0.  Only a low-end block
+        # can lose all of them, and it is asked for only while its end node
+        # is not negligible.
         nonlocal count
-        count += t.size
+        e = np.exp(-t)
+        x = scale * np.exp(t - e)
+        live = x > 0.0
+        if not live.any():
+            raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
+        x, dx = x[live], (x * (1.0 + e))[live]
+        count += x.size
         if count > _MAX_NODES:
             raise ConvergenceError(
                 f"node budget {_MAX_NODES} spent before the target was met")
-        x, dx = _de_nodes(scale, t)
         vals = np.asarray(f(x), dtype=float).reshape(x.size, -1) * (h * dx)[:, None]
         if not np.isfinite(vals).all():
             raise ConvergenceError(f"integrand is not finite near x={x[0]:.6e}")
         return vals
 
-    def target(total):
-        return np.maximum(abs_tol, _DE_REL_TOL * np.abs(total))
-
-    def extend(end, edge, step, total):
-        # add blocks of nodes end + step, ..., end + 8 step until the outermost
-        # contributes at most a thousandth of the target; returns the new end
-        # node, its values and the total.  Stops early, with the end still
-        # above the target, where the nodes underflow to 0.
-        while (np.abs(edge) > 1e-3 * target(total)).any():
-            t = h * (end + step * _DE_BLOCK_STEPS)
-            usable = int(np.count_nonzero(_de_nodes(scale, t)[0] > 0.0))  # a prefix
-            if usable == 0:
-                break
-            vals = weighted(t[:usable])
-            end, edge, total = end + step * usable, vals[-1], total + vals.sum(axis=0)
-            if usable < _DE_BLOCK:
-                break
-        return end, edge, total
+    def negligible(edge, total):
+        return (np.abs(edge) <= 1e-3 * _DE_REL_TOL * np.abs(total)).all()
 
     lo, hi = -24, 24  # t in [-3, 3]
-    block = weighted(h * np.arange(lo, hi + 1))
-    total = block.sum(axis=0)
-    lo, head, total = extend(lo, block[0], -1, total)
-    if (np.abs(head) > 1e-3 * target(total)).any():
+    vals = weighted(h * np.arange(lo, hi + 1))
+    total = vals.sum(axis=0)
+    floor = len(vals) < hi + 1 - lo  # the nodes below lo underflow to 0
+    lo = hi + 1 - len(vals)
+    head, tail = vals[0], vals[-1]
+    while True:
+        down = not (floor or negligible(head, total))
+        up = not negligible(tail, total)
+        if not (down or up):
+            break
+        # the next block of each end that needs one, outward from its end
+        below = lo - _DE_BLOCK_STEPS if down else _NO_STEPS
+        above = hi + _DE_BLOCK_STEPS if up else _NO_STEPS
+        vals = weighted(h * np.concatenate((below, above)))
+        kept = len(vals) - above.size  # the nodes of the low block
+        # each end's block summed alone, the low end first
+        total = total + vals[:kept].sum(axis=0) + vals[kept:].sum(axis=0)
+        if down:
+            lo, floor = lo - kept, kept < _DE_BLOCK
+            if kept:
+                head = vals[kept - 1]
+        if up:
+            hi, tail = hi + _DE_BLOCK, vals[-1]
+    if not negligible(head, total):
         raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
-    hi, tail, total = extend(hi, block[-1], 1, total)
     truncation = np.abs(head) + np.abs(tail)
     while True:
-        # midpoints of the current level halve the step; T(h/2) = T(h)/2 + mids
+        # midpoints of the current level halve the step; T(h/2) = T(h)/2 + mids,
+        # each half taken first, so two values near float max do not overflow
         mids = h * (np.arange(lo, hi) + 0.5)
-        finer = 0.5 * (total + weighted(mids).sum(axis=0))
+        finer = 0.5 * total + 0.5 * weighted(mids).sum(axis=0)
         err = np.abs(finer - total) + truncation
         total = finer
-        if (err <= target(total)).all():
+        if (err <= _DE_REL_TOL * np.abs(total)).all():
             return total, err
         h *= 0.5
         lo, hi = 2 * lo, 2 * hi

@@ -145,6 +145,14 @@ class TestVerify:
         assert payload["inputs"]["e_values"] == [0.0, 0.5, 1.0, 2.5, 7.0]
         assert payload["results"]["max_rel_err"] <= 1e-7
 
+    def test_moment_beyond_float64_exits_two_before_integrating(self):
+        # a fresh interpreter without the suite's warning filter: the one
+        # stderr line is the named overflow, no numpy warning precedes it
+        proc = run_subprocess("verify", "moments-continuum", "--e-values", "200")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "mlcs: Gamma(E+1) exceeds float64 range at E+1 = 201.0\n"
+
     def test_bad_e_values_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "moments-continuum",
                                "--e-values", "1,frog")
@@ -218,6 +226,18 @@ class TestScan:
         assert out == ""
         assert err.startswith("mlcs: partition function exceeds float64")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--quantity", "nu", "--x-max", "1000"),
+         "nu(x) exceeds float64 range at x = 750.0; use log_nu"),
+        (("--quantity", "p-cont", "--betaB", "710"),
+         "P weight at |z|^2 = 0.0 overflows float64"),
+    ])
+    def test_continuum_beyond_float64_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"mlcs: {message}\n"
 
     def test_grid_validation_exits_one(self, capsys):
         for argv in (

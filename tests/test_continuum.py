@@ -78,6 +78,14 @@ class TestNuFunction:
         val = log_nu(2000.0)
         assert val == pytest.approx(2000.0, abs=1e-6)
 
+    def test_beyond_float64_is_a_named_overflow(self):
+        with pytest.raises(OverflowError,
+                           match=r"^nu\(x\) exceeds float64 range at x = 1000.0; use log_nu$"):
+            nu_function(1000.0)
+        with pytest.raises(OverflowError,
+                           match=r"^tilde_ml\(x\) exceeds float64 range at x = 1000.0$"):
+            tilde_ml(UNIT_PARAMS, 1000.0)
+
     def test_schemes_agree(self):
         for x in np.geomspace(0.1, 30.0, 12):
             a = nu_function(float(x), scheme="adaptive")
@@ -198,6 +206,9 @@ class TestContinuumMeasure:
         assert report.max_rel_err <= 1e-12
         report = verify_continuum_moments([0.25, 1.5, 3.0, 5.0, 7.5, 30.0])
         assert report.max_rel_err <= 1e-12
+        # Gamma(171.5) is 9.5e307: the halving step must not form twice it
+        report = verify_continuum_moments([170.5])
+        assert report.max_rel_err <= 1e-12
 
     def test_moment_grid_validation(self):
         with pytest.raises(DomainError):
@@ -207,6 +218,17 @@ class TestContinuumMeasure:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 verify_continuum_moments([1.0, bad])
+
+    def test_moment_beyond_float64_is_named_before_integrating(self, monkeypatch):
+        import mlcs.continuum as continuum_mod
+
+        def forbidden(*args):
+            raise AssertionError("the rule ran")
+
+        monkeypatch.setattr(continuum_mod, "half_line_quad", forbidden)
+        with pytest.raises(OverflowError,
+                           match=r"^Gamma\(E\+1\) exceeds float64 range at E\+1 = 201.0$"):
+            verify_continuum_moments([1.0, 200.0])
 
     def test_suites_need_no_nu_quadrature(self, monkeypatch):
         # h / nu is exactly exp(-x): neither suite may compute nu
@@ -332,6 +354,26 @@ class TestContinuumP:
             want, rel=1e-15, abs=0)
         with pytest.raises(OverflowError, match="overflows float64"):
             continuum_p_function(CSLabel(0.0), beta_b)
+
+    @pytest.mark.parametrize("beta_b", [709.8, 710.0, 800.0])
+    def test_weight_past_float64_of_its_exponent(self, beta_b):
+        # e^{beta_b} itself is beyond float64: the weight is 0 at any
+        # |z| > 0, beyond float64 at |z| = 0, and the literal variant is
+        # beta_b at |z| = 0 and beyond float64 elsewhere
+        assert continuum_p_function(CSLabel(1.0), beta_b) == 0.0
+        assert continuum_p_function(CSLabel(1e-150), beta_b) == 0.0
+        with pytest.raises(OverflowError, match=r"^P weight at \|z\|\^2 = 0.0 overflows"):
+            continuum_p_function(CSLabel(0.0), beta_b)
+        assert continuum_p_function(CSLabel(0.0), beta_b, literal_sign=True) == beta_b
+        with pytest.raises(OverflowError, match=r"^P weight at \|z\|\^2 = 1.0 overflows"):
+            continuum_p_function(CSLabel(1.0), beta_b, literal_sign=True)
+
+    @pytest.mark.parametrize("e, beta_b", [(0.0, 705.0), (1.0, 700.0), (1.0, 709.0), (0.0, 709.7)])
+    def test_diagonal_where_its_integrand_leaves_float64(self, e, beta_b):
+        # the integrand beta_b e^{beta_b} x**E e^{-x} ... exceeds float64 at
+        # the nodes of (0, 705) and is subnormal at those of (1, 700)
+        want = beta_b * math.exp(-beta_b * e)
+        assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_reproduces_boltzmann_diagonals(self):
         for beta_b in (0.5, 1.0):

@@ -95,8 +95,9 @@ class TestMeijerKernel:
             meijer_g_weight(UNIT_PARAMS, -0.5)
         with pytest.raises(DomainError):
             meijer_g_weight(UNIT_PARAMS, math.nan)
-        with pytest.raises(DomainError):
-            meijer_g_weight_mb(UNIT_PARAMS, 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                meijer_g_weight_mb(UNIT_PARAMS, bad)
 
     def test_positive_on_reference_sets(self):
         for params in (UNIT_PARAMS, MLParams(2.0, 3.0, 1.0, 1.0),
@@ -407,6 +408,14 @@ class TestMomentIdentity:
         rep = MomentReport((1.0, 2.0), (1.0, 2.0), (1.0, 2.2))
         assert rep.max_rel_err == pytest.approx(0.2 / 2.2, rel=1e-12, abs=0)
 
+    def test_report_error_below_1e_300(self):
+        # relative to |rhs| at any size: the lhs 1e-308 (1 - 2.53e-9) is off
+        # by 2.53e-9, not by 2.53e-17
+        rep = MomentReport((1.0,), (9.9999999747e-309,), (1e-308,))
+        assert rep.max_rel_err == pytest.approx(2.53e-9, rel=1e-3, abs=0)
+        assert MomentReport((1.0,), (0.0,), (0.0,)).max_rel_err == 0.0
+        assert MomentReport((1.0,), (1e-320,), (0.0,)).max_rel_err == math.inf
+
 
 class TestResolutionIdentity:
     def test_gram_matrix_is_identity(self):
@@ -447,9 +456,9 @@ class TestResolutionIdentity:
         tables, levels = [], []
         table = mlfunc_mod._ml_table
 
-        def counted_table(params, x, width=0):
+        def counted_table(params, x):
             tables.append(x)
-            return table(params, x, width)
+            return table(params, x)
 
         rule = quadrature_mod.half_line_quad
         depth = []
@@ -500,15 +509,10 @@ class TestResolutionIdentity:
         with pytest.raises(DomainError):
             verify_resolution(UNIT_PARAMS, s_max=0)
 
-    def test_rule_tolerance_validation(self):
-        for bad in (0.0, -1e-10, math.nan):
-            with pytest.raises(DomainError, match="abs_tol must be positive"):
-                half_line_quad(np.exp, 1.0, abs_tol=bad)
-
 
 class TestHalfLineRule:
-    @pytest.mark.parametrize("scale, abs_tol", [(1.0, 1e-10), (1e-3, 1e-300), (40.0, 1e-300)])
-    def test_block_growth_matches_gamma_moments(self, scale, abs_tol):
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 40.0])
+    def test_block_growth_matches_gamma_moments(self, scale):
         # x**-0.6 and x**9 need many extra nodes at the two ends;
         # int_0^inf x**p exp(-x/3) dx = Gamma(p + 1) 3**(p + 1)
         powers = np.array([-0.6, 0.0, 2.5, 9.0])
@@ -518,11 +522,26 @@ class TestHalfLineRule:
             sizes.append(x.size)
             return x[:, None] ** powers * np.exp(-x / 3.0)[:, None]
 
-        values, _ = half_line_quad(family, scale, abs_tol)
-        growth = [n for n in sizes if n <= 8]
-        assert growth and set(growth) == {8}  # whole blocks, none cut short
+        values, _ = half_line_quad(family, scale)
+        # after the 49 first nodes, growth steps of one block per end, none
+        # cut short, then the halvings of at least 48 nodes
+        growth = [n for n in sizes[1:] if n < 48]
+        assert sizes[0] == 49 and growth and set(growth) <= {8, 16}
         want = np.array([math.gamma(p + 1.0) * 3.0 ** (p + 1.0) for p in powers])
         assert np.allclose(values, want, rtol=1e-13, atol=0.0)
+
+    def test_both_ends_grow_in_one_call(self):
+        # exp(-x) at scale 1: the first 49 nodes, one block for each end in
+        # one call, and one halving
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x)
+
+        values, _ = half_line_quad(f, 1.0)
+        assert sizes == [49, 16, 64]
+        assert values[0] == pytest.approx(1.0, rel=1e-13, abs=0)
 
     def test_gamma_family_on_shared_nodes(self):
         # int_0^inf x**p exp(-x) dx = Gamma(p + 1), endpoint behavior x**p

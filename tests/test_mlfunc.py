@@ -193,7 +193,7 @@ class TestTermTable:
         xs = np.geomspace(1e-30, 2000.0, 90)
         # small x next to x a thousand times larger in one call
         xs = np.concatenate([xs, np.geomspace(1e-3, 2.0, 20), np.geomspace(1.0, 2000.0, 20)])
-        _, sums, exps, tails = mlfunc._ml_table(params, xs)
+        sums, exps, tails = mlfunc._ml_table(params, xs)
         for x, total, e, tail in zip(xs.tolist(), sums, exps.tolist(), tails):
             try:
                 want = math.ldexp(ml_eval(params, x).value, -e)
@@ -204,25 +204,28 @@ class TestTermTable:
             assert 0.0 <= tail <= 1e-12 * total
 
     def test_row_ignores_its_companions(self):
-        alone = mlfunc._ml_table(F2, np.array([2.0]), 3)
-        shared = mlfunc._ml_table(F2, np.array([2000.0, 2.0, 1e-30]), 3)
+        alone = mlfunc._ml_table(F2, np.array([2.0]))
+        shared = mlfunc._ml_table(F2, np.array([2000.0, 2.0, 1e-30]))
         for got, want in zip(shared, alone):
             assert np.array_equal(got[1], want[0])
 
     def test_columns_are_the_state_probabilities(self):
+        # the Gram matrix's probabilities: the ladder recursion from
+        # t_0 / E(x), E(x) the table's sum
+        from mlcs.measure import _weight_and_probs
+
         xs = np.array([0.0, 0.3, 4.0, 40.0])
-        terms, sums, _, _ = mlfunc._ml_table(F2, xs, 12)
-        assert terms.shape == (4, 12)
-        for x, row, total in zip(xs.tolist(), terms, sums):
+        _, probs = _weight_and_probs(F2, xs, 11)
+        assert probs.shape == (4, 12)
+        for x, row in zip(xs.tolist(), probs):
             want = photon_distribution(CSLabel(math.sqrt(x)), F2).probs[:12]
-            got = (row / total)[:want.size]
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
+            assert row[:want.size] == pytest.approx(want, rel=1e-11, abs=1e-300)
 
     def test_budget_and_empty_call(self):
         with pytest.raises(ConvergenceError, match="10000 terms"):
             mlfunc._ml_table(UNIT_PARAMS, np.array([1.0, 2e4]))
-        terms, sums, exps, tails = mlfunc._ml_table(UNIT_PARAMS, np.array([]), 3)
-        assert terms.shape == (0, 3) and sums.size == exps.size == tails.size == 0
+        sums, exps, tails = mlfunc._ml_table(UNIT_PARAMS, np.array([]))
+        assert sums.size == exps.size == tails.size == 0
 
     def test_gamma_of_beta_beyond_float64_is_named(self):
         params = MLParams(1.0, 200.0, 1.0, 1.0)
@@ -317,6 +320,11 @@ class TestSeriesDiagnostics:
             assert takes == (name in setters), name
             assert "eval_cfg" not in {p.name for p in params}, name
         assert list(inspect.signature(mlcs.meijer_g_weight_mb).parameters) == ["params", "x"]
+        # the shared array kernels take no setting either
+        from mlcs.quadrature import half_line_quad
+
+        assert list(inspect.signature(half_line_quad).parameters) == ["f", "scale"]
+        assert list(inspect.signature(mlfunc._ml_table).parameters) == ["params", "x"]
 
 
 class TestPositivity:
