@@ -22,7 +22,7 @@ from .kcore import MLParams
 
 # Each command imports the modules it computes with, so `ml-eval` loads
 # neither numpy nor scipy, and only the Meijer kernel of `scan pfn` and
-# `verify resolution` loads scipy.special.
+# `verify resolution` loads scipy.special, and that only for gamma/k < 3/2.
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 

@@ -321,24 +321,27 @@ def continuum_p_function(z: CSLabel, beta_b: float, literal_sign: bool = False) 
         elif math.isfinite(head):
             value = float(head * np.exp(-_growth(x, beta_b)))
         else:
-            value = float(np.exp(_log_p_weight(x, beta_b)))
+            value = float(np.exp(_log_p_weight(beta_b, _growth(x, beta_b))))
     if not math.isfinite(value):
         raise OverflowError(f"P weight at |z|^2 = {x!r} overflows float64")
     return value
 
 
-def _growth(x, beta_b: float):
+def _growth(x: float, beta_b: float) -> float:
     """(e^{beta_b} - 1) x, as e^{beta_b + log x} where e^{beta_b} is beyond
-    float64 (the 1 is then below its rounding); 0 at x = 0."""
+    float64 (the 1 is then below its rounding); 0 at x = 0, inf past float64."""
     if beta_b < _LOG_MAX:
         return math.expm1(beta_b) * x
-    with np.errstate(divide="ignore"):
-        return np.exp(beta_b + np.log(x))
+    if x == 0.0:
+        return 0.0
+    log_growth = beta_b + math.log(x)
+    return math.exp(log_growth) if log_growth < _LOG_MAX else math.inf
 
 
-def _log_p_weight(x, beta_b: float):
-    """log of the decaying P weight, log beta_b + beta_b - (e^{beta_b} - 1) x."""
-    return math.log(beta_b) + beta_b - _growth(x, beta_b)
+def _log_p_weight(beta_b: float, growth: float) -> float:
+    """log of the decaying P weight, log beta_b + beta_b - growth, with growth
+    = (e^{beta_b} - 1) x."""
+    return math.log(beta_b) + beta_b - growth
 
 
 @dataclass(frozen=True)
@@ -402,21 +405,22 @@ def continuum_diagonal(e: float, beta_b: float) -> float:
 
     which should equal beta_b exp(-beta_b E) = exp(-beta_b E) / Z.  One
     half-line rule call in u = x / c, c = max(1, E) exp(-beta_b) the peak,
-    on the integrand over its value at c: values near 1 at nodes near 1, even
-    where the integrand is beyond float64 or subnormal.  The log of c times
-    that value is added back to the log of the rule's value.
+    on the integrand over its value at c, u**E exp(-(c + rate) (u - 1)) with
+    rate = (e^{beta_b} - 1) c = max(1, E) (1 - e^{-beta_b}): values near 1 at
+    nodes near 1, and no x = c u is formed, so c may underflow.  log c and
+    the log of the integrand at c are added back to the log of the rule's value.
     """
     e = _require_nonnegative(e, "E")
     beta_b = _require_positive(beta_b, "beta_b")
-    c = _require_positive(max(1.0, e) * math.exp(-beta_b), "max(1, E) exp(-beta_b)")
-    log_p_c = _log_p_weight(c, beta_b)
+    log_c = math.log(max(1.0, e)) - beta_b
+    c, rate = math.exp(log_c), -max(1.0, e) * math.expm1(-beta_b)
 
     def ratio(u):
-        return np.exp(e * np.log(u) - c * (u - 1.0) + (_log_p_weight(c * u, beta_b) - log_p_c))
+        return np.exp(e * np.log(u) - c * (u - 1.0) - rate * (u - 1.0))
 
     value, _ = half_line_quad(ratio, 1.0)
-    log_f_c = e * math.log(c) - c - math.lgamma(e + 1.0) + log_p_c
-    return math.exp(log_f_c + math.log(c) + math.log(value[0]))
+    log_f_c = e * log_c - c - math.lgamma(e + 1.0) + _log_p_weight(beta_b, rate)
+    return math.exp(log_f_c + log_c + math.log(value[0]))
 
 
 def verify_continuum_moments(e_values):
@@ -435,8 +439,8 @@ def verify_continuum_moments(e_values):
     rhs = [_gamma(e + 1.0, "E+1") for e in e_values]
     powers = np.array(e_values)
 
-    def moments(xs):
-        return np.exp(np.log(xs)[:, None] * powers - xs[:, None])
+    def moments(xs, live=slice(None)):
+        return np.exp(np.log(xs)[:, None] * powers[live] - xs[:, None])
 
     lhs, _ = half_line_quad(moments, max(1.0, max(e_values)))
     return MomentReport(tuple(e_values), tuple(lhs), tuple(rhs))

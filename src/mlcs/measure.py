@@ -28,13 +28,17 @@ coefficient-space identity matrix comes out as a Kronecker delta.
 
 Both identity suites integrate with the half-line double-exponential rule of
 the quadrature module (nodes x = (alpha/k) exp(t - exp(-t)), error estimate
-from one halving of the step).  Every moment s shares the same nodes, and
-every diagonal entry n shares the nodes of the Gram matrix, so each level of
-the rule makes one kernel call for all its nodes.  h(x) takes E(x) from one
-term table of the mlfunc module per call, and for the Gram matrix the state
-probabilities p_0 = t_0 / E(x), p_n = p_{n-1} x / e_n share that E(x), which
-cancels.  The Gram matrix goes through h(x) and the state probabilities,
-not the moment sums, so it stays an independent check.
+from the last halving of the step, each moment or entry stopping at its own
+target).  Every moment s shares the same nodes, and every diagonal entry n
+shares the nodes of the Gram matrix, so each level of the rule makes one
+kernel call for all its nodes; the kernel's own rule in s likewise refines
+only the y not yet at their target.  h(x) takes E(x) from one term table of
+the mlfunc module per call, and for the Gram matrix the state probabilities
+p_0 = t_0 / E(x), p_n = p_{n-1} x / e_n share that E(x), which cancels:
+h p_n = pref G t_n, with pref the constant factor of h and t_n the n-th
+term of the series of E.  The Gram diagonal is therefore the moment suite
+in coefficient space (entry n is pref times the coefficient of x**n in t_n
+times the moment s = n + 1 of G), not an independent check of it.
 """
 
 from __future__ import annotations
@@ -124,9 +128,9 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 
 def _laplace_family(a: float, b2: float, y: np.ndarray):
     """Integrand in s of the kernel at first index a > -1/2, a != 0, for
-    every y, and the map from its integral to G(y) = y**b2 e**-y U(a, b2+1, y)."""
-    from scipy import special
-
+    every y, and the map from its integral to G(y) = y**b2 e**-y U(a, b2+1, y).
+    The integrand takes the nodes s as a column and the y to evaluate (an
+    index array, or a slice for all of them)."""
     p = b2 - a
     if a >= 0.5:
         # e**-s s**(a-1) (y+s)**p relative to its value at s_ref: the peak
@@ -140,23 +144,27 @@ def _laplace_family(a: float, b2: float, y: np.ndarray):
         s_ref = root if a > 1.0 else np.maximum(root, y)
         log_ref = -s_ref + (a - 1.0) * np.log(s_ref) + p * np.log(y + s_ref)
 
-        def integrand(s):
+        def integrand(s, cols):
             # each term formed as one ratio, so the exponent carries no
             # cancellation of large logarithms
-            return np.exp(-(s - s_ref) + (a - 1.0) * np.log(s / s_ref)
-                          + p * np.log((y + s) / (y + s_ref)))
+            yc, ref = y[cols], s_ref[cols]
+            return np.exp(-(s - ref) + (a - 1.0) * np.log(s / ref)
+                          + p * np.log((yc + s) / (yc + ref)))
 
         def kernel(total):
             return np.exp(log_ref - y - math.lgamma(a) + np.log(total))
     else:
         # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
         # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing
+        from scipy import special
+
         sign = math.copysign(1.0, p)
 
-        def integrand(s):
+        def integrand(s, cols):
+            yc = y[cols]
             with np.errstate(divide="ignore"):
-                tail = np.log(np.abs(np.expm1(-p * np.log1p(s / y))))
-            return sign * np.exp(-s + (a - 1.0) * np.log(s) + p * np.log(y + s) + tail)
+                tail = np.log(np.abs(np.expm1(-p * np.log1p(s / yc))))
+            return sign * np.exp(-s + (a - 1.0) * np.log(s) + p * np.log(yc + s) + tail)
 
         def kernel(total):
             return np.exp(-y) * (y ** p + float(special.rgamma(a)) * total)
@@ -172,9 +180,16 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray) -> np.ndarray:
     families = [_laplace_family(a, b2, y) for a in firsts]
     m = y.size
 
-    def integrands(s):
-        s = s[:, None]
-        return np.hstack([f(s) for f, _ in families])
+    def integrands(s, live=None):
+        # the live columns of every family: member i * m + j of the rule is
+        # y[j] of family i.  While all are live, slices select them without
+        # a copy of y.
+        if live is None:
+            parts = [slice(None)] * len(families)
+        else:
+            cut = np.searchsorted(live, m)
+            parts = (live[:cut], live[cut:] - m)
+        return np.hstack([f(s[:, None], cols) for (f, _), cols in zip(families, parts)])
 
     # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
     totals, _ = half_line_quad(integrands, max(1.0, b2, a1))
@@ -336,11 +351,13 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     y = (params.k / params.alpha) * xs
     g = np.empty_like(y)
     origin = xs == 0.0
-    if origin.any():
-        from scipy import special
-
-        g[origin] = (math.gamma(b2) * float(special.rgamma(a1)) if b2 > 0.0
-                     else 1.0 if b2 == 0.0 and a1 == 0.0 else math.inf)
+    if origin.any() and b2 > 0.0:
+        # Gamma(b2) / Gamma(a1): 0 at the pole a1 = 0 (a1 > -1 has no other),
+        # and from the logs past a1 = 171, where Gamma(a1) > 0 leaves float64
+        g[origin] = (0.0 if a1 == 0.0 else math.gamma(b2) / math.gamma(a1) if a1 < 171.0
+                     else math.exp(math.lgamma(b2) - math.lgamma(a1)))
+    elif origin.any():
+        g[origin] = 1.0 if b2 == 0.0 and a1 == 0.0 else math.inf
     # the connection formula, value by value, where the Laplace routes cancel
     cancels = a1 != 0.0 and (a1 <= -0.5 or (a1 < 0.5 and b2 < a1))
     series = ~origin & (y < _SMALL_Y) & cancels
@@ -460,8 +477,8 @@ def verify_resolution(params: MLParams, s_max: int = 8) -> MomentReport:
         raise DomainError(f"s_max must be an integer >= 1, got {s_max!r}")
     powers = np.arange(s_max)
 
-    def moments(xs):
-        return xs[:, None] ** powers * meijer_g_weight(params, xs)[:, None]
+    def moments(xs, live=slice(None)):
+        return xs[:, None] ** powers[live] * meijer_g_weight(params, xs)[:, None]
 
     lhs, _ = half_line_quad(moments, params.alpha / params.k)
     s_values = range(1, s_max + 1)
@@ -482,9 +499,9 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
 
-    def weighted_probs(xs):
+    def weighted_probs(xs, live=slice(None)):
         h, probs = _weight_and_probs(params, xs, n_max)
-        return h[:, None] * probs
+        return h[:, None] * probs[:, live]
 
     diag, _ = half_line_quad(weighted_probs, params.alpha / params.k)
     return np.diag(diag)

@@ -29,7 +29,6 @@ from mlcs import (
     expansion_distance,
     husimi_q,
     husimi_q_fock,
-    improper_quad,
     ladder_lower,
     LinearSpectrum,
     measure_weight_h,
@@ -47,6 +46,7 @@ from mlcs import (
     verify_continuum_moments,
     verify_resolution,
 )
+from reference_quad import improper_quad
 
 SEED = 20260814
 

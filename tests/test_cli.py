@@ -306,6 +306,9 @@ class TestCheckout:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+_KERNEL_PARAMS = ("--alpha", "2", "--beta", "3", "--gamma", "1.5", "--kpar", "0.7")
+
+
 class TestImportBudget:
     """Each command loads only what its computation needs."""
 
@@ -322,6 +325,9 @@ class TestImportBudget:
         (["scan", "--quantity", "husimi-cont", "--x-steps", "3"], {"numpy"}),
         (["scan", "--quantity", "p-cont", "--x-steps", "3"], {"numpy"}),
         (["verify", "moments-continuum"], {"numpy"}),
+        # the Meijer kernel at gamma/k >= 3/2 needs no special function
+        (["scan", "--quantity", "pfn", "--x-steps", "3", *_KERNEL_PARAMS], {"numpy"}),
+        (["verify", "resolution", *_KERNEL_PARAMS], {"numpy"}),
     ])
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"

@@ -375,6 +375,19 @@ class TestContinuumP:
         want = beta_b * math.exp(-beta_b * e)
         assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("e, beta_b, rel", [
+        (0.0, 745.0, 1e-14), (0.0, 800.0, 1e-13), (1e-3, 740.0, 1e-13)])
+    def test_diagonal_where_the_peak_is_subnormal(self, e, beta_b, rel):
+        # the peak c = max(1, E) e^{-beta_b} is subnormal or 0 in float64;
+        # the rounding of log c ~ -beta_b sets the tolerance
+        want = beta_b * math.exp(-beta_b * e)
+        assert continuum_diagonal(e, beta_b) == pytest.approx(want, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("e, beta_b", [(5.0, 740.0), (2.0, 730.0)])
+    def test_diagonal_below_float64_is_zero(self, e, beta_b):
+        # beta_b exp(-beta_b E) underflows; the rule still converges
+        assert continuum_diagonal(e, beta_b) == 0.0
+
     def test_reproduces_boltzmann_diagonals(self):
         for beta_b in (0.5, 1.0):
             for e in (0.0, 1.0, 2.0):

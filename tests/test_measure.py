@@ -89,6 +89,10 @@ class TestMeijerKernel:
         assert meijer_g_weight(UNIT_PARAMS, 0.0) == 1.0
         assert meijer_g_weight(MLParams(1.0, 1.0, 2.0, 1.0), 0.0) == math.inf
         assert meijer_g_weight(MLParams(2.0, 1.0, 1.0, 1.0), 0.0) == math.inf
+        # Gamma(a1) beyond float64: Gamma(1) / Gamma(199) and Gamma(171) / Gamma(172)
+        assert meijer_g_weight(MLParams(1.0, 2.0, 200.0, 1.0), 0.0) == 0.0
+        assert meijer_g_weight(MLParams(1.0, 172.0, 173.0, 1.0), 0.0) == pytest.approx(
+            1.0 / 171.0, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -465,10 +469,10 @@ class TestResolutionIdentity:
 
         def counted_rule(f, *args):
             # only the outermost rule's levels; the kernel nests its own rule
-            def g(x):
+            def g(x, *live):
                 if len(depth) == 1:
                     levels.append(x)
-                return f(x)
+                return f(x, *live)
 
             depth.append(f)
             try:
@@ -518,21 +522,21 @@ class TestHalfLineRule:
         powers = np.array([-0.6, 0.0, 2.5, 9.0])
         sizes = []
 
-        def family(x):
+        def family(x, live=slice(None)):
             sizes.append(x.size)
-            return x[:, None] ** powers * np.exp(-x / 3.0)[:, None]
+            return x[:, None] ** powers[live] * np.exp(-x / 3.0)[:, None]
 
         values, _ = half_line_quad(family, scale)
-        # after the 49 first nodes, growth steps of one block per end, none
-        # cut short, then the halvings of at least 48 nodes
-        growth = [n for n in sizes[1:] if n < 48]
-        assert sizes[0] == 49 and growth and set(growth) <= {8, 16}
+        # after the 97 first nodes, growth steps of one block per end, none
+        # cut short, then the halvings of at least 96 nodes
+        growth = [n for n in sizes[1:] if n < 96]
+        assert sizes[0] == 97 and growth and set(growth) <= {16, 32}
         want = np.array([math.gamma(p + 1.0) * 3.0 ** (p + 1.0) for p in powers])
         assert np.allclose(values, want, rtol=1e-13, atol=0.0)
 
     def test_both_ends_grow_in_one_call(self):
-        # exp(-x) at scale 1: the first 49 nodes, one block for each end in
-        # one call, and one halving
+        # exp(-x) at scale 1: the first 97 nodes, which hold the first
+        # halving, and one block for each end in one call
         sizes = []
 
         def f(x):
@@ -540,14 +544,50 @@ class TestHalfLineRule:
             return np.exp(-x)
 
         values, _ = half_line_quad(f, 1.0)
-        assert sizes == [49, 16, 64]
+        assert sizes == [97, 32]
         assert values[0] == pytest.approx(1.0, rel=1e-13, abs=0)
+
+    def test_each_member_stops_at_its_own_target(self):
+        # exp(-x) meets its target on the first level; a narrow peak at x = 2
+        # needs three more halvings, which ask for its column only.  (The
+        # endpoint power x**-0.6 exp(-x) is not hard for this rule: it meets
+        # its target on the first level as well.)
+        asked = []
+
+        def family(x, live=None):
+            asked.append(None if live is None else live.tolist())
+            cols = np.stack((np.exp(-x - 100.0 * (x - 2.0) ** 2), np.exp(-x)), axis=1)
+            return cols if live is None else cols[:, live]
+
+        values, errors = half_line_quad(family, 1.0)
+        first = asked.index([0])
+        assert first > 0 and asked[:first] == [None] * first
+        assert asked[first:] == [[0]] * (len(asked) - first) and len(asked) - first >= 2
+        # int exp(-x - a (x - c)**2) dx = e**(1/(4a) - c) sqrt(pi/a)
+        # erfc(-(c - 1/(2a)) sqrt(a)) / 2, a = 100, c = 2
+        peak = math.exp(0.0025 - 2.0) * math.sqrt(math.pi / 100.0) * math.erfc(-19.95) / 2.0
+        assert np.allclose(values, [peak, 1.0], rtol=1e-14, atol=0.0)
+        assert np.all(errors <= 1e-12 * np.abs(values))
+
+    @pytest.mark.parametrize("params", [
+        MLParams(2.0, 3.0, 1.5, 0.7), MLParams(1.5, 1.2, 0.6, 1.0), MLParams(0.5, 1.5, 2.0, 0.8),
+        MLParams(2.0, 3.0, 0.3, 1.0)])
+    def test_kernel_array_with_tiny_and_unit_y(self, params):
+        # the y = 1e-12 columns take more halvings in s than those near 1,
+        # which stop refining first; at gamma/k = 0.3 (two recurrence
+        # families, y < 1e-4 on the series) one column of the first family
+        # and two of the second go on.  Every value matches its own call.
+        y = np.array([1e-12, 1e-4, 1e-3, 0.7, 1.0, 1.3, 1.5e-12])
+        x = y * params.alpha / params.k
+        got = meijer_g_weight(params, x)
+        one = np.array([meijer_g_weight(params, float(xi)) for xi in x])
+        assert np.allclose(got, one, rtol=1e-14, atol=0.0)
 
     def test_gamma_family_on_shared_nodes(self):
         # int_0^inf x**p exp(-x) dx = Gamma(p + 1), endpoint behavior x**p
         powers = np.array([-0.7, 0.0, 0.5, 3.0, 9.0])
         values, errors = half_line_quad(
-            lambda x: x[:, None] ** powers * np.exp(-x)[:, None], 1.0
+            lambda x, live=slice(None): x[:, None] ** powers[live] * np.exp(-x)[:, None], 1.0
         )
         want = np.array([math.gamma(p + 1.0) for p in powers])
         assert np.allclose(values, want, rtol=1e-13, atol=0.0)

@@ -384,6 +384,12 @@ class TestLaplace:
         # at unit parameters the transform is 1 / (s - 1)
         assert ml_laplace_quad(UNIT_PARAMS, 1.05) == pytest.approx(20.0, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("s", [1e300, 1e305])
+    def test_quadrature_route_with_subnormal_nodes(self, s):
+        # scale ~ 1/s: the low-end nodes reach subnormal x, where the
+        # integrand must still be summed for the 1e-12 relative target
+        assert ml_laplace_quad(UNIT_PARAMS, s) == pytest.approx(1.0 / s, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("route", [ml_laplace, ml_laplace_quad])
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, "2.0", 1.0])
     def test_both_routes_share_one_check_of_s(self, route, s):

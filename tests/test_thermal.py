@@ -16,7 +16,6 @@ from mlcs import (
     ansatz_error_curve,
     husimi_q,
     husimi_q_fock,
-    improper_quad,
     measure_weight_h,
     ml_eval,
     p_function,
@@ -25,6 +24,7 @@ from mlcs import (
     partition_quadratic_direct,
     photon_distribution,
 )
+from reference_quad import improper_quad
 
 
 class TestSpectra:
