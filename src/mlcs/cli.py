@@ -22,7 +22,9 @@ from .kcore import MLParams
 
 # Each command imports the modules it computes with, so `ml-eval` loads
 # neither numpy nor scipy, and only the Meijer kernel of `scan pfn` and
-# `verify resolution` loads scipy.special, and that only for gamma/k < 3/2.
+# `verify resolution` loads scipy.special, and that only where the kernel
+# takes its connection formula below y = 1e-4 (gamma/k <= 1/2, or
+# beta/alpha < gamma/k < 3/2).
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 

@@ -102,7 +102,14 @@ class _Kernel(NamedTuple):
         lin = (self.b - w) / s
         c = (0.5 * (self.b - 0.5) / s - (w / s) * (self.a - 0.5)) / s
         disc = lin * lin - 4.0 * c
-        return max(0.0, 0.5 * s * (math.sqrt(disc) - lin)) if disc > 0.0 else 0.0
+        if disc <= 0.0:
+            return 0.0
+        peak = max(0.0, 0.5 * s * (math.sqrt(disc) - lin))
+        # the asymptotic form means nothing where a + E or b + E < 1/2: its
+        # root there can sit below the integrand's value at E = 0
+        if min(self.a, self.b) < 0.5 and self.log_f(peak, math.lgamma) < self.log_f(0.0, math.lgamma):
+            return 0.0
+        return peak
 
 
 def _half_width(peak: float) -> float:

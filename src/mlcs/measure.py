@@ -111,7 +111,7 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 #                      (or at y where it has none), so the rule sees O(1)
 #                      values at any y;
 #   -1/2 < a1 < 1/2    the endpoint singularity subtracted (DLMF 13.4.4):
-#                      G = e**-y [y**p + rgamma(a) int e**-s s**(a-1)
+#                      G = e**-y [y**p + 1/Gamma(a) int e**-s s**(a-1)
 #                      ((y+s)**p - y**p) ds], regular at s = 0 and smooth
 #                      through a = 0, where the plain integrand puts its mass
 #                      out of the rule's reach.  For p < 0 the two terms
@@ -155,9 +155,9 @@ def _laplace_family(a: float, b2: float, y: np.ndarray):
             return np.exp(log_ref - y - math.lgamma(a) + np.log(total))
     else:
         # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
-        # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing
-        from scipy import special
-
+        # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing;
+        # 1/Gamma(a) is finite as 0 < |a| < 1/2
+        rgamma = 1.0 / math.gamma(a)
         sign = math.copysign(1.0, p)
 
         def integrand(s, cols):
@@ -167,7 +167,7 @@ def _laplace_family(a: float, b2: float, y: np.ndarray):
             return sign * np.exp(-s + (a - 1.0) * np.log(s) + p * np.log(yc + s) + tail)
 
         def kernel(total):
-            return np.exp(-y) * (y ** p + float(special.rgamma(a)) * total)
+            return np.exp(-y) * (y ** p + rgamma * total)
     return integrand, kernel
 
 
@@ -347,6 +347,36 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     negative or non-finite x is a domain error.
     """
     xs, scalar = _x_values(x)
+    g = _meijer_g(params, xs)
+    if check:
+        # the contour sum carries roundoff proportional to its t = 0
+        # integrand, which dwarfs the kernel itself once exp(-y) is deep;
+        # phase error from loggamma/exp grows with contour length, so allow
+        # 1e-10 of that head.  Only disagreement above the floor is evidence
+        # of a defect.
+        a1, b2 = _g_params(params)
+        c = max(0.0, -b2) + 0.75
+        lg_denom = math.inf if a1 + c == 0.0 else math.lgamma(a1 + c)
+        for xi, value in zip(xs.tolist(), g.tolist()):
+            if xi == 0.0:
+                continue
+            referee = meijer_g_weight_mb(params, xi)
+            scale = max(abs(value), abs(referee))
+            floor = 1e-10 * math.exp(
+                math.lgamma(c) + math.lgamma(b2 + c) - lg_denom
+                - c * math.log((params.k / params.alpha) * xi)
+            ) / math.pi
+            if scale > 1e-280 and abs(value - referee) > check_tol * scale + floor:
+                raise RouteMismatchError(
+                    f"Meijer kernel routes disagree at x={xi}: {value!r} vs {referee!r}",
+                    value,
+                    referee,
+                )
+    return float(g[0]) if scalar else g
+
+
+def _meijer_g(params: MLParams, xs: np.ndarray) -> np.ndarray:
+    """The kernel of meijer_g_weight at a validated 1-d array xs >= 0."""
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * xs
     g = np.empty_like(y)
@@ -366,29 +396,7 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     rest = ~(origin | series)
     if rest.any():
         g[rest] = _laplace_kernel(a1, b2, y[rest])
-    if check:
-        # the contour sum carries roundoff proportional to its t = 0
-        # integrand, which dwarfs the kernel itself once exp(-y) is deep;
-        # phase error from loggamma/exp grows with contour length, so allow
-        # 1e-10 of that head.  Only disagreement above the floor is evidence
-        # of a defect.
-        c = max(0.0, -b2) + 0.75
-        lg_denom = math.inf if a1 + c == 0.0 else math.lgamma(a1 + c)
-        for xi, yi, value in zip(xs.tolist(), y.tolist(), g.tolist()):
-            if xi == 0.0:
-                continue
-            referee = meijer_g_weight_mb(params, xi)
-            scale = max(abs(value), abs(referee))
-            floor = 1e-10 * math.exp(
-                math.lgamma(c) + math.lgamma(b2 + c) - lg_denom - c * math.log(yi)
-            ) / math.pi
-            if scale > 1e-280 and abs(value - referee) > check_tol * scale + floor:
-                raise RouteMismatchError(
-                    f"Meijer kernel routes disagree at x={xi}: {value!r} vs {referee!r}",
-                    value,
-                    referee,
-                )
-    return float(g[0]) if scalar else g
+    return g
 
 
 def meijer_g_weight_mb(params: MLParams, x: float) -> float:
@@ -448,7 +456,7 @@ def _weight_and_probs(params: MLParams, xs: np.ndarray, n_max: int):
     )
     ladder = xs[:, None] / _structure(params, np.arange(1, n_max + 1))
     probs = np.cumprod(np.hstack(((1.0 / _gamma(params.beta)) / series[:, None], ladder)), axis=1)
-    return pref * series * meijer_g_weight(params, xs), probs
+    return pref * series * _meijer_g(params, xs), probs
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -478,7 +486,7 @@ def verify_resolution(params: MLParams, s_max: int = 8) -> MomentReport:
     powers = np.arange(s_max)
 
     def moments(xs, live=slice(None)):
-        return xs[:, None] ** powers[live] * meijer_g_weight(params, xs)[:, None]
+        return xs[:, None] ** powers[live] * _meijer_g(params, xs)[:, None]
 
     lhs, _ = half_line_quad(moments, params.alpha / params.k)
     s_values = range(1, s_max + 1)

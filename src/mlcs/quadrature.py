@@ -12,14 +12,16 @@ Two fixed schemes are kept deliberately distinct:
       x = scale * exp(t - exp(-t))
 
   turns both ends into double-exponential decay in t, so the trapezoid rule
-  in t converges geometrically in the number of nodes.  The first call of
-  the integrand takes the first level and its first halving together (the
-  even nodes give T(h), all of them T(h/2)); both ends of the node range
-  then grow by whole blocks of sixteen nodes, one call of the integrand per
-  step for both, until the end nodes contribute less than the target;
-  every node evaluated is summed.  The error estimate is the change under
-  the last halving of the step, whose nodes are the midpoints of the
-  previous level, so no value is computed twice.  Every integrand of a
+  in t converges geometrically in the number of nodes.  The map depends on
+  scale only as a factor, so the nodes and weights of the first call, the
+  129 points t in [-4, 4] at step 1/16, are a table built once at scale 1.
+  That call takes the first level and its first halving together (the even
+  nodes give T(h), all of them T(h/2)) and usually covers both ends; where
+  it does not, the ends grow by whole blocks of sixteen nodes, one call of
+  the integrand per step for both, until the end nodes contribute less
+  than the target; every node evaluated is summed.  The error estimate is
+  the change under the last halving of the step, whose nodes are the
+  midpoints of the previous level, so no value is computed twice.  Every integrand of a
   family shares the same nodes, which lets the identity suites and the
   Meijer kernel make one call per level for all their nodes and members.
   Each member stops at its own target: later levels ask the integrand only
@@ -58,8 +60,12 @@ _MAX_NODES = 100000
 
 # First step in t of the half-line rule; its trapezoid error is already near
 # roundoff for the kernel families it serves, so one halving certifies it.
-# The rule starts on the nodes of that halving, step _DE_STEP / 2.
+# The rule starts on the nodes of that halving, step _DE_STEP / 2, over
+# t in [-4, 4] (_DE_FIRST such steps per side: 129 nodes), which covers
+# both ends of most integrands of the package, so most calls make one call
+# of the integrand; _first_nodes builds their x and weights at scale 1 once.
 _DE_STEP = 0.125
+_DE_FIRST = 64
 # Target of every family member, relative to its own value: the integrals
 # of the package range from 1e-300 to far above 1.
 _DE_REL_TOL = 1e-12
@@ -69,6 +75,34 @@ _DE_REL_TOL = 1e-12
 _DE_BLOCK = 16
 _DE_BLOCK_STEPS = np.arange(1, _DE_BLOCK + 1)
 _NO_STEPS = _DE_BLOCK_STEPS[:0]
+
+
+def _unit_nodes(j: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the half-line rule at scale 1 and t = h j:
+    x = exp(t - e**-t) and w = h dx/dt = h x (1 + e**-t).  At scale c they
+    are c x and c w."""
+    t = h * j
+    e = np.exp(-t)
+    x = np.exp(t - e)
+    return x, h * x * (1.0 + e)
+
+
+@functools.cache
+def _first_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """j, x and w of the first call of the half-line rule at scale 1:
+    t = j / 16 for j = -64..64, built once on first use (read-only arrays)."""
+    j = np.arange(-_DE_FIRST, _DE_FIRST + 1)
+    table = (j, *_unit_nodes(j, 0.5 * _DE_STEP))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _split(vals: np.ndarray, j0) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of a run of weighted values at the consecutive nodes j0, j0 + 1,
+    ...: over the even j (the coarser level) and over the odd j."""
+    first, second = vals[::2].sum(axis=0), vals[1::2].sum(axis=0)
+    return (second, first) if j0 % 2 else (first, second)
 
 
 def half_line_quad(f, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -82,61 +116,56 @@ def half_line_quad(f, scale: float) -> tuple[np.ndarray, np.ndarray]:
     expects shape (len(x), len(live)); while every member is live it calls
     f(x).  scale places the bulk of the integrands near t = 0, i.e. near
     x = scale.  The target of member i is 1e-12 |value_i|.  The first call
-    takes t in [-3, 3] at step 1/16, so the first level (step 1/8, the even
-    nodes) and its halving come from one call.  Both ends grow by blocks of
-    sixteen such nodes until each end node contributes at most a thousandth
-    of the target (the omitted tail is smaller still, the decay being double
-    exponential).  The error estimate of a member, the change under its last
-    halving plus the end-node contributions, must meet its target; a member
-    that meets it keeps its value and estimate while the others are halved
-    further.  The end nodes are weighted at step 1/8 in both tests.  Nodes
-    whose x underflows to 0 are left out; an integrand not negligible there,
-    a value that is not finite (an overflow in f included), or a target not
-    met within _MAX_NODES integrand evaluations, raises ConvergenceError.
+    takes the 129 nodes t in [-4, 4] at step 1/16, scale times a cached
+    table, so the first level (step 1/8, the even nodes) and its halving
+    come from one call.  Both ends grow by blocks of sixteen such nodes
+    until each end node contributes at most a thousandth of the target (the
+    omitted tail is smaller still, the decay being double exponential).  The
+    error estimate of a member, the change under its last halving plus the
+    end-node contributions, must meet its target; a member that meets it
+    keeps its value and estimate while the others are halved further.  The
+    end nodes are weighted at step 1/8 in both tests.  Nodes whose x
+    underflows to 0 are left out; an integrand not negligible there, a value
+    that is not finite (an overflow in f included), or a target not met
+    within _MAX_NODES integrand evaluations, raises ConvergenceError.
     """
     _require_positive(scale, "scale")
     h = 0.5 * _DE_STEP  # the finest step evaluated so far
     count = 0
     live = None  # the members f is asked for; None while all of them are
 
-    def weighted(j):
-        # integrand values times h dx/dt at the nodes t = h j (increasing),
-        # x = scale exp(t - e**-t), and the j kept: those whose x underflows
-        # to 0 are left out, a leading run.  Only a low-end block can lose
-        # all of them, and it is asked for only while its end node is not
-        # negligible.  An overflow in f (x**p at a subnormal x) is left to
-        # the finiteness check.
+    def weighted(j, x, w):
+        # integrand values times the weights w at the nodes x (scale 1, t =
+        # h j increasing), and the j kept: those whose x underflows to 0 at
+        # this scale are left out, a leading run.  Only a low-end block can
+        # lose all of them, and it is asked for only while its end node is
+        # not negligible.  An overflow in f (x**p at a subnormal x) is left
+        # to the finiteness check.
         nonlocal count
-        t = h * j
-        e = np.exp(-t)
-        x = scale * np.exp(t - e)
-        lost = np.count_nonzero(x == 0.0)
-        if lost == x.size:
-            raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
-        x, e, j = x[lost:], e[lost:], j[lost:]
+        x = scale * x
+        if x[0] == 0.0:
+            lost = np.count_nonzero(x == 0.0)
+            if lost == x.size:
+                raise ConvergenceError("integrand is not negligible where the nodes underflow to 0")
+            x, w, j = x[lost:], w[lost:], j[lost:]
         count += x.size
         if count > _MAX_NODES:
             raise ConvergenceError(
                 f"node budget {_MAX_NODES} spent before the target was met")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             fx = f(x) if live is None else f(x, live)
-            vals = np.asarray(fx, dtype=float).reshape(x.size, -1) * (h * (x * (1.0 + e)))[:, None]
+            vals = np.asarray(fx, dtype=float).reshape(x.size, -1) * (scale * w)[:, None]
         if not np.isfinite(vals).all():
             raise ConvergenceError(f"integrand is not finite near x={x[0]:.6e}")
         return vals, j
-
-    def split(vals, j):
-        # the sums over the nodes of the first level (even j) and the others
-        even = j % 2 == 0
-        return vals[even].sum(axis=0), vals[~even].sum(axis=0)
 
     def negligible(edge, total):
         # edge is weighted at step 1/16; the test is at step 1/8
         return (2.0 * np.abs(edge) <= 1e-3 * _DE_REL_TOL * np.abs(total)).all()
 
-    lo, hi = -48, 48  # t in [-3, 3]
-    vals, j = weighted(np.arange(lo, hi + 1))
-    coarse, mids = split(vals, j)
+    lo, hi = -_DE_FIRST, _DE_FIRST
+    vals, j = weighted(*_first_nodes())
+    coarse, mids = _split(vals, j[0])
     floor = j[0] > lo  # the nodes below j[0] underflow to 0
     lo, head, tail = j[0], vals[0], vals[-1]
     while True:
@@ -148,11 +177,13 @@ def half_line_quad(f, scale: float) -> tuple[np.ndarray, np.ndarray]:
         # the next block of each end that needs one, in increasing t
         below = lo - _DE_BLOCK_STEPS[::-1] if down else _NO_STEPS
         above = hi + _DE_BLOCK_STEPS if up else _NO_STEPS
-        vals, j = weighted(np.concatenate((below, above)))
-        more_coarse, more_mids = split(vals, j)
-        coarse, mids = coarse + more_coarse, mids + more_mids
+        steps = np.concatenate((below, above))
+        vals, j = weighted(steps, *_unit_nodes(steps, h))
+        kept = j.size - above.size  # the nodes of the low block
+        for run, j0 in ((vals[:kept], j[0]), (vals[kept:], hi + 1)):
+            more_coarse, more_mids = _split(run, j0)
+            coarse, mids = coarse + more_coarse, mids + more_mids
         if down:
-            kept = j.size - above.size  # the nodes of the low block
             floor = kept < _DE_BLOCK
             if kept:
                 lo, head = j[0], vals[0]
@@ -170,7 +201,8 @@ def half_line_quad(f, scale: float) -> tuple[np.ndarray, np.ndarray]:
         # members: T(h/2) = T(h)/2 + their sum at step h/2, so two values
         # near float max do not overflow
         h *= 0.5
-        vals, _ = weighted(2 * np.arange(lo, hi) + 1)
+        steps = 2 * np.arange(lo, hi) + 1
+        vals, _ = weighted(steps, *_unit_nodes(steps, h))
         lo, hi = 2 * lo, 2 * hi
         last = total[todo]
         finer = 0.5 * last + vals.sum(axis=0)

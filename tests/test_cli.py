@@ -328,6 +328,9 @@ class TestImportBudget:
         # the Meijer kernel at gamma/k >= 3/2 needs no special function
         (["scan", "--quantity", "pfn", "--x-steps", "3", *_KERNEL_PARAMS], {"numpy"}),
         (["verify", "resolution", *_KERNEL_PARAMS], {"numpy"}),
+        # the subtracted Laplace form at -1/2 < gamma/k - 1 < 1/2 as well
+        (["verify", "resolution", "--alpha", "1.5", "--beta", "1.2", "--gamma", "0.6",
+          "--kpar", "1"], {"numpy"}),
     ])
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"

@@ -176,6 +176,23 @@ class TestPeakWindow:
         assert len(passes) == 2 and passes[0] == passes[1]
         assert value == pytest.approx(reference_tilde(params, 1.0), rel=1e-11, abs=0)
 
+    @pytest.mark.parametrize("x", [1e-3, 1e-2, 1e-1])
+    def test_no_peak_where_the_integrand_falls_from_zero(self, passes, x):
+        # at b = beta/alpha = 0.01 the closed form of E* has a root near 0.49,
+        # but L(E) falls from E = 0 there.  The window of E* = 0 needs no
+        # halving pass, except at x = 1e-3, where the pole at E = -0.001
+        # takes one as well
+        import mlcs.continuum as continuum_mod
+
+        params = MLParams(1.0, 0.01, 0.001, 1.0)
+        kernel = continuum_mod._Kernel(math.log(params.k / params.alpha * x),
+                                       a=params.gamma_over_k, b=params.beta_over_alpha)
+        assert kernel.peak() == 0.0
+        fixed = tilde_ml(params, x)
+        assert passes == [(0.0, 40.0)] * (2 if x == 1e-3 else 1)
+        adaptive = tilde_ml(params, x, scheme="adaptive")
+        assert abs(fixed - adaptive) <= 1e-12 * abs(adaptive)
+
     def test_an_unmet_estimate_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12
         import mlcs.continuum as continuum_mod

@@ -316,18 +316,17 @@ class TestArrayKernel:
 
     def test_suites_and_p_function_call_the_kernel_on_arrays(self, monkeypatch):
         import mlcs.measure as measure_mod
-        import mlcs.thermal as thermal_mod
 
         params = MLParams(1.5, 1.2, 0.6, 1.0)
         calls = []
-        kernel = measure_mod.meijer_g_weight
+        kernel = measure_mod._meijer_g
 
-        def counting(p, x, *args, **kwargs):
-            calls.append(np.size(x))
-            return kernel(p, x, *args, **kwargs)
+        def counting(p, xs):
+            calls.append(xs.size)
+            return kernel(p, xs)
 
-        monkeypatch.setattr(measure_mod, "meijer_g_weight", counting)
-        monkeypatch.setattr(thermal_mod, "meijer_g_weight", counting)
+        # the suites call the kernel past the public validation
+        monkeypatch.setattr(measure_mod, "_meijer_g", counting)
         verify_resolution(params, s_max=8)
         assert 1 <= len(calls) <= 8 and sum(calls) > 100  # one call per rule level
         calls.clear()
@@ -527,16 +526,16 @@ class TestHalfLineRule:
             return x[:, None] ** powers[live] * np.exp(-x / 3.0)[:, None]
 
         values, _ = half_line_quad(family, scale)
-        # after the 97 first nodes, growth steps of one block per end, none
+        # after the 129 first nodes, growth steps of one block per end, none
         # cut short, then the halvings of at least 96 nodes
         growth = [n for n in sizes[1:] if n < 96]
-        assert sizes[0] == 97 and growth and set(growth) <= {16, 32}
+        assert sizes[0] == 129 and growth and set(growth) <= {16, 32}
         want = np.array([math.gamma(p + 1.0) * 3.0 ** (p + 1.0) for p in powers])
         assert np.allclose(values, want, rtol=1e-13, atol=0.0)
 
-    def test_both_ends_grow_in_one_call(self):
-        # exp(-x) at scale 1: the first 97 nodes, which hold the first
-        # halving, and one block for each end in one call
+    def test_first_call_covers_both_ends(self):
+        # exp(-x) at scale 1: the 129 first nodes, t in [-4, 4], hold the
+        # first halving and reach past both ends
         sizes = []
 
         def f(x):
@@ -544,8 +543,74 @@ class TestHalfLineRule:
             return np.exp(-x)
 
         values, _ = half_line_quad(f, 1.0)
-        assert sizes == [97, 32]
+        assert sizes == [129]
         assert values[0] == pytest.approx(1.0, rel=1e-13, abs=0)
+
+    def test_first_nodes_are_a_cached_read_only_table(self):
+        import mlcs.quadrature as quadrature_mod
+
+        table = quadrature_mod._first_nodes()
+        assert all(a is b for a, b in zip(quadrature_mod._first_nodes(), table))
+        j, x, w = table
+        assert j.tolist() == list(range(-64, 65))
+        for a in table:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # the nodes the rule is called on are scale times the table
+        seen = []
+        half_line_quad(lambda xs: seen.append(xs.copy()) or np.exp(-xs / 3.0), 3.0)
+        assert np.array_equal(seen[0], 3.0 * x)
+
+    def test_member_negligible_inside_the_old_range_keeps_its_value(self):
+        # a narrow peak at x = scale and exp(-x): both ends of the peak are
+        # below roundoff well inside t in [-3, 3], so the wider first call
+        # only adds zeros to it
+        a = 4.0e4
+        values, errors = half_line_quad(
+            lambda x, live=slice(None): np.stack(
+                (np.exp(-a * (x - 1.0) ** 2), np.exp(-x)), axis=1)[:, live], 1.0)
+        peak = math.sqrt(math.pi / a) * math.erfc(-math.sqrt(a)) / 2.0
+        assert values[0] == pytest.approx(peak, rel=1e-14, abs=0)
+        assert values[1] == pytest.approx(1.0, rel=1e-14, abs=0)
+        assert np.all(errors <= 1e-12 * np.abs(values))
+
+    @pytest.mark.parametrize("params, kernel", [
+        (MLParams(2.0, 3.0, 1.5, 0.7), [129]), (MLParams(1.0, 2.0, 3.0, 1.0), [129]),
+        (MLParams(1.5, 1.2, 0.6, 1.0), [129, 16])], ids=["2,3,1.5,0.7", "1,2,3,1", "1.5,1.2,0.6,1"])
+    def test_integrand_calls_of_point_calls(self, params, kernel, monkeypatch):
+        # the benchmark anchors: every rule call is one call of 129 nodes,
+        # except the subtracted kernel at gamma/k = 0.6, whose weighted
+        # integrand falls only as s**0.6 toward s = 0 and takes one low-end
+        # block
+        import mlcs.measure as measure_mod
+        import mlcs.quadrature as quadrature_mod
+
+        rule = quadrature_mod.half_line_quad
+        calls = []
+
+        def counted_rule(f, scale):
+            sizes = []
+            calls.append(sizes)
+
+            def g(x, *live):
+                sizes.append(x.size)
+                return f(x, *live)
+
+            return rule(g, scale)
+
+        monkeypatch.setattr(measure_mod, "half_line_quad", counted_rule)
+        monkeypatch.setattr(quadrature_mod, "half_line_quad", counted_rule)
+        to_x = params.alpha / params.k
+        cfg = ThermalConfig(0.6, LinearSpectrum.from_params(params))
+        for run, want in (
+                (lambda: meijer_g_weight(params, 0.7 * to_x), kernel),
+                (lambda: measure_weight_h(params, 2.0 * to_x), kernel),
+                (lambda: p_function(CSLabel(math.sqrt(to_x)), params, cfg), kernel),
+                (lambda: mlcs.ml_laplace_quad(params, 3.0 * params.k / params.alpha), [129])):
+            calls.clear()
+            run()
+            assert calls == [want]
 
     def test_each_member_stops_at_its_own_target(self):
         # exp(-x) meets its target on the first level; a narrow peak at x = 2
