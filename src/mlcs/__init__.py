@@ -17,9 +17,7 @@ _EXPORTS = {
     "errors": (
         "ConvergenceError", "DomainError", "RouteMismatchError",
         "TruncationOverflowError"),
-    "kcore": (
-        "MLParams", "UNIT_PARAMS", "gen_gamma", "k_gamma", "k_pochhammer",
-        "log_gen_gamma", "log_k_gamma", "log_k_pochhammer"),
+    "kcore": ("MLParams", "UNIT_PARAMS"),
     "mlfunc": (
         "EvalConfig", "SeriesResult", "ml_eval", "ml_eval_complex", "ml_eval_via_1f1",
         "ml_laplace", "ml_laplace_quad"),

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
-from .kcore import MLParams, _gamma, _require_nonnegative
+from .kcore import MLParams, _gamma, _require_count, _require_nonnegative
 from .mlfunc import _BIG, _DEFAULT_CONFIG, _DOWN, EvalConfig, _ml_sum
 
 __all__ = [
-    "TOP_COEFF_TOL",
     "CSLabel",
     "FockExpansion",
     "structure_e",
@@ -102,11 +101,8 @@ class FockExpansion:
     @classmethod
     def basis(cls, n: int, params: MLParams, size: int | None = None) -> "FockExpansion":
         """Unit vector |n> in a window of the given size (default n+1)."""
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
-        size = (n + 1) if size is None else size
-        if size < n + 1:
-            raise DomainError(f"window size {size} cannot hold index {n}")
+        _require_count(n, "n", 0)
+        size = (n + 1) if size is None else _require_count(size, "size", n + 1)
         c = np.zeros(size, dtype=np.complex128)
         c[n] = 1.0
         return cls(c, params)
@@ -117,9 +113,7 @@ def structure_e(params: MLParams, n: int) -> float:
 
     Defined for integer n >= 1; e_1 = beta/gamma sets the ground spacing.
     """
-    if not (isinstance(n, int) and not isinstance(n, bool)) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    return _structure(params, n)
+    return _structure(params, _require_count(n, "n", 1))
 
 
 def _structure(params: MLParams, n):
@@ -231,16 +225,13 @@ def overlap_from_coeffs(a: FockExpansion, b: FockExpansion) -> complex:
 
 def expectation_ordered_power(z: CSLabel, params: MLParams, m: int) -> float:
     """<z| raise^m lower^m |z> = |z|^(2m), immediate from the eigenvalue property."""
-    if not (isinstance(m, int) and not isinstance(m, bool)) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    return (z.modulus ** 2) ** m
+    return (z.modulus ** 2) ** _require_count(m, "m", 0)
 
 
 def ordered_moment_fock(z: CSLabel, params: MLParams, m: int) -> float:
     """Same ordered moment summed over the photon distribution:
     sum_n p_n * e_n e_{n-1} ... e_{n-m+1}."""
-    if not (isinstance(m, int) and not isinstance(m, bool)) or m < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m!r}")
+    _require_count(m, "m", 0)
     state = cs_build(z, params)
     p = np.abs(state.coeffs) ** 2
     e = _structure(params, np.arange(1, p.size))

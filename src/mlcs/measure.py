@@ -50,7 +50,7 @@ import numpy as np
 
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
-from .kcore import MLParams, _gamma, _require_positive
+from .kcore import MLParams, _gamma, _require_count, _require_positive
 from .mlfunc import _ml_table
 from .quadrature import gauss_legendre_panels, half_line_quad
 
@@ -481,9 +481,7 @@ def verify_resolution(params: MLParams, s_max: int = 8) -> MomentReport:
     evaluated once per node, in one call per level of the rule;
     ConvergenceError if any moment misses the target.
     """
-    if not (isinstance(s_max, int) and s_max >= 1):
-        raise DomainError(f"s_max must be an integer >= 1, got {s_max!r}")
-    powers = np.arange(s_max)
+    powers = np.arange(_require_count(s_max, "s_max", 1))
 
     def moments(xs, live=slice(None)):
         return xs[:, None] ** powers[live] * _meijer_g(params, xs)[:, None]
@@ -504,8 +502,7 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     level of the half-line rule makes one term table for all its nodes,
     whose E(x) gives both h(x) and the probabilities |c_n|^2, n <= n_max.
     """
-    if not (isinstance(n_max, int) and n_max >= 0):
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
+    _require_count(n_max, "n_max", 0)
 
     def weighted_probs(xs, live=slice(None)):
         h, probs = _weight_and_probs(params, xs, n_max)

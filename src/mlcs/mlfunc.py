@@ -1,8 +1,8 @@
 """Evaluation of the four-parameter generalized Mittag-Leffler function
 
-    E(z) = sum_{n>=0} k_pochhammer(gamma, n, k) * z**n
-                      / (gen_gamma(params, n) * n!)
+    E(z) = sum_{n>=0} (gamma)_{n,k} z**n / (Gamma(beta) (beta)_{n,alpha} n!)
 
+with the Pochhammer k-symbol (x)_{n,k} = x (x+k) ... (x+(n-1)k), summed
 by direct term recursion, plus a confluent-hypergeometric cross-check route
 and the Laplace transform of E in closed form and by quadrature.
 
@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _gamma
+from .kcore import MLParams, _gamma, _require_count, _require_positive
 
 __all__ = [
     "EvalConfig",
@@ -84,10 +84,9 @@ class EvalConfig:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
+        if _require_positive(self.rel_tol, "rel_tol") >= 1.0:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 10):
-            raise DomainError(f"max_terms must be an integer >= 10, got {self.max_terms!r}")
+        _require_count(self.max_terms, "max_terms", 10)
 
 
 _DEFAULT_CONFIG = EvalConfig()

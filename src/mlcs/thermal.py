@@ -21,7 +21,7 @@ import numpy as np
 
 from .coherent import CSLabel, cs_build
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _require_positive
+from .kcore import MLParams, _require_count, _require_positive
 from .measure import meijer_g_weight
 from .mlfunc import SeriesResult, _ml_sum
 
@@ -95,8 +95,7 @@ class ThermalConfig:
         _require_positive(self.beta_b, "beta_b")
         if not isinstance(self.spectrum, (LinearSpectrum, QuadraticSpectrum)):
             raise DomainError("spectrum must be a LinearSpectrum or QuadraticSpectrum")
-        if not (isinstance(self.ansatz_terms, int) and self.ansatz_terms >= 0):
-            raise DomainError(f"ansatz_terms must be an integer >= 0, got {self.ansatz_terms!r}")
+        _require_count(self.ansatz_terms, "ansatz_terms", 0)
 
 
 def partition_linear(cfg: ThermalConfig) -> float:
@@ -169,8 +168,7 @@ def partition_quadratic(cfg: ThermalConfig, rel_tol: float = 1e-5) -> SeriesResu
 def ansatz_error_curve(cfg: ThermalConfig, j_max: int) -> list[float]:
     """Relative error of the ansatz against the direct sum for J = 0..j_max;
     the asymptotic character shows as a minimum followed by growth."""
-    if j_max < 0:
-        raise DomainError(f"j_max must be >= 0, got {j_max!r}")
+    _require_count(j_max, "j_max", 0)
     oracle = partition_quadratic_direct(cfg)
     return [abs(total - oracle) / abs(oracle) for total in _ansatz_sums(cfg, j_max)]
 

@@ -347,6 +347,13 @@ class TestImportBudget:
             for name in names:
                 assert getattr(mlcs, name) is getattr(owner, name), name
 
+    def test_module_all_lists_exactly_its_exports(self):
+        # perfbench wraps each module's __all__, the package resolves _EXPORTS
+        for module, names in mlcs._EXPORTS.items():
+            owner = importlib.import_module(f"mlcs.{module}")
+            if hasattr(owner, "__all__"):
+                assert sorted(owner.__all__) == sorted(names), module
+
     def test_dir_and_star_import_list_every_public_name(self):
         assert set(mlcs.__all__) <= set(dir(mlcs))
         namespace = {}

@@ -306,6 +306,8 @@ class TestSeriesDiagnostics:
         with pytest.raises(DomainError):
             EvalConfig(rel_tol=math.nan)
         with pytest.raises(DomainError):
+            EvalConfig(rel_tol="1e-3")
+        with pytest.raises(DomainError):
             EvalConfig(max_terms=0)
 
     def test_config_only_where_a_caller_sets_it(self):
