@@ -9,6 +9,15 @@ Spectra are given directly by their coefficients:
 
 with constructors recovering both from the ladder structure values in the
 regimes where those degenerate to straight or quadratic growth.
+
+The quadratic spectrum's two partition routes are numpy passes over blocks
+of n.  The resummation forms every Bose power sum S_m(y) = sum_n n**m e**-ny
+it needs in (orders, block) arrays exp(m log n - n y), up to _ROWS orders per
+pass; the direct route sums exp(-beta_b E_n).  A sum stops at the end of the first block whose last
+term is past the peak (m/y, or the minimum of E_n) and at most 1e-18 of the
+sum, within a budget of 10,000,000 terms.  A sum whose budget the bound in
+_require_budget shows to be too small raises ConvergenceError before any
+summing; one that leaves float64 raises OverflowError naming it.
 """
 
 from __future__ import annotations
@@ -98,6 +107,12 @@ class ThermalConfig:
         _require_count(self.ansatz_terms, "ansatz_terms", 0)
 
 
+_BLOCK = 128  # terms per array pass of the partition sums
+_ROWS = 64  # power-sum orders per pass, so a pass holds at most _ROWS * _BLOCK terms
+_BUDGET = 10_000_000  # terms before a partition sum gives up
+_SETTLE = 1e-18  # a sum stops once its last term is at most this share of it
+
+
 def partition_linear(cfg: ThermalConfig) -> float:
     """Geometric-series partition function 1 / (1 - exp(-beta_b * slope));
     OverflowError where it exceeds float64 (beta_b * slope below ~1e-308)."""
@@ -110,36 +125,72 @@ def partition_linear(cfg: ThermalConfig) -> float:
     return 1.0 / gap
 
 
-def _bose_power_sum(m: int, y: float) -> float:
-    """S_m(y) = sum_{n>=0} n**m exp(-n y), summed until terms stop mattering."""
+def _require_budget(peak: float, slope: float, curvature: float, message: str) -> None:
+    """ConvergenceError, before any summing, for terms e**-f(n) that cannot
+    settle within the budget.  A sum of at most _BUDGET + 1 terms is at most
+    that many times its peak term, so the stopping test needs f to rise by
+    ln(1e18) - ln(_BUDGET + 1) (about 25) above its peak value, and past the
+    peak f rises by at most slope * d + curvature * d**2 over d steps."""
+    rise = -math.log(_SETTLE) - math.log(_BUDGET + 1)
+    rate = slope + math.sqrt(slope * slope + 4.0 * curvature * rise)
+    if rate == 0.0 or peak + 2.0 * rise / rate > _BUDGET:
+        raise ConvergenceError(message)
+
+
+def _bose_power_sums(orders, y: float) -> np.ndarray:
+    """S_m(y) = sum_{n>=0} n**m exp(-n y) for every m in orders, summed over
+    blocks of n, _ROWS orders at a time, until, for each order of the pass,
+    the last term is past the peak m/y and at most 1e-18 of its sum."""
     if y <= 0.0:
         raise DomainError(f"need y > 0, got {y}")
-    total = 1.0 if m == 0 else 0.0
-    n = 1
-    peak = m / y
-    while True:
-        term = math.exp(m * math.log(n) - n * y) if m else math.exp(-n * y)
-        total += term
-        if n > peak and term <= 1e-18 * total:
-            return total
-        n += 1
-        if n > 10_000_000:
-            raise ConvergenceError(f"power sum S_{m}({y}) did not settle")
+    m = np.asarray(orders, dtype=float)
+    return np.concatenate([_power_sum_rows(m[i:i + _ROWS], y) for i in range(0, m.size, _ROWS)])
+
+
+def _power_sum_rows(m: np.ndarray, y: float) -> np.ndarray:
+    peak = m.max() / y
+    unsettled = f"power sum S_{m.max():.0f}({y}) did not settle"
+    _require_budget(peak, y, 0.0, unsettled)
+    totals = (m == 0.0).astype(float)
+    start = 1
+    with np.errstate(over="ignore"):
+        while start <= _BUDGET:
+            n = np.arange(start, min(start + _BLOCK, _BUDGET + 1), dtype=float)
+            terms = np.exp(np.multiply.outer(m, np.log(n)) - n * y)
+            totals += terms.sum(axis=1)
+            if not np.isfinite(totals).all():
+                bad = m[~np.isfinite(totals)][0]
+                raise OverflowError(f"power sum S_{bad:.0f}({y}) exceeds float64 range")
+            if n[-1] > peak and (terms[:, -1] <= _SETTLE * totals).all():
+                return totals
+            start += _BLOCK
+    raise ConvergenceError(unsettled)
 
 
 def partition_quadratic_direct(cfg: ThermalConfig) -> float:
-    """Direct Boltzmann sum over the quadratic spectrum (the oracle route)."""
+    """Direct Boltzmann sum over the quadratic spectrum (the oracle route),
+    over blocks of n until the last term is at most 1e-18 of the sum."""
     if not isinstance(cfg.spectrum, QuadraticSpectrum):
         raise DomainError("needs a QuadraticSpectrum")
     sp = cfg.spectrum
     if sp.b_quad < 0.0 or (sp.b_quad == 0.0 and sp.a_lin <= 0.0):
         raise DomainError("spectrum must grow; direct sum diverges")
+    beta = cfg.beta_b
+    peak = max(0.0, -sp.a_lin / (2.0 * sp.b_quad)) if sp.b_quad > 0.0 else 0.0
+    _require_budget(peak, beta * max(sp.a_lin, 0.0), beta * sp.b_quad,
+                    "direct Boltzmann sum did not settle")
     total = 0.0
-    for n in range(10_000_000):
-        term = math.exp(-cfg.beta_b * sp.energy(n))
-        total += term
-        if n > 0 and term <= 1e-18 * total:
-            return total
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < _BUDGET:
+            n = np.arange(start, min(start + _BLOCK, _BUDGET), dtype=float)
+            terms = np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n))
+            total += float(terms.sum())
+            if not math.isfinite(total):
+                raise OverflowError("direct Boltzmann sum exceeds float64 range")
+            if terms[-1] <= _SETTLE * total:
+                return total
+            start += _BLOCK
     raise ConvergenceError("direct Boltzmann sum did not settle")
 
 
@@ -159,6 +210,7 @@ def partition_quadratic(cfg: ThermalConfig, rel_tol: float = 1e-5) -> SeriesResu
         raise DomainError("linear coefficient must be positive")
     if sp.b_quad < 0.0:
         raise DomainError("quadratic coefficient must be >= 0")
+    _require_positive(rel_tol, "rel_tol")
     total = _ansatz_sums(cfg, cfg.ansatz_terms)[-1]
     oracle = partition_quadratic_direct(cfg)
     deviation = abs(total - oracle) / abs(oracle)
@@ -176,16 +228,10 @@ def ansatz_error_curve(cfg: ThermalConfig, j_max: int) -> list[float]:
 def _ansatz_sums(cfg: ThermalConfig, j_max: int) -> list[float]:
     """Partial sums of the resummation ansatz for J = 0..j_max."""
     sp = cfg.spectrum
-    y = cfg.beta_b * sp.a_lin
-    coeff = 1.0
-    total = 0.0
-    sums = []
-    for j in range(j_max + 1):
-        if j > 0:
-            coeff *= -cfg.beta_b * sp.b_quad / j
-        total += coeff * _bose_power_sum(2 * j, y)
-        sums.append(total)
-    return sums
+    powers = _bose_power_sums(range(0, 2 * j_max + 1, 2), cfg.beta_b * sp.a_lin)
+    ratios = -cfg.beta_b * sp.b_quad / np.arange(1, j_max + 1)
+    coeffs = np.cumprod(np.concatenate(([1.0], ratios)))
+    return np.cumsum(coeffs * powers).tolist()
 
 
 def _require_linear(cfg: ThermalConfig) -> float:

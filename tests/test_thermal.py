@@ -1,12 +1,15 @@
 """Gibbs-state machinery: partition functions, resummation ansatz, Q and P."""
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import pytest
 
 from mlcs import (
     CSLabel,
+    ConvergenceError,
     DomainError,
     LinearSpectrum,
     MLParams,
@@ -24,6 +27,8 @@ from mlcs import (
     partition_quadratic_direct,
     photon_distribution,
 )
+from mlcs import thermal
+from mlcs.thermal import _ansatz_sums, _bose_power_sums
 from reference_quad import improper_quad
 
 
@@ -138,6 +143,99 @@ class TestPartitionQuadratic:
             partition_quadratic(ThermalConfig(1.0, QuadraticSpectrum(1.0, -0.1)))
         with pytest.raises(DomainError):
             partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(-1.0, 0.0)))
+
+
+class TestBlockSums:
+    def test_power_sums_match_the_polylog(self):
+        # S_m(y) = Li_{-m}(e^-y), plus the n = 0 term 1 at m = 0; one call
+        # for all orders, as the ansatz makes it
+        orders = (0, 2, 4, 8, 16, 20)
+        for y in (1e-3, 0.05, 0.64, 1.0, 1.44, 20.0):
+            got = _bose_power_sums(orders, y)
+            with mpmath.workdps(40):
+                q = mpmath.exp(-mpmath.mpf(y))
+                want = [float(mpmath.polylog(-m, q) + (m == 0)) for m in orders]
+            for m, g, w in zip(orders, got, want):
+                assert g == pytest.approx(w, rel=1e-14, abs=0), (m, y)
+
+    def test_ansatz_partial_sums_follow_the_sequential_loop(self):
+        # coefficients (-beta_b b)**j / j! built one factor at a time and the
+        # partial sums added in order: the array path carries the same bits
+        cfg = ThermalConfig(0.9, QuadraticSpectrum(1.1, 0.007), 8)
+        powers = _bose_power_sums(range(0, 17, 2), 0.9 * 1.1)
+        coeff, total, want = 1.0, 0.0, []
+        for j in range(9):
+            if j > 0:
+                coeff *= -0.9 * 0.007 / j
+            total += coeff * float(powers[j])
+            want.append(total)
+        assert _ansatz_sums(cfg, 8) == want
+
+    def test_direct_sum_matches_fsum_of_its_terms(self):
+        cases = [(1.0, QuadraticSpectrum(1.0, 0.05)), (0.3, QuadraticSpectrum(0.1, 1e-3)),
+                 (2.0, QuadraticSpectrum(0.5, 0.0)), (1.0, QuadraticSpectrum(-3.0, 0.5)),
+                 (0.05, QuadraticSpectrum(2.0, 0.5))]
+        for beta_b, sp in cases:
+            # every case is below e**-700 of its sum by n = 2000
+            terms = [math.exp(-beta_b * sp.energy(n)) for n in range(2000)]
+            got = partition_quadratic_direct(ThermalConfig(beta_b, sp))
+            assert got == pytest.approx(math.fsum(terms), rel=1e-14, abs=0), (beta_b, sp)
+
+    def test_beyond_float64_is_a_named_overflow(self):
+        # the peak term of S_400(1) is about e**1996; no inf comes back and
+        # no RuntimeWarning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"power sum S_400\(1\.0\) exceeds float64"):
+                _bose_power_sums([400], 1.0)
+            with pytest.raises(OverflowError, match=r"power sum S_\d+\(1\.0\) exceeds float64"):
+                ansatz_error_curve(ThermalConfig(1.0, QuadraticSpectrum(1.0, 0.1)), 100)
+            with pytest.raises(OverflowError, match="direct Boltzmann sum exceeds float64"):
+                partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(-2000.0, 1.0)))
+
+    def test_deep_ansatz_sums_its_orders_in_bounded_passes(self):
+        # _ROWS orders per pass: j_max = 20,000 meets its overflow at S_174
+        # with well under a megabyte traced, where one pass over all 20,001
+        # orders would hold about 40 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match=r"power sum S_174\(1\.0\) exceeds float64"):
+                ansatz_error_curve(ThermalConfig(1.0, QuadraticSpectrum(1.0, 0.1)), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_unreachable_budget_fails_before_summing(self, monkeypatch):
+        # no block can be formed with _BLOCK = None: the error comes first
+        monkeypatch.setattr(thermal, "_BLOCK", None)
+        with pytest.raises(ConvergenceError, match=r"power sum S_0\(1e-06\) did not settle"):
+            _bose_power_sums([0], 1e-6)
+        with pytest.raises(ConvergenceError, match="direct Boltzmann sum did not settle"):
+            partition_quadratic_direct(ThermalConfig(1e-7, QuadraticSpectrum(1.0, 0.0)))
+        with pytest.raises(ConvergenceError, match="direct Boltzmann sum did not settle"):
+            partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(0.0, 1e-17)))
+
+    def test_budget_bound_rejects_only_sums_that_cannot_settle(self, monkeypatch):
+        # at a budget of 10,000 terms S_0(3.7e-3) settles after about 9,700
+        # terms and the Gaussian sum at beta_b b = 4e-7 after about 9,300;
+        # at 3.1e-3 and 3e-7 the bound already shows the budget is too small
+        monkeypatch.setattr(thermal, "_BUDGET", 10_000)
+        y = 3.7e-3
+        assert _bose_power_sums([0], y)[0] == pytest.approx(-1.0 / math.expm1(-y), rel=1e-13)
+        gauss = partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(0.0, 4e-7)))
+        assert gauss == pytest.approx(0.5 + math.sqrt(math.pi / 4e-7) / 2, rel=1e-12)
+        monkeypatch.setattr(thermal, "_BLOCK", None)
+        with pytest.raises(ConvergenceError):
+            _bose_power_sums([0], 3.1e-3)
+        with pytest.raises(ConvergenceError):
+            partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(0.0, 3e-7)))
+
+    def test_rel_tol_is_validated(self):
+        cfg = ThermalConfig(1.0, QuadraticSpectrum(1.0, 0.005))
+        for bad in (-1.0, math.nan, 0.0, "1e-5"):
+            with pytest.raises(DomainError, match="rel_tol must be positive"):
+                partition_quadratic(cfg, bad)
 
 
 def linear_cfg(beta_b, slope=1.0):
