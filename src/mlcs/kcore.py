@@ -24,8 +24,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _require_positive(value, name: str) -> float:
-    """The package's one positive-finite check; returns value as a float."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    """The package's one positive-finite check (bools refused); returns a float."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 

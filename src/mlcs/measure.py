@@ -26,19 +26,18 @@ fast route, and the moment identity
 is the quantitative check that the measure closes the basis: against it the
 coefficient-space identity matrix comes out as a Kronecker delta.
 
-Both identity suites integrate with the half-line double-exponential rule of
-the quadrature module (nodes x = (alpha/k) exp(t - exp(-t)), error estimate
-from the last halving of the step, each moment or entry stopping at its own
-target).  Every moment s shares the same nodes, and every diagonal entry n
-shares the nodes of the Gram matrix, so each level of the rule makes one
-kernel call for all its nodes; the kernel's own rule in s likewise refines
-only the y not yet at their target.  h(x) takes E(x) from one term table of
-the mlfunc module per call, and for the Gram matrix the state probabilities
-p_0 = t_0 / E(x), p_n = p_{n-1} x / e_n share that E(x), which cancels:
-h p_n = pref G t_n, with pref the constant factor of h and t_n the n-th
-term of the series of E.  The Gram diagonal is therefore the moment suite
-in coefficient space (entry n is pref times the coefficient of x**n in t_n
-times the moment s = n + 1 of G), not an independent check of it.
+Both identity suites are one routine: the half-line double-exponential rule
+of the quadrature module over G((k/alpha) x) times a family of columns,
+powers x**(s-1) for the moments and, for the Gram matrix, h(x) |c_n|**2 / G
+with E(x) cancelled analytically: h p_n = pref G t_n, pref the constant
+factor of h and t_n the n-th term of the series of E, formed as the ladder
+(pref / Gamma(beta)) prod_{j<=n} x / e_j.  The Gram diagonal is therefore
+the moment suite in coefficient space (entry n is pref times the
+coefficient of x**n in t_n times the moment s = n + 1 of G), not an
+independent check of it, and no E(x) is summed for it.  The rule's scale
+follows the tallest member, so one call of its first nodes usually covers
+every member, with one kernel call for all of them.  h(x) itself takes E(x)
+from one term table of the mlfunc module per call.
 """
 
 from __future__ import annotations
@@ -142,29 +141,32 @@ def _laplace_family(a: float, b2: float, y: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.where(h > 0.0, 2.0 * c / (h + r), 0.5 * (r - h))
         s_ref = root if a > 1.0 else np.maximum(root, y)
-        log_ref = -s_ref + (a - 1.0) * np.log(s_ref) + p * np.log(y + s_ref)
+        # exponent: -s + (a-1) log s once per node, the peak term once per
+        # column (kernel reuses it, so its rounding cancels), and one log per
+        # element of p log((y+s)/(y+s_ref)), a ratio: as two logs it would be
+        # a difference of two values near log y
+        peak = s_ref - (a - 1.0) * np.log(s_ref)
+        y_ref = y + s_ref
 
         def integrand(s, cols):
-            # each term formed as one ratio, so the exponent carries no
-            # cancellation of large logarithms
-            yc, ref = y[cols], s_ref[cols]
-            return np.exp(-(s - ref) + (a - 1.0) * np.log(s / ref)
-                          + p * np.log((yc + s) / (yc + ref)))
+            node = -s + (a - 1.0) * np.log(s)
+            return np.exp(node + peak[cols] + p * np.log((y[cols] + s) / y_ref[cols]))
 
         def kernel(total):
-            return np.exp(log_ref - y - math.lgamma(a) + np.log(total))
+            return np.exp(p * np.log(y_ref) - peak - y - math.lgamma(a) + np.log(total))
     else:
         # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
-        # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing;
-        # 1/Gamma(a) is finite as 0 < |a| < 1/2
+        # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing, the
+        # first two terms once per node; 1/Gamma(a) is finite as 0 < |a| < 1/2
         rgamma = 1.0 / math.gamma(a)
         sign = math.copysign(1.0, p)
 
         def integrand(s, cols):
+            node = -s + (a - 1.0) * np.log(s)
             yc = y[cols]
             with np.errstate(divide="ignore"):
                 tail = np.log(np.abs(np.expm1(-p * np.log1p(s / yc))))
-            return sign * np.exp(-s + (a - 1.0) * np.log(s) + p * np.log(yc + s) + tail)
+            return sign * np.exp(node + p * np.log(yc + s) + tail)
 
         def kernel(total):
             return np.exp(-y) * (y ** p + rgamma * total)
@@ -319,8 +321,8 @@ def _g_small_y(a1: float, b2: float, y: float) -> float:
 
 def _x_values(x) -> tuple[np.ndarray, bool]:
     """x as a 1-d float array, and whether it came as a scalar; DomainError
-    unless every element is finite and >= 0."""
-    if isinstance(x, (int, float)):
+    unless every element is finite and >= 0, or for a bool (scalar or array)."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         xs, scalar = np.array([float(x)]), True
     elif isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iuf":
         xs, scalar = x.astype(float), False
@@ -430,33 +432,23 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
 
 
 def measure_weight_h(params: MLParams, x):
-    """Full radial weight h(x); identically 1 at unit parameters.  x is a
-    float or a 1-d array, as for meijer_g_weight."""
+    """Full radial weight h(x); identically 1 at unit parameters.  x is a float
+    or a 1-d array, as for meijer_g_weight; OverflowError where E(x) overflows."""
     xs, scalar = _x_values(x)
-    h = _weight_and_probs(params, xs, 0)[0]
-    return float(h[0]) if scalar else h
-
-
-def _weight_and_probs(params: MLParams, xs: np.ndarray, n_max: int):
-    """h at the nodes xs and the state probabilities p_n(x), n <= n_max, of
-    each node, both on the E(x) of one term table: p_0 = t_0 / E(x) and
-    p_n = p_{n-1} x / e_n, the ladder recursion.  OverflowError where E(x)
-    is beyond float64."""
     sums, exps, _ = _ml_table(params, xs)
     with np.errstate(over="ignore"):
         series = np.ldexp(sums, exps)
     if not np.isfinite(series).all():
         x = float(xs[np.argmin(np.isfinite(series))])
         raise OverflowError(f"E at x = {x!r} exceeds float64 range")
-    pref = (
-        (params.k / params.alpha)
-        * _gamma(params.gamma_over_k, "gamma/k")
-        / _gamma(params.beta_over_alpha, "beta/alpha")
-        * _gamma(params.beta)
-    )
-    ladder = xs[:, None] / _structure(params, np.arange(1, n_max + 1))
-    probs = np.cumprod(np.hstack(((1.0 / _gamma(params.beta)) / series[:, None], ladder)), axis=1)
-    return pref * series * _meijer_g(params, xs), probs
+    h = _h_constant(params) * series * _meijer_g(params, xs)
+    return float(h[0]) if scalar else h
+
+
+def _h_constant(params: MLParams) -> float:
+    """pref, the constant factor of h; an overflow of Gamma(beta) is named first."""
+    return (_gamma(params.beta) * (params.k / params.alpha)
+            * _gamma(params.gamma_over_k, "gamma/k") / _gamma(params.beta_over_alpha, "beta/alpha"))
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -474,19 +466,26 @@ def moment_closed_form(params: MLParams, s: float) -> float:
     return math.exp(log_val)
 
 
+def _kernel_integrals(params: MLParams, top: int, columns) -> np.ndarray:
+    """int_0^inf G((k/alpha) x) c(x) dx for every column c of columns(xs, g),
+    g the kernel at the nodes xs as a column, one kernel call per level of a
+    half-line rule.  The tallest column, x**top, peaks with G at
+    y* = top + b2 - a1; the scale y*/4 puts the first call's last node
+    (53.6 scale) past its tail."""
+    a1, b2 = _g_params(params)
+    scale = (params.alpha / params.k) * max(1.0, (top + b2 - a1) / 4.0)
+    return half_line_quad(lambda xs, live=slice(None): columns(
+        xs, _meijer_g(params, xs)[:, None])[:, live], scale)[0]
+
+
 def verify_resolution(params: MLParams, s_max: int = 8) -> MomentReport:
     """Moments of the Meijer kernel, quadrature vs closed form, s = 1..s_max.
 
-    All moments share the nodes of one half-line rule, so the kernel is
-    evaluated once per node, in one call per level of the rule;
+    All moments share the nodes of one half-line rule and its kernel calls;
     ConvergenceError if any moment misses the target.
     """
     powers = np.arange(_require_count(s_max, "s_max", 1))
-
-    def moments(xs, live=slice(None)):
-        return xs[:, None] ** powers[live] * _meijer_g(params, xs)[:, None]
-
-    lhs, _ = half_line_quad(moments, params.alpha / params.k)
+    lhs = _kernel_integrals(params, s_max - 1, lambda xs, g: xs[:, None] ** powers * g)
     s_values = range(1, s_max + 1)
     rhs = [moment_closed_form(params, float(s)) for s in s_values]
     return MomentReport(tuple(s_values), tuple(lhs), tuple(rhs))
@@ -498,15 +497,14 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     Entry (m, n) is int_0^inf h(x) c_m(sqrt(x)) c_n(sqrt(x)) dx after the
     angular integral has killed m != n (coefficients at zero phase are real);
     off-diagonal entries are written as exact zeros and the diagonal is
-    computed by quadrature, so the result should be the identity.  Each
-    level of the half-line rule makes one term table for all its nodes,
-    whose E(x) gives both h(x) and the probabilities |c_n|^2, n <= n_max.
+    computed by quadrature, so the result should be the identity.  No E(x)
+    is formed: the diagonal is the moment routine of verify_resolution in
+    coefficient space, not an independent check of the moments, on the
+    ladder (pref / Gamma(beta)) G prod_{j<=n} x / e_j, a cumulative product
+    that starts from G so that no x**n is formed on its own.
     """
     _require_count(n_max, "n_max", 0)
-
-    def weighted_probs(xs, live=slice(None)):
-        h, probs = _weight_and_probs(params, xs, n_max)
-        return h[:, None] * probs[:, live]
-
-    diag, _ = half_line_quad(weighted_probs, params.alpha / params.k)
-    return np.diag(diag)
+    head = _h_constant(params) / _gamma(params.beta)
+    e = _structure(params, np.arange(1, n_max + 1))
+    return np.diag(_kernel_integrals(
+        params, n_max, lambda xs, g: np.cumprod(np.hstack((head * g, xs[:, None] / e)), axis=1)))

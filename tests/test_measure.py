@@ -26,6 +26,7 @@ from mlcs import (
     meijer_g_weight_mb,
     moment_closed_form,
     p_function,
+    photon_distribution,
     resolution_identity_matrix,
     verify_resolution,
 )
@@ -292,6 +293,17 @@ class TestArrayKernel:
             with pytest.raises(DomainError):
                 meijer_g_weight(UNIT_PARAMS, bad)
 
+    def test_bool_is_a_domain_error(self):
+        # True is an int to isinstance: a scalar bool is refused as a bool
+        # array is, not taken as x = 1
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        for run in (meijer_g_weight, measure_weight_h, meijer_g_weight_mb):
+            with pytest.raises(DomainError):
+                run(params, True)
+        for run in (meijer_g_weight, measure_weight_h):
+            with pytest.raises(DomainError):
+                run(params, np.array([True, False]))
+
     def test_checked_mode_referees_every_element(self, monkeypatch):
         import mlcs.measure as measure_mod
 
@@ -436,14 +448,61 @@ class TestResolutionIdentity:
         mat = resolution_identity_matrix(UNIT_PARAMS, n_max=4)
         assert np.allclose(mat, np.eye(5), atol=1e-9)
 
-    @pytest.mark.parametrize("params", [
+    DIAGONAL_SETS = (
         UNIT_PARAMS, MLParams(1.5, 2.5, 1.0, 1.0), MLParams(1.5, 1.2, 0.6, 1.0),
-        MLParams(2.0, 3.0, 0.3, 1.0), MLParams(2.0, 3.0, 1.5, 0.7), MLParams(0.6, 1.4, 2.8, 1.1)])
+        MLParams(2.0, 3.0, 0.3, 1.0), MLParams(2.0, 3.0, 1.5, 0.7), MLParams(0.6, 1.4, 2.8, 1.1))
+    # the quadrature anchors of the benchmark
+    ANCHORS = (MLParams(2.0, 3.0, 1.5, 0.7), MLParams(1.0, 2.0, 3.0, 1.0),
+               MLParams(1.5, 1.2, 0.6, 1.0))
+
+    @pytest.mark.parametrize("params", DIAGONAL_SETS)
     def test_diagonal_at_roundoff(self, params):
-        # h(x) and |c_n|^2 share one E(x) sum per node, so its truncation
-        # cancels; with two separately truncated sums the worst was 5.8e-13
+        # E(x) cancels from h |c_n|^2 and is not formed; with h(x) and |c_n|^2
+        # on two separately truncated sums the worst was 5.8e-13
         diag = np.diag(resolution_identity_matrix(params, n_max=10))
         assert np.max(np.abs(diag - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("params", ANCHORS)
+    def test_diagonal_at_roundoff_to_n_170(self, params):
+        # the ladder climbs from the kernel, so no x**n times a coefficient
+        # overflows at the far nodes of the tallest entry
+        diag = np.diag(resolution_identity_matrix(params, n_max=170))
+        assert np.max(np.abs(diag - 1.0)) <= 2e-14
+
+    @pytest.mark.parametrize("params", DIAGONAL_SETS + ANCHORS[1:] + (
+        MLParams(1.0, 2.0, 1.0, 1.0), MLParams(2.0, 3.0, 1.0, 1.0)))
+    def test_suites_make_one_outer_integrand_call(self, params, monkeypatch):
+        # the rule's scale follows the tallest member, so the first 129 nodes
+        # cover every moment and diagonal entry; each call of the outer
+        # integrand makes one kernel call
+        import mlcs.measure as measure_mod
+
+        kernel = measure_mod._meijer_g
+        sizes = []
+        monkeypatch.setattr(measure_mod, "_meijer_g",
+                            lambda p, xs: sizes.append(xs.size) or kernel(p, xs))
+        verify_resolution(params, s_max=8)
+        resolution_identity_matrix(params, n_max=10)
+        assert sizes == [129, 129]
+
+    def test_gram_columns_are_h_times_state_probabilities(self, monkeypatch):
+        # the Gram integrand, with E(x) cancelled, is still the paper's
+        # h(x) |c_n(sqrt x)|^2: measure_weight_h times the probabilities of
+        # the state built by cs_build, at one x per regime of the series
+        import mlcs.measure as measure_mod
+
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        families = []
+        monkeypatch.setattr(measure_mod, "half_line_quad",
+                            lambda f, scale: families.append(f) or (np.ones(12), None))
+        resolution_identity_matrix(params, n_max=11)
+        xs = np.array([0.0, 0.3, 4.0, 40.0])
+        columns = families[0](xs)
+        assert columns.shape == (4, 12)
+        for x, row in zip(xs.tolist(), columns):
+            want = measure_weight_h(params, x) * photon_distribution(
+                CSLabel(math.sqrt(x)), params).probs[:12]
+            assert row[:want.size] == pytest.approx(want, rel=1e-11, abs=1e-300)
 
     def test_one_term_table_per_rule_level(self, monkeypatch):
         import mlcs.coherent as coherent_mod
@@ -456,12 +515,17 @@ class TestResolutionIdentity:
 
         monkeypatch.setattr(mlfunc_mod, "_series", forbidden)
         monkeypatch.setattr(coherent_mod, "_series_terms", forbidden)
-        tables, levels = [], []
+        tables, kernels, levels = [], [], []
         table = mlfunc_mod._ml_table
+        kernel = measure_mod._meijer_g
 
         def counted_table(params, x):
             tables.append(x)
             return table(params, x)
+
+        def counted_kernel(params, x):
+            kernels.append(x)
+            return kernel(params, x)
 
         rule = quadrature_mod.half_line_quad
         depth = []
@@ -481,16 +545,18 @@ class TestResolutionIdentity:
 
         monkeypatch.setattr(measure_mod, "_ml_table", counted_table)
         monkeypatch.setattr(mlfunc_mod, "_ml_table", counted_table)
+        monkeypatch.setattr(measure_mod, "_meijer_g", counted_kernel)
         monkeypatch.setattr(measure_mod, "half_line_quad", counted_rule)
         monkeypatch.setattr(quadrature_mod, "half_line_quad", counted_rule)
         params = MLParams(2.0, 3.0, 1.5, 0.7)
-        for run in (lambda: resolution_identity_matrix(params, n_max=10),
-                    lambda: mlcs.ml_laplace_quad(params, 1.0)):
-            tables.clear()
-            levels.clear()
-            run()
-            assert levels and len(tables) == len(levels)
-            assert all(t is x for t, x in zip(tables, levels))
+        # the Gram matrix sums no E(x): one kernel call per level, on its nodes
+        resolution_identity_matrix(params, n_max=10)
+        assert levels and not tables and len(kernels) == len(levels)
+        assert all(k is x for k, x in zip(kernels, levels))
+        levels.clear()
+        mlcs.ml_laplace_quad(params, 1.0)
+        assert levels and len(tables) == len(levels)
+        assert all(t is x for t, x in zip(tables, levels))
         tables.clear()
         measure_weight_h(params, np.array([0.5, 2.0, 8.0]))
         assert len(tables) == 1

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mlcs import (
-    CSLabel,
     ConvergenceError,
     DomainError,
     EvalConfig,
@@ -23,7 +22,6 @@ from mlcs import (
     ml_laplace,
     ml_laplace_quad,
     mlfunc,
-    photon_distribution,
 )
 import mlcs
 
@@ -208,18 +206,6 @@ class TestTermTable:
         shared = mlfunc._ml_table(F2, np.array([2000.0, 2.0, 1e-30]))
         for got, want in zip(shared, alone):
             assert np.array_equal(got[1], want[0])
-
-    def test_columns_are_the_state_probabilities(self):
-        # the Gram matrix's probabilities: the ladder recursion from
-        # t_0 / E(x), E(x) the table's sum
-        from mlcs.measure import _weight_and_probs
-
-        xs = np.array([0.0, 0.3, 4.0, 40.0])
-        _, probs = _weight_and_probs(F2, xs, 11)
-        assert probs.shape == (4, 12)
-        for x, row in zip(xs.tolist(), probs):
-            want = photon_distribution(CSLabel(math.sqrt(x)), F2).probs[:12]
-            assert row[:want.size] == pytest.approx(want, rel=1e-11, abs=1e-300)
 
     def test_budget_and_empty_call(self):
         with pytest.raises(ConvergenceError, match="10000 terms"):
