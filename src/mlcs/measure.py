@@ -9,16 +9,25 @@ with G a Meijer G^{2,0}_{1,2} kernel
 
     G(y | a1 ; 0, b2),   a1 = gamma/k - 1,  b2 = beta/alpha - 1,
 
-which collapses to exp(-y) * y**b2 * U(a1, b2 + 1, y) (Tricomi U).  The
-kernel is an array routine: every y of a call is taken from the Laplace
-integral of U on the nodes in s of one half-line rule, with the integrand
-chosen by a1 (plain for a1 >= 1/2, the endpoint singularity subtracted for
--1/2 < a1 < 1/2, one recurrence step below; see the comment above
-_laplace_family).  Below y = 1e-4, where the subtracted form or the
-recurrence would cancel (a1 < 1/2 with b2 < a1, or a1 <= -1/2), the
-connection formula of U (two short Kummer series) gives the value instead.
-An independent Mellin-Barnes contour evaluation of the same kernel backs the
-fast route, and the moment identity
+which collapses to exp(-y) * y**b2 * U(a1, b2 + 1, y) (Tricomi U).  Where
+b2 < 0 the kernel runs at its Kummer transform (DLMF 13.2.40),
+
+    G(y | a1 ; 0, b2) = y**b2 * G(y | a1 - b2 ; 0, -b2),
+
+so every route below sees a second index b2 >= 0, and the power y**b2 is
+added to the exponent its value is formed from.  The kernel is an array
+routine: every y of a call is taken from the Laplace integral of U on the
+nodes in s of one half-line rule, with the integrand chosen by a1 (plain for
+a1 >= 1/2, the endpoint singularity subtracted for -1/2 < a1 < 1/2, one
+recurrence step below; see the comment above _laplace_family).  Below
+y = 1e-4, where the subtracted form or the recurrence would cancel
+(0 <= b2 < a1 < 1/2, or a1 <= -1/2), the connection formula of U (two short
+Kummer series) gives the value instead, and so it does below y = 1e-250 for
+b2 < 0.05 and a1 < 2, where the Laplace integrand's mass reaches the float64
+floor.  A y that underflows to 0 is the origin, whose limit is returned; a
+value beyond float64 raises OverflowError.  An independent Mellin-Barnes
+contour evaluation of the same kernel backs the fast route, and the moment
+identity
 
     int_0^inf x**(s-1) G((k/alpha) x) dx
         = (alpha/k)**s * Gamma(s) Gamma(b2 + s) / Gamma(a1 + s)
@@ -31,13 +40,16 @@ of the quadrature module over G((k/alpha) x) times a family of columns,
 powers x**(s-1) for the moments and, for the Gram matrix, h(x) |c_n|**2 / G
 with E(x) cancelled analytically: h p_n = pref G t_n, pref the constant
 factor of h and t_n the n-th term of the series of E, formed as the ladder
-(pref / Gamma(beta)) prod_{j<=n} x / e_j.  The Gram diagonal is therefore
+(pref / Gamma(beta)) prod_{j<=n} x / e_j, its head (k/alpha) Gamma(gamma/k)
+/ Gamma(beta/alpha) taken without Gamma(beta), which leaves float64 first
+(beta > 171.6).  The Gram diagonal is therefore
 the moment suite in coefficient space (entry n is pref times the
 coefficient of x**n in t_n times the moment s = n + 1 of G), not an
 independent check of it, and no E(x) is summed for it.  The rule's scale
 follows the tallest member, so one call of its first nodes usually covers
 every member, with one kernel call for all of them.  h(x) itself takes E(x)
-from one term table of the mlfunc module per call.
+from the scalar series of the mlfunc module at a float x, and from one term
+table per call at an array.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ import numpy as np
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams, _gamma, _require_count, _require_positive
-from .mlfunc import _ml_table
+from .mlfunc import _ml_sum, _ml_table
 from .quadrature import gauss_legendre_panels, half_line_quad
 
 __all__ = [
@@ -103,9 +115,11 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 # |b - 6| ~ 1e-15) and carries a ~5e-9 error envelope scattered over the rest
 # of the domain.  The kernel comes instead from the Laplace integral
 #     G(y) = e**-y / Gamma(a) * int_0^inf e**-s s**(a-1) (y+s)**p ds,
-# a = a1, p = b2 - a1, which is smooth in b2.  Every y of a call shares the
-# nodes in s of one half-line rule (relative target 1e-12).  The route
-# follows a1:
+# a = a1, p = b2 - a1, which is smooth in b2.  After Kummer's transformation
+# b2 >= 0 here, and the map from the integral to G takes e**lift, lift =
+# log y**b2 of the untransformed b2 < 0, into its exponent.  Every y of a call
+# shares the nodes in s of one half-line rule (relative target 1e-12).  The
+# route follows a1:
 #   a1 >= 1/2          this integrand, scaled per y by its value at its peak
 #                      (or at y where it has none), so the rule sees O(1)
 #                      values at any y;
@@ -113,23 +127,24 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 #                      G = e**-y [y**p + 1/Gamma(a) int e**-s s**(a-1)
 #                      ((y+s)**p - y**p) ds], regular at s = 0 and smooth
 #                      through a = 0, where the plain integrand puts its mass
-#                      out of the rule's reach.  For p < 0 the two terms
-#                      cancel by up to y**-a, which is why the plain form
-#                      takes over at a1 = 1/2 (at a1 = 0.99, b2 = -0.9,
-#                      y = 1e-4 the subtracted form lost 3e-12);
+#                      out of the rule's reach.  For p < 0 (b2 < a1) the two
+#                      terms cancel by up to y**-a, which is why the plain
+#                      form takes over at a1 = 1/2;
 #   a1 <= -1/2         one backward step of the a-recurrence from a1 + 1 (the
 #                      subtracted form) and a1 + 2 (the plain one), both
 #                      families on the same nodes;
-#   a1 = 0 or p = 0    G = y**p e**-y in closed form.
+#   a1 = 0 or p = 0    G = y**p e**-y in closed form, from its exponent.
 # Below _SMALL_Y the subtracted form with p < 0 and the recurrence cancel
-# without bound; there the connection formula takes over, value by value.
+# without bound; there the connection formula takes over, value by value,
+# and below _FLOOR_Y it does where b2 is near 0 (see there).
 
 
-def _laplace_family(a: float, b2: float, y: np.ndarray):
+def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
     """Integrand in s of the kernel at first index a > -1/2, a != 0, for
-    every y, and the map from its integral to G(y) = y**b2 e**-y U(a, b2+1, y).
-    The integrand takes the nodes s as a column and the y to evaluate (an
-    index array, or a slice for all of them)."""
+    every y, and the map from its integral to e**lift G(y), G(y) = y**b2 e**-y
+    U(a, b2+1, y), lift added to the exponent the map forms.  The integrand
+    takes the nodes s as a column and the y to evaluate (an index array, or a
+    slice for all of them)."""
     p = b2 - a
     if a >= 0.5:
         # e**-s s**(a-1) (y+s)**p relative to its value at s_ref: the peak
@@ -153,7 +168,7 @@ def _laplace_family(a: float, b2: float, y: np.ndarray):
             return np.exp(node + peak[cols] + p * np.log((y[cols] + s) / y_ref[cols]))
 
         def kernel(total):
-            return np.exp(p * np.log(y_ref) - peak - y - math.lgamma(a) + np.log(total))
+            return np.exp(lift + p * np.log(y_ref) - peak - y - math.lgamma(a) + np.log(total))
     else:
         # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
         # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing, the
@@ -169,17 +184,19 @@ def _laplace_family(a: float, b2: float, y: np.ndarray):
             return sign * np.exp(node + p * np.log(yc + s) + tail)
 
         def kernel(total):
-            return np.exp(-y) * (y ** p + rgamma * total)
+            return np.exp(lift - y) * (y ** p + rgamma * total)
     return integrand, kernel
 
 
-def _laplace_kernel(a1: float, b2: float, y: np.ndarray) -> np.ndarray:
-    """G(y) = y**b2 e**-y U(a1, b2 + 1, y) for a 1-d array of y > 0, with one
-    half_line_quad call in s for all of them (see the routes above)."""
+def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float) -> np.ndarray:
+    """y**power G(y), G(y) = y**b2 e**-y U(a1, b2 + 1, y), for a 1-d array of
+    y > 0, with one half_line_quad call in s for all of them (see the routes
+    above); the power is added to the exponent of G's map as power * log y."""
     if a1 == 0.0 or a1 == b2:
-        return y ** (b2 - a1) * np.exp(-y)
+        return np.exp((b2 - a1 + power) * np.log(y) - y)
+    lift = power * np.log(y) if power else 0.0
     firsts = (a1,) if a1 > -0.5 else (a1 + 1.0, a1 + 2.0)
-    families = [_laplace_family(a, b2, y) for a in firsts]
+    families = [_laplace_family(a, b2, y, lift) for a in firsts]
     m = y.size
 
     def integrands(s, live=None):
@@ -205,6 +222,11 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray) -> np.ndarray:
 # Below this kernel argument the cancelling Laplace routes hand over to the
 # connection formula, whose two Kummer series need only a few terms there.
 _SMALL_Y = 1e-4
+# Below this one the connection formula takes b2 < _NEAR_INTEGER, a1 < 2 as
+# well: the integrand's mass, spread like s**(b2-1) from s = y up to 1, then
+# reaches within a few decades of the float64 floor, where the rule's nodes
+# end, and below s = y the weighted integrand falls only like s**a1.
+_FLOOR_Y = 1e-250
 # |b2 - round(b2)| below which the two series are paired term by term.
 _NEAR_INTEGER = 0.05
 _TAYLOR_N = np.arange(1, 11)
@@ -267,7 +289,7 @@ def _g_small_y(a1: float, b2: float, y: float) -> float:
 
     m = round(b2)
     eps = b2 - m
-    if m < 0 or abs(eps) >= _NEAR_INTEGER:
+    if abs(eps) >= _NEAR_INTEGER:
         head = (-1) ** m * math.pi / math.sin(math.pi * eps)
         return math.exp(-y) * head * (
             float(special.rgamma(a1)) * _kummer_reg(a1 - b2, 1.0 - b2, y)
@@ -344,9 +366,11 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     half-line rule, so an array call agrees with per-element calls to
     roundoff but not bit for bit.  With check=True the Mellin-Barnes contour
     referee runs on every element too and disagreement raises
-    RouteMismatchError carrying both values.  x = 0 gives the analytic
-    limit (finite only for beta/alpha > 1, or the unit-ratio case); a
-    negative or non-finite x is a domain error.
+    RouteMismatchError carrying both values.  x = 0, or an x whose (k/alpha)
+    x underflows to 0, gives the analytic limit: finite for beta/alpha > 1
+    or gamma/k = beta/alpha, else an infinity with the kernel's sign near 0.
+    A value beyond float64 raises OverflowError; a negative or non-finite x
+    is a domain error.
     """
     xs, scalar = _x_values(x)
     g = _meijer_g(params, xs)
@@ -378,27 +402,66 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
 
 
 def _meijer_g(params: MLParams, xs: np.ndarray) -> np.ndarray:
-    """The kernel of meijer_g_weight at a validated 1-d array xs >= 0."""
+    """The kernel of meijer_g_weight at a validated 1-d array xs >= 0;
+    OverflowError where a value is beyond float64."""
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * xs
-    g = np.empty_like(y)
-    origin = xs == 0.0
-    if origin.any() and b2 > 0.0:
-        # Gamma(b2) / Gamma(a1): 0 at the pole a1 = 0 (a1 > -1 has no other),
-        # and from the logs past a1 = 171, where Gamma(a1) > 0 leaves float64
-        g[origin] = (0.0 if a1 == 0.0 else math.gamma(b2) / math.gamma(a1) if a1 < 171.0
-                     else math.exp(math.lgamma(b2) - math.lgamma(a1)))
-    elif origin.any():
-        g[origin] = 1.0 if b2 == 0.0 and a1 == 0.0 else math.inf
+    # Kummer's transformation (DLMF 13.2.40), G(y | a1; 0, b2) = y**b2
+    # G(y | a1 - b2; 0, -b2), gives every route a second index b >= 0; the
+    # Laplace routes add b2 log y to the exponent of their map
+    power = min(b2, 0.0)
+    a, b = a1 - power, abs(b2)
     # the connection formula, value by value, where the Laplace routes cancel
-    cancels = a1 != 0.0 and (a1 <= -0.5 or (a1 < 0.5 and b2 < a1))
-    series = ~origin & (y < _SMALL_Y) & cancels
-    for i in np.flatnonzero(series):
-        g[i] = _g_small_y(a1, b2, float(y[i]))
-    rest = ~(origin | series)
-    if rest.any():
-        g[rest] = _laplace_kernel(a1, b2, y[rest])
+    # or cannot reach the mass; an x > 0 whose y underflows is the origin too
+    if a != 0.0 and (a <= -0.5 or (a < 0.5 and b < a)):
+        edge = y < _SMALL_Y
+    elif b < _NEAR_INTEGER and a < 2.0:
+        edge = y < _FLOOR_Y
+    else:
+        edge = y == 0.0
+    origin = ()
+    with np.errstate(over="ignore"):
+        if not edge.any():
+            g = _laplace_kernel(a, b, y, power)
+        else:
+            # 1 at the origin until the values off it have passed the test
+            g = np.ones_like(y)
+            origin = np.flatnonzero(y == 0.0)
+            series = edge & (y > 0.0)
+            for i in np.flatnonzero(series):
+                g[i] = _g_small_y(a, b, float(y[i]))
+            g[series] *= y[series] ** power
+            if not edge.all():
+                g[~edge] = _laplace_kernel(a, b, y[~edge], power)
+    if not np.isfinite(g).all():
+        x = float(xs[np.argmin(np.isfinite(g))])
+        raise OverflowError(f"Meijer kernel at x = {x!r} exceeds float64 range")
+    if len(origin):
+        g[origin] = _g_origin(a1, b2, float(xs[origin[0]]))
     return g
+
+
+def _g_origin(a1: float, b2: float, x: float) -> float:
+    """G(0), the limit of y**b2 e**-y U(a1, b2 + 1, y) as y -> 0, for the
+    kernel at x (an x = 0, or one whose y underflows): 1 where G = e**-y
+    (a1 = b2); for b2 <= 0 an infinity with the sign of Gamma(a1 - b2), as
+    G ~ y**b2 Gamma(-b2) / Gamma(a1 - b2), or -log y / Gamma(a1) at b2 = 0;
+    else Gamma(b2) / Gamma(a1), 0 at the pole a1 = 0 (a1 > -1 has no other),
+    from the logs past 171, where the gammas leave float64, and
+    OverflowError where the ratio does too."""
+    if a1 == b2:
+        return 1.0
+    if b2 <= 0.0:
+        return math.copysign(math.inf, a1 - b2)
+    if a1 == 0.0:
+        return 0.0
+    if max(a1, b2) < 171.0:
+        return math.gamma(b2) / math.gamma(a1)
+    try:
+        return math.copysign(math.exp(math.lgamma(b2) - math.lgamma(a1)), a1)
+    except OverflowError:
+        raise OverflowError(f"Meijer kernel at x = {x!r} exceeds float64 range "
+                            f"(Gamma({b2!r}) / Gamma({a1!r}))") from None
 
 
 def meijer_g_weight_mb(params: MLParams, x: float) -> float:
@@ -433,22 +496,31 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
 
 def measure_weight_h(params: MLParams, x):
     """Full radial weight h(x); identically 1 at unit parameters.  x is a float
-    or a 1-d array, as for meijer_g_weight; OverflowError where E(x) overflows."""
+    or a 1-d array, as for meijer_g_weight.  A float takes E(x) from the
+    scalar series, an array from one term table; either raises OverflowError
+    where E(x) overflows and ConvergenceError where its series does not
+    settle within the term budget."""
     xs, scalar = _x_values(x)
-    sums, exps, _ = _ml_table(params, xs)
+    if scalar:
+        sums, exps, used, _, settled = _ml_sum(params, float(xs[0]))
+        if not settled:
+            raise ConvergenceError(f"series at x={x!r} not converged after {used} terms")
+    else:
+        sums, exps, _ = _ml_table(params, xs)
     with np.errstate(over="ignore"):
         series = np.ldexp(sums, exps)
     if not np.isfinite(series).all():
         x = float(xs[np.argmin(np.isfinite(series))])
         raise OverflowError(f"E at x = {x!r} exceeds float64 range")
-    h = _h_constant(params) * series * _meijer_g(params, xs)
+    h = _gamma(params.beta) * _ladder_head(params) * series * _meijer_g(params, xs)
     return float(h[0]) if scalar else h
 
 
-def _h_constant(params: MLParams) -> float:
-    """pref, the constant factor of h; an overflow of Gamma(beta) is named first."""
-    return (_gamma(params.beta) * (params.k / params.alpha)
-            * _gamma(params.gamma_over_k, "gamma/k") / _gamma(params.beta_over_alpha, "beta/alpha"))
+def _ladder_head(params: MLParams) -> float:
+    """(k/alpha) Gamma(gamma/k) / Gamma(beta/alpha), the constant factor of h
+    over Gamma(beta)."""
+    return ((params.k / params.alpha) * _gamma(params.gamma_over_k, "gamma/k")
+            / _gamma(params.beta_over_alpha, "beta/alpha"))
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -501,10 +573,11 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     is formed: the diagonal is the moment routine of verify_resolution in
     coefficient space, not an independent check of the moments, on the
     ladder (pref / Gamma(beta)) G prod_{j<=n} x / e_j, a cumulative product
-    that starts from G so that no x**n is formed on its own.
+    that starts from G so that no x**n is formed on its own.  Its head
+    pref / Gamma(beta) needs no Gamma(beta), so beta may pass 171.6.
     """
     _require_count(n_max, "n_max", 0)
-    head = _h_constant(params) / _gamma(params.beta)
+    head = _ladder_head(params)
     e = _structure(params, np.arange(1, n_max + 1))
     return np.diag(_kernel_integrals(
         params, n_max, lambda xs, g: np.cumprod(np.hstack((head * g, xs[:, None] / e)), axis=1)))

@@ -61,6 +61,35 @@ def reference_kernel_u(a1, b2, y):
         return float(y ** b2 * mpmath.exp(-y) * u)
 
 
+# a1 in (-1, 8], b2 in (-1, 6] and y from 1e-300 to 90, the grid on which
+# Kummer's transformation is checked against mpmath
+GRID_A1 = (-0.9, -0.6, -0.3, -1e-3, 0.2, 0.5, 0.99, 2.0, 3.7, 8.0)
+GRID_B2 = (-0.9, -0.5, -0.2, -1e-3, 0.0, 0.3, 1.0, 2.5, 6.0)
+GRID_Y = (1e-300, 1e-250, 1e-200, 1e-100, 1e-30, 1e-10, 1e-5, 1e-3, 0.05, 0.7, 5.0, 30.0, 90.0)
+# the cells of that grid where the kernel, run at its raw indices, returned
+# 0.0 with a RuntimeWarning (b2 < 0 <= a1 - 1/2: every node of the Laplace
+# integrand underflowed) or raised ConvergenceError (the integrand's mass
+# near s = y at the float64 floor)
+GRID_FAILED_BEFORE = {
+    (-0.3, -0.2): (1e-300, 1e-250), (-0.3, -1e-3): (1e-300,), (-0.3, 0.0): (1e-300,),
+    (-1e-3, 0.0): (1e-300,),
+    (0.5, -0.9): (1e-300, 1e-250, 1e-200), (0.5, -0.5): (1e-300, 1e-250),
+    (0.5, -0.2): (1e-300,), (0.5, -1e-3): (1e-300,), (0.5, 0.0): (1e-300,),
+    (0.99, -0.9): (1e-300, 1e-250, 1e-200), (0.99, -0.5): (1e-300, 1e-250),
+    (0.99, -0.2): (1e-300,), (0.99, -1e-3): (1e-300,), (0.99, 0.0): (1e-300,),
+    (2.0, -0.9): (1e-300, 1e-250, 1e-200), (2.0, -0.5): (1e-300, 1e-250), (2.0, -0.2): (1e-300,),
+    (3.7, -0.9): (1e-300, 1e-250, 1e-200), (3.7, -0.5): (1e-300, 1e-250), (3.7, -0.2): (1e-300,),
+    (8.0, -0.9): (1e-300, 1e-250, 1e-200), (8.0, -0.5): (1e-300, 1e-250), (8.0, -0.2): (1e-300,),
+}
+
+
+def grid_params(a1, b2):
+    """The set with gamma/k - 1 = a1, beta/alpha - 1 = b2 at k = alpha = 1,
+    and its indices as the kernel sees them after rounding."""
+    params = MLParams(1.0, b2 + 1.0, a1 + 1.0, 1.0)
+    return params, params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
+
+
 class TestMeijerKernel:
     def test_unit_parameters_collapse_to_exponential(self):
         for x in (0.05, 0.3, 1.0, 2.5, 8.0):
@@ -94,6 +123,59 @@ class TestMeijerKernel:
         assert meijer_g_weight(MLParams(1.0, 2.0, 200.0, 1.0), 0.0) == 0.0
         assert meijer_g_weight(MLParams(1.0, 172.0, 173.0, 1.0), 0.0) == pytest.approx(
             1.0 / 171.0, rel=1e-12, abs=0)
+
+    def test_underflowed_argument_is_the_origin(self):
+        # at k/alpha = 1/2, y = (k/alpha) x rounds to 0 at x = 5e-324 and the
+        # kernel returns its limit at x = 0: +inf as y**-1/2 at (a1, b2) =
+        # (0, -1/2); 1 where a1 = b2 = -1/2 and G = e**-y; -inf at (-1/2, 0),
+        # where G ~ -log y / Gamma(-1/2)
+        for x in (0.0, 5e-324):
+            assert meijer_g_weight(MLParams(2.0, 1.0, 1.0, 1.0), x) == math.inf
+            assert meijer_g_weight(MLParams(2.0, 1.0, 0.5, 1.0), x) == 1.0
+            assert meijer_g_weight(MLParams(2.0, 2.0, 0.5, 1.0), x) == -math.inf
+        got = meijer_g_weight(MLParams(2.0, 2.0, 0.5, 1.0), np.array([5e-324, 1.0]))
+        assert got[0] == -math.inf and got[1] == pytest.approx(
+            reference_kernel_u(-0.5, 0.0, 0.5), rel=1e-12, abs=0)
+
+    def test_no_nan_or_inf_in_place_of_a_value(self):
+        # y**99 e**-y at y = 1380 is inf * 0 as a product; its exponent is not
+        params, y = MLParams(2.0, 200.0, 1.0, 1.0), 1380.0
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(y) ** 99 * mpmath.exp(-y))
+        assert meijer_g_weight(params, 2.0 * y) == pytest.approx(want, rel=1e-12, abs=0)
+        # Gamma(399) / Gamma(3) ~ 2e863 at the origin and just off it
+        big = MLParams(0.5, 200.0, 4.0, 1.0)
+        for x in (0.0, 1e-300):
+            with pytest.raises(OverflowError, match=f"Meijer kernel at x = {x!r} exceeds"):
+                meijer_g_weight(big, x)
+        # y**b2 G(y | a1 - b2; 0, -b2) at b2 = -0.999: y**b2 ~ 1e315
+        with pytest.raises(OverflowError, match="Meijer kernel at x = 1e-315 exceeds"):
+            meijer_g_weight(MLParams(1.0, 0.001, 0.1, 1.0), 1e-315)
+
+    def test_tiny_argument_with_negative_second_index(self):
+        # (a1, b2) = (2, -1/2): the mass of the Laplace integrand at s ~ y sat
+        # below every node, and the kernel returned 0.0
+        assert meijer_g_weight(MLParams(2.0, 1.0, 3.0, 1.0), 1e-250) == pytest.approx(
+            reference_kernel(MLParams(2.0, 1.0, 3.0, 1.0), 1e-250), rel=1e-12, abs=0)
+        assert reference_kernel(MLParams(2.0, 1.0, 3.0, 1.0), 1e-250) == pytest.approx(
+            1.886e125, rel=1e-3, abs=0)
+
+    @pytest.mark.parametrize("a1", GRID_A1)
+    def test_kummer_grid_against_mpmath(self, a1):
+        # every b2 of the grid, one array call over its y
+        ys = np.array(GRID_Y)
+        for b2 in GRID_B2:
+            params, a1_, b2_ = grid_params(a1, b2)
+            for y, g in zip(GRID_Y, meijer_g_weight(params, ys)):
+                assert g == pytest.approx(reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=0.0), (
+                    a1_, b2_, y)
+
+    @pytest.mark.parametrize("a1, b2, y", [
+        (a1, b2, y) for (a1, b2), ys in GRID_FAILED_BEFORE.items() for y in ys])
+    def test_kummer_grid_cells_that_failed(self, a1, b2, y):
+        params, a1_, b2_ = grid_params(a1, b2)
+        assert meijer_g_weight(params, y) == pytest.approx(
+            reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -164,6 +246,16 @@ class TestMeijerKernel:
                 # (a, b) = (-1/2, 3/2) is the polynomial case with a zero at 1/2
                 tol = {"abs": 1e-15} if want == 0.0 else {"rel": 1e-12, "abs": 0.0}
                 assert g == pytest.approx(want, **tol), (a1, b2, y)
+
+    @pytest.mark.parametrize("gamma, beta", [(0.01, 1.01), (0.02, 1.02), (0.5, 1.5)])
+    def test_polynomial_case_of_the_connection_formula(self, gamma, beta):
+        # a1 - b2 = -1: 1/Gamma(a1 - b2) is 0 and G is e**-y U(-1, 1 - b2, y),
+        # a polynomial, which the paired series takes where b2 is near 0
+        params = MLParams(1.0, beta, gamma, 1.0)
+        a1, b2 = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
+        for y in (1e-30, 1e-5):
+            assert meijer_g_weight(params, y) == pytest.approx(
+                reference_kernel_u(a1, b2, y), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("a1, b2, y", [(-1e-3, 11.0, 1e-4), (-0.01, 3.0, 1e-3)])
     def test_negative_first_index_near_zero(self, a1, b2, y):
@@ -263,6 +355,7 @@ class TestArrayKernel:
         assert isinstance(got, np.ndarray) and got.shape == xs.shape
         for x, g in zip(xs.tolist(), got):
             assert g == pytest.approx(meijer_g_weight(params, x), rel=1e-14, abs=0.0)
+        # a float x takes E(x) from the scalar series, an array from the table
         h = measure_weight_h(params, xs)
         for x, v in zip(xs.tolist(), h):
             assert v == pytest.approx(measure_weight_h(params, x), rel=1e-14, abs=0.0)
@@ -370,6 +463,32 @@ class TestMeasureWeight:
         params = MLParams(2.0, 3.0, 1.0, 1.0)
         for x in np.linspace(0.05, 20.0, 15):
             assert measure_weight_h(params, float(x)) >= 0.0
+
+    @pytest.mark.parametrize("params, x, error, match", [
+        (MLParams(2.0, 3.0, 1.5, 0.7), 5000.0, OverflowError, r"E at x = 5000.0 exceeds float64 range"),
+        (MLParams(2.0, 3.0, 1.5, 0.7), 2e4, ConvergenceError, r"series at x=20000.0 "),
+        (MLParams(1.0, 200.0, 1.0, 1.0), 1.0, OverflowError,
+         r"Gamma\(beta\) exceeds float64 range at beta = 200.0"),
+        (MLParams(0.5, 100.0, 1.0, 1.0), 1.0, OverflowError,
+         r"Gamma\(beta/alpha\) exceeds float64 range at beta/alpha = 200.0"),
+        (MLParams(1.0, 0.001, 0.1, 1.0), 1e-315, OverflowError, r"Meijer kernel at x = 1e-315 exceeds")])
+    def test_scalar_and_array_raise_the_same_errors(self, params, x, error, match):
+        for arg in (x, np.array([1.0, x])):
+            with pytest.raises(error, match=match):
+                measure_weight_h(params, arg)
+
+    def test_one_value_sums_the_scalar_series(self, monkeypatch):
+        import mlcs.measure as measure_mod
+
+        def forbidden(*args):
+            raise AssertionError("a term table was built for one value")
+
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        want = measure_weight_h(params, 2.0)
+        monkeypatch.setattr(measure_mod, "_ml_table", forbidden)
+        assert measure_weight_h(params, 2.0) == want
+        with pytest.raises(AssertionError, match="term table"):
+            measure_weight_h(params, np.array([2.0]))
 
 
 class TestMomentIdentity:
@@ -565,12 +684,21 @@ class TestResolutionIdentity:
         params = MLParams(1.0, 200.0, 1.0, 1.0)
         want = r"Gamma\(beta\) exceeds float64 range at beta = 200.0"
         for run in (lambda: measure_weight_h(params, 1.0),
-                    lambda: resolution_identity_matrix(params, n_max=2),
                     lambda: cs_build(CSLabel(1.0), params)):
             with pytest.raises(OverflowError, match=want):
                 run()
-        with pytest.raises(OverflowError, match=r"Gamma\(beta/alpha\) .* at beta/alpha = 200.0"):
-            measure_weight_h(MLParams(0.5, 100.0, 1.0, 1.0), 1.0)
+        # the Gram ladder needs Gamma(beta/alpha), not Gamma(beta)
+        for run in (lambda p: measure_weight_h(p, 1.0),
+                    lambda p: resolution_identity_matrix(p, n_max=2)):
+            with pytest.raises(OverflowError, match=r"Gamma\(beta/alpha\) .* at beta/alpha = 200.0"):
+                run(MLParams(0.5, 100.0, 1.0, 1.0))
+
+    def test_gram_matrix_past_gamma_of_beta(self):
+        # Gamma(200) is beyond float64, but the ladder's head (k/alpha)
+        # Gamma(gamma/k) / Gamma(beta/alpha) = Gamma(1) / (2 Gamma(100)) is
+        # not, and the kernel y**99 e**-y is formed from its exponent
+        diag = np.diag(resolution_identity_matrix(MLParams(2.0, 200.0, 1.0, 1.0), n_max=4))
+        assert np.max(np.abs(diag - 1.0)) <= 2e-14
 
     def test_invalid_sizes(self):
         with pytest.raises(DomainError):
@@ -641,14 +769,15 @@ class TestHalfLineRule:
         assert values[1] == pytest.approx(1.0, rel=1e-14, abs=0)
         assert np.all(errors <= 1e-12 * np.abs(values))
 
-    @pytest.mark.parametrize("params, kernel", [
-        (MLParams(2.0, 3.0, 1.5, 0.7), [129]), (MLParams(1.0, 2.0, 3.0, 1.0), [129]),
-        (MLParams(1.5, 1.2, 0.6, 1.0), [129, 16])], ids=["2,3,1.5,0.7", "1,2,3,1", "1.5,1.2,0.6,1"])
-    def test_integrand_calls_of_point_calls(self, params, kernel, monkeypatch):
-        # the benchmark anchors: every rule call is one call of 129 nodes,
-        # except the subtracted kernel at gamma/k = 0.6, whose weighted
-        # integrand falls only as s**0.6 toward s = 0 and takes one low-end
-        # block
+    @pytest.mark.parametrize("params", [
+        MLParams(2.0, 3.0, 1.5, 0.7), MLParams(1.0, 2.0, 3.0, 1.0), MLParams(1.5, 1.2, 0.6, 1.0)],
+        ids=["2,3,1.5,0.7", "1,2,3,1", "1.5,1.2,0.6,1"])
+    def test_integrand_calls_of_point_calls(self, params, monkeypatch):
+        # the benchmark anchors: every rule call is one call of 129 nodes.
+        # At gamma/k = 0.6, beta/alpha = 1.2 the kernel runs at (a1, b2) =
+        # (-0.2, 0.2) after Kummer's transformation, whose weighted integrand
+        # falls as s**0.8 toward s = 0; at (-0.4, -0.2) it fell only as
+        # s**0.6 and took one more low-end block of 16 nodes
         import mlcs.measure as measure_mod
         import mlcs.quadrature as quadrature_mod
 
@@ -669,14 +798,13 @@ class TestHalfLineRule:
         monkeypatch.setattr(quadrature_mod, "half_line_quad", counted_rule)
         to_x = params.alpha / params.k
         cfg = ThermalConfig(0.6, LinearSpectrum.from_params(params))
-        for run, want in (
-                (lambda: meijer_g_weight(params, 0.7 * to_x), kernel),
-                (lambda: measure_weight_h(params, 2.0 * to_x), kernel),
-                (lambda: p_function(CSLabel(math.sqrt(to_x)), params, cfg), kernel),
-                (lambda: mlcs.ml_laplace_quad(params, 3.0 * params.k / params.alpha), [129])):
+        for run in (lambda: meijer_g_weight(params, 0.7 * to_x),
+                    lambda: measure_weight_h(params, 2.0 * to_x),
+                    lambda: p_function(CSLabel(math.sqrt(to_x)), params, cfg),
+                    lambda: mlcs.ml_laplace_quad(params, 3.0 * params.k / params.alpha)):
             calls.clear()
             run()
-            assert calls == [want]
+            assert calls == [[129]]
 
     def test_each_member_stops_at_its_own_target(self):
         # exp(-x) meets its target on the first level; a narrow peak at x = 2
