@@ -12,6 +12,7 @@ produce identical bytes; there are no timestamps in the payload.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -118,6 +119,7 @@ def _add_param_flags(p: _Parser):
     p.add_argument("--kpar", type=float, default=1.0)
 
 
+@functools.cache  # parse_args keeps no state on the parser: build it once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mlcs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

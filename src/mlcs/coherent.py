@@ -10,9 +10,10 @@ and the normalized eigenstate with complex label z has coefficients
 
     c_n = E(|z|^2)^{-1/2} * sqrt(t_n(|z|^2)) * exp(i n arg z)
 
-where t_n(x) is the n-th (positive) term of the series E(x).  Working with
-the series terms directly keeps normalization automatic and every amplitude
-a square root of a probability.
+where t_n(x) is the n-th (positive) term of the series E(x).  The photon
+probabilities p_n = t_n / E come straight from the series terms, which
+keeps normalization automatic; the amplitudes are their square roots times
+the phase, and nothing that needs only p_n builds them.
 """
 
 from __future__ import annotations
@@ -177,6 +178,12 @@ def _series_terms(params: MLParams, x: float):
     )
 
 
+def _fock_probs(params: MLParams, x: float):
+    """(p_n = t_n(x) / E(x) over the window, relative tail mass)."""
+    terms, total, tail = _series_terms(params, x)
+    return np.asarray(terms) / total, tail / total
+
+
 def cs_build(z: CSLabel, params: MLParams) -> FockExpansion:
     """Build the normalized eigenstate of the lowering operator with label z.
 
@@ -184,12 +191,11 @@ def cs_build(z: CSLabel, params: MLParams) -> FockExpansion:
     rounding regardless of where the window is cut; the discarded mass
     (reported as tail_mass, relative) stays below 1e-12.
     """
-    x = z.modulus ** 2
-    terms, total, tail = _series_terms(params, x)
-    amps = np.sqrt(np.asarray(terms) / total)
+    p, tail_mass = _fock_probs(params, z.modulus ** 2)
+    amps = np.sqrt(p)
     if z.phase != 0.0 and z.modulus > 0.0:
-        amps = amps * np.exp(1j * z.phase * np.arange(len(terms)))
-    return FockExpansion(amps, params, tail_mass=tail / total)
+        amps = amps * np.exp(1j * z.phase * np.arange(p.size))
+    return FockExpansion(amps, params, tail_mass)
 
 
 def overlap(z1: CSLabel, z2: CSLabel, params: MLParams,
@@ -230,15 +236,23 @@ def expectation_ordered_power(z: CSLabel, params: MLParams, m: int) -> float:
 
 def ordered_moment_fock(z: CSLabel, params: MLParams, m: int) -> float:
     """Same ordered moment summed over the photon distribution:
-    sum_n p_n * e_n e_{n-1} ... e_{n-m+1}."""
-    _require_count(m, "m", 0)
-    state = cs_build(z, params)
-    p = np.abs(state.coeffs) ** 2
-    e = _structure(params, np.arange(1, p.size))
-    w = np.ones(max(p.size - m, 0))
-    for j in range(m):
-        w *= e[m - 1 - j:e.size - j]
-    return float(np.dot(p[m:], w))
+    sum_n p_n * e_n e_{n-1} ... e_{n-m+1}.
+
+    The summands run m terms past the window cut at N (the last p_n at or
+    above 2**-960); there p_n e_n = x p_{n-1} makes the one at n = N + d
+    x**d times the top's partial product p_N e_N ... e_{N-m+d+1}.
+    """
+    m, x = _require_count(m, "m", 0), z.modulus ** 2
+    p, _ = _fock_probs(params, x)
+    cut = p.size if p[-1] >= _DOWN else int(np.flatnonzero(p >= _DOWN)[-1]) + 1
+    e = _structure(params, np.arange(1, cut))
+    tail, t = 0.0, float(p[cut - 1])
+    for j in range(min(m, cut)):  # t = x**j p_{N-j}, the top after j factors
+        tail += x ** (m - j) * t
+        t = t * e[cut - 2 - j] if j < cut - 1 else 0.0
+    for j in range(m if m < cut else 0):  # after j factors x**j p_{n-j}
+        p[m:cut] *= e[m - 1 - j:e.size - j]
+    return float(p[m:cut].sum() + tail)
 
 
 @dataclass(frozen=True)
@@ -256,8 +270,7 @@ class PhotonDistribution:
 
 def photon_distribution(z: CSLabel, params: MLParams) -> PhotonDistribution:
     """p_n = t_n(|z|^2) / E(|z|^2) for the eigenstate with label z."""
-    state = cs_build(z, params)
-    return PhotonDistribution(np.abs(state.coeffs) ** 2, state.tail_mass)
+    return PhotonDistribution(*_fock_probs(params, z.modulus ** 2))
 
 
 def expansion_distance(a: FockExpansion, b: FockExpansion) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CSLabel, cs_build
+from .coherent import CSLabel, _fock_probs
 from .errors import ConvergenceError, DomainError
 from .kcore import MLParams, _require_count, _require_positive
 from .measure import meijer_g_weight
@@ -262,9 +262,9 @@ def husimi_q_fock(z: CSLabel, params: MLParams, cfg: ThermalConfig) -> float:
     """Cross-check route: (1/Z) sum_n exp(-beta_b E_n) p_n over the photon
     distribution of z."""
     slope = _require_linear(cfg)
-    state = cs_build(z, params)
-    boltzmann = np.exp(-cfg.beta_b * slope * np.arange(state.coeffs.size))
-    return float(np.dot(boltzmann, np.abs(state.coeffs) ** 2)) / partition_linear(cfg)
+    p, _ = _fock_probs(params, z.modulus ** 2)
+    boltzmann = np.exp(-cfg.beta_b * slope * np.arange(p.size))
+    return float(np.dot(boltzmann, p)) / partition_linear(cfg)
 
 
 def p_function(z: CSLabel, params: MLParams, cfg: ThermalConfig) -> float:

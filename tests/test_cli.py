@@ -281,6 +281,39 @@ class TestDeterminism:
         assert f"{value:.17g}" in out
 
 
+class TestParserBuiltOnce:
+    ARGVS = [
+        ("ml-eval", "--alpha", "2", "--beta", "3", "--z", "4.5"),
+        ("ml-eval", "--no-such-flag"),
+        ("ml-eval", "--z", "1.5", "--format", "csv"),
+        ("scan", "--quantity", "pn", "--zmod", "1.2"),
+        ("verify", "laplace", "--alpha", "2", "--beta", "3", "--s", "5"),
+    ]
+
+    def test_one_parser_serves_every_call_byte_for_byte(self, capsys, monkeypatch):
+        import mlcs.cli
+
+        builds = []
+        init = mlcs.cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "mlcs":  # the top level, not its subparsers
+                builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(mlcs.cli._Parser, "__init__", counting_init)
+        mlcs.cli._build_parser.cache_clear()
+        try:
+            in_process = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        finally:
+            mlcs.cli._build_parser.cache_clear()
+        assert len(builds) == 1
+        assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 0]
+        for argv, got in zip(self.ARGVS, in_process):
+            fresh = run_subprocess(*argv)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def heavy_imports_after(code):
     """Run code in a fresh interpreter on this source tree; the subset of
     {numpy, scipy} it leaves in sys.modules."""

@@ -1,6 +1,7 @@
 """Lowering-operator eigenstates: ladder algebra, overlaps, photon statistics."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -259,6 +260,45 @@ class TestMoments:
             got = ordered_moment_fock(z, params, m)
             assert got == pytest.approx(loop, rel=p.size * 2.0 ** -52, abs=0)
 
+    # the window cut at N holds p_0..p_N; the moment's summands at n = m..N+m
+    # carry them through p_n e_n = x p_{n-1}, so m near or past the window
+    # needs the m terms past the cut
+    @pytest.mark.parametrize("params, mod, window, m", [
+        (UNIT_PARAMS, 0.01, 8, 7),
+        (UNIT_PARAMS, 0.01, 8, 8),
+        (UNIT_PARAMS, 0.01, 8, 9),
+        (UNIT_PARAMS, 1.0, 30, 24),
+        (UNIT_PARAMS, 1.0, 30, 29),
+        (UNIT_PARAMS, 1.0, 30, 30),
+        (UNIT_PARAMS, 1.0, 30, 31),
+        (MLParams(2.0, 3.0, 1.5, 0.7), 3.0, 43, 37),
+        (MLParams(2.0, 3.0, 1.5, 0.7), 3.0, 43, 43),
+        (MLParams(2.0, 3.0, 1.5, 0.7), 3.0, 43, 44),
+        # far past the cut p_n itself leaves float64 (p_200 ~ 1e-375 at |z| = 1),
+        # and at (7, 0.1, 9, 0.05) the window's own tail underflows to 0; the
+        # summands past the cut come from the window's top, so m = 10**8 is cheap
+        (UNIT_PARAMS, 1.0, 30, 200),
+        (UNIT_PARAMS, 1.0, 30, 10 ** 8),
+        (UNIT_PARAMS, 0.01, 8, 70),
+        (MLParams(7.0, 0.1, 9.0, 0.05), 1.5, 203, 200),
+        (MLParams(7.0, 0.1, 9.0, 0.05), 1.5, 203, 800),
+    ])
+    def test_moment_near_and_past_the_window_edge(self, params, mod, window, m):
+        z = CSLabel(mod, 0.4)
+        assert photon_distribution(z, params).probs.size == window
+        want = float(Fraction(mod) ** (2 * m))
+        assert ordered_moment_fock(z, params, m) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("params", [UNIT_PARAMS, MLParams(2.0, 3.0, 1.5, 0.7),
+                                        MLParams(0.7, 1.2, 3.4, 2.1)])
+    @pytest.mark.parametrize("mod", [0.05, 1.3, 3.5])
+    def test_moment_grid_up_to_window_plus_five(self, params, mod):
+        z = CSLabel(mod, 2.0)
+        window = photon_distribution(z, params).probs.size
+        for m in range(window + 6):
+            got = ordered_moment_fock(z, params, m)
+            assert got == pytest.approx(mod ** (2 * m), rel=1e-12, abs=0), m
+
     def test_moment_domain(self):
         with pytest.raises(DomainError):
             expectation_ordered_power(CSLabel(1.0), UNIT_PARAMS, -1)
@@ -327,3 +367,30 @@ class TestPhotonStatistics:
                 (params.beta + n * params.alpha) * (n + 1)
             )
             assert dist.probs[n + 1] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestProbabilityPath:
+    def test_probability_routes_build_no_amplitudes(self, monkeypatch):
+        import mlcs.coherent
+        from mlcs import LinearSpectrum, ThermalConfig, husimi_q_fock
+
+        def refuse(*args):
+            raise AssertionError("amplitudes built")
+
+        monkeypatch.setattr(mlcs.coherent, "cs_build", refuse)
+        monkeypatch.setattr(FockExpansion, "__post_init__", refuse)
+        params, z = MLParams(2.0, 3.0, 1.5, 0.7), CSLabel(1.7, 0.6)
+        assert photon_distribution(z, params).probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert ordered_moment_fock(z, params, 2) == pytest.approx(1.7 ** 4, rel=1e-12)
+        cfg = ThermalConfig(0.8, LinearSpectrum.from_params(params))
+        assert husimi_q_fock(z, params, cfg) > 0.0
+
+    @pytest.mark.parametrize("params", [UNIT_PARAMS, MLParams(2.0, 3.0, 1.5, 0.7)])
+    @pytest.mark.parametrize("z", [CSLabel(0.0), CSLabel(0.3, 1.1), CSLabel(1.2),
+                                   CSLabel(2.7, 4.0), CSLabel(math.sqrt(2100.0), 0.4)])
+    def test_probabilities_are_squared_amplitudes(self, params, z):
+        dist = photon_distribution(z, params)
+        state = cs_build(z, params)
+        np.testing.assert_allclose(dist.probs, np.abs(state.coeffs) ** 2,
+                                   rtol=4 * 2.0 ** -52, atol=0)
+        assert dist.tail_mass == state.tail_mass
