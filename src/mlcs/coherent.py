@@ -151,19 +151,24 @@ def _series_terms(params: MLParams, x: float):
     """Positive series terms t_n(x) until both the geometric tail and the last
     kept term are negligible; returns (terms, total, tail_bound), all three
     scaled by the same power of two.  A term past 2**960 scales everything
-    kept by 2**-960, as mlfunc._series does, so the sum stays finite."""
+    kept by 2**-960, as mlfunc._series does, so the sum stays finite.  Every
+    ratio past t_n is at most the larger of the next one and x (k/a) / (n+1),
+    as (g + m k) / (b + m a) is monotone in m with limit k/a."""
     a, b, g, k = params.alpha, params.beta, params.gamma, params.k
     t = 1.0 / _gamma(b)
     terms = [t]
     total = t
     if x == 0.0:
         return terms, total, 0.0
-    cap = x * max(g / b, k / a)
+    ratio, rate = x * g / b, x * k / a
     for n in range(1, _MAX_TERMS):
-        t *= x * (g + (n - 1) * k) / ((b + (n - 1) * a) * n)
+        t *= ratio
         terms.append(t)
         total += t
-        q = cap / (n + 1)
+        ratio = x * (g + n * k) / ((b + n * a) * (n + 1))
+        q = rate / (n + 1)
+        if ratio > q:
+            q = ratio
         if q < 1.0:
             tail = t * q / (1.0 - q)
             # deep cut: the top kept probability must be tiny so ladder raises
@@ -231,7 +236,15 @@ def overlap_from_coeffs(a: FockExpansion, b: FockExpansion) -> complex:
 
 def expectation_ordered_power(z: CSLabel, params: MLParams, m: int) -> float:
     """<z| raise^m lower^m |z> = |z|^(2m), immediate from the eigenvalue property."""
-    return (z.modulus ** 2) ** _require_count(m, "m", 0)
+    return _power(z.modulus ** 2, _require_count(m, "m", 0))
+
+
+def _power(x: float, m: int) -> float:
+    """x**m = |z|^(2m); OverflowError naming it beyond float64."""
+    try:
+        return x ** m
+    except OverflowError:
+        raise OverflowError(f"|z|^(2m) exceeds float64 range at |z|^2 = {x!r}, m = {m}") from None
 
 
 def ordered_moment_fock(z: CSLabel, params: MLParams, m: int) -> float:
@@ -243,6 +256,7 @@ def ordered_moment_fock(z: CSLabel, params: MLParams, m: int) -> float:
     x**d times the top's partial product p_N e_N ... e_{N-m+d+1}.
     """
     m, x = _require_count(m, "m", 0), z.modulus ** 2
+    _power(x, m)  # the sum is |z|^(2m): name its overflow before summing
     p, _ = _fock_probs(params, x)
     cut = p.size if p[-1] >= _DOWN else int(np.flatnonzero(p >= _DOWN)[-1]) + 1
     e = _structure(params, np.arange(1, cut))

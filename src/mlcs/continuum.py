@@ -2,13 +2,24 @@
 of the exponential), its four-parameter generalization, and the continuum
 versions of the measure, partition function, Husimi Q and diagonal P weights.
 
-The point functions integrate exp(L(E)) over the energy variable E on
-[0, inf), with
+nu by default sums Ramanujan's Gamma-free integral (Erdelyi et al., Higher
+Transcendental Functions III, 18.3), nu(x) = e^x - int_R exp(-x e^u) /
+(u**2 + pi**2) du = expm1(x) + K(x), K(x) = int_R (1 - exp(-e^v)) /
+((v - log x)**2 + pi**2) dv: every term is positive, so nothing cancels from
+x = 5e-324 up.  1 - exp(-e^v) is below 1e-18 under v = -39.5 and within
+1e-18 of 1 over v = 3.75, past which K is in closed form; between, 18 panels
+carry a 16-point value and a 12-point check, which must meet 1e-12 of K <= nu
+or ConvergenceError is raised.  Their nodes and the factor 1 - exp(-e^v)
+times each weight are a table built once, so a call is one dot product.
+
+Every other point function integrates exp(L(E)) over the energy variable E
+on [0, inf), with
 
     L(E) = E log w + log Gamma(a+E) - log Gamma(b+E) - m log Gamma(E+1),
 
 the gamma ratio only in tilde_ml and m = 2 only in the literal-normalization
-kernel.  The integrand is sharply peaked once w is large.  Two schemes:
+kernel; log_nu(x, "adaptive") integrates it with m = 1 and no ratio.  The
+integrand is sharply peaked once w is large.  Two schemes:
 
 * "fixed", the default, is one peak window on numpy and math.lgamma.
   - The peak E* comes in closed form from psi(z) ~ log(z - 1/2) (DLMF
@@ -29,8 +40,8 @@ kernel.  The integrand is sharply peaked once w is large.  Two schemes:
     negligible.  Otherwise every panel is halved or H doubled, and a node
     budget spent raises ConvergenceError.  No value is returned unchecked.
 * "adaptive" is QUADPACK on [0, E* + H] with a breakpoint at E*, on scipy's
-  gammaln: the referee the tests hold the window to.  scipy is imported in
-  that branch only.
+  gammaln: the referee the tests hold the window and the table to.  scipy
+  is imported in that branch only.
 
 The two identity suites (measure moments and Boltzmann diagonals) integrate
 in x instead, on the half-line double-exponential rule of the quadrature
@@ -73,6 +84,9 @@ _ORDER, _CHECK_ORDER = 16, 12
 _STEPS = (1.0, 3.0, 7.0, 15.0, 31.0)
 _REL_TOL = 1e-12
 _EPS = 2.0 ** -52
+# Panels of Ramanujan's integral K in v: below _V_LO its factor
+# 1 - exp(-e**v) is under 1e-18, above _V_HI within 1e-18 of 1
+_V_LO, _V_HI, _V_PANELS = -39.5, 3.75, 18
 
 
 class _Kernel(NamedTuple):
@@ -216,13 +230,41 @@ def _log_integral(kernel: _Kernel, scheme: str) -> float:
     raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
 
 
+@functools.cache
+def _ramanujan_table() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v of both rules on the panels of K (module docstring) and the
+    (nodes, 2) matrix of the x-free factor (1 - exp(-e**v)) times the
+    weight of each rule, built once (read-only arrays)."""
+    edges = np.linspace(_V_LO, _V_HI, _V_PANELS + 1)
+    t, weights = _rule_pair()
+    h = 0.5 * np.diff(edges)
+    v = (np.outer(h, t) + edges[:-1, None]).ravel()
+    w = (h[:, None, None] * weights).reshape(v.size, 2) * -np.expm1(-np.exp(v))[:, None]
+    for a in (v, w):
+        a.flags.writeable = False
+    return v, w
+
+
 def log_nu(x: float, scheme: str = "fixed") -> float:
     """log of nu(x); -inf at x = 0.  Usable far beyond where nu itself
     overflows (nu grows like e^x)."""
     x = _require_nonnegative(x, "x")
     if x == 0.0:
         return -math.inf
-    return _log_integral(_Kernel(math.log(x)), scheme)
+    lx = math.log(x)
+    if scheme != "fixed":
+        return _log_integral(_Kernel(lx), scheme)
+    v, w = _ramanujan_table()
+    d = v - lx
+    value, check = (1.0 / (d * d + math.pi ** 2)) @ w
+    # past _V_HI the integrand is 1 / ((v - lx)**2 + pi**2) to 1e-18
+    k = value + math.atan2(math.pi, _V_HI - lx) / math.pi
+    # K <= nu: a check within 1e-12 of K is within 1e-12 of nu
+    if abs(value - check) > _REL_TOL * k:
+        raise ConvergenceError(f"Ramanujan integral check missed its target at x = {x!r}")
+    if x > 1.0:
+        return x + math.log1p((k - 1.0) * math.exp(-x))
+    return math.log(math.expm1(x) + k)
 
 
 def nu_function(x: float, scheme: str = "fixed") -> float:

@@ -188,13 +188,15 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
     return integrand, kernel
 
 
-def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float) -> np.ndarray:
-    """y**power G(y), G(y) = y**b2 e**-y U(a1, b2 + 1, y), for a 1-d array of
-    y > 0, with one half_line_quad call in s for all of them (see the routes
-    above); the power is added to the exponent of G's map as power * log y."""
+def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float, lift=0.0) -> np.ndarray:
+    """e**lift y**power G(y), G(y) = y**b2 e**-y U(a1, b2 + 1, y), for a 1-d
+    array of y > 0, with one half_line_quad call in s for all of them (see
+    the routes above); lift (a float or an array like y) and power * log y
+    are added to the exponent of G's map."""
     if a1 == 0.0 or a1 == b2:
-        return np.exp((b2 - a1 + power) * np.log(y) - y)
-    lift = power * np.log(y) if power else 0.0
+        return np.exp((b2 - a1 + power) * np.log(y) - y + lift)
+    if power:
+        lift = lift + power * np.log(y)
     firsts = (a1,) if a1 > -0.5 else (a1 + 1.0, a1 + 2.0)
     families = [_laplace_family(a, b2, y, lift) for a in firsts]
     m = y.size
@@ -401,9 +403,11 @@ def meijer_g_weight(params: MLParams, x, check: bool = False,
     return float(g[0]) if scalar else g
 
 
-def _meijer_g(params: MLParams, xs: np.ndarray) -> np.ndarray:
-    """The kernel of meijer_g_weight at a validated 1-d array xs >= 0;
-    OverflowError where a value is beyond float64."""
+def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
+    """e**lift times the kernel of meijer_g_weight at a validated 1-d array
+    xs >= 0, lift a float or an array like xs that the Laplace routes add to
+    the exponent of their map, so that the product survives where the kernel
+    alone underflows; OverflowError where a value is beyond float64."""
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * xs
     # Kummer's transformation (DLMF 13.2.40), G(y | a1; 0, b2) = y**b2
@@ -422,22 +426,23 @@ def _meijer_g(params: MLParams, xs: np.ndarray) -> np.ndarray:
     origin = ()
     with np.errstate(over="ignore"):
         if not edge.any():
-            g = _laplace_kernel(a, b, y, power)
+            g = _laplace_kernel(a, b, y, power, lift)
         else:
-            # 1 at the origin until the values off it have passed the test
-            g = np.ones_like(y)
+            # e**lift at the origin until the values off it have passed the test
+            lift = np.broadcast_to(lift, y.shape)
+            g = np.exp(lift)
             origin = np.flatnonzero(y == 0.0)
             series = edge & (y > 0.0)
             for i in np.flatnonzero(series):
-                g[i] = _g_small_y(a, b, float(y[i]))
+                g[i] *= _g_small_y(a, b, float(y[i]))
             g[series] *= y[series] ** power
             if not edge.all():
-                g[~edge] = _laplace_kernel(a, b, y[~edge], power)
+                g[~edge] = _laplace_kernel(a, b, y[~edge], power, lift[~edge])
     if not np.isfinite(g).all():
         x = float(xs[np.argmin(np.isfinite(g))])
         raise OverflowError(f"Meijer kernel at x = {x!r} exceeds float64 range")
     if len(origin):
-        g[origin] = _g_origin(a1, b2, float(xs[origin[0]]))
+        g[origin] *= _g_origin(a1, b2, float(xs[origin[0]]))
     return g
 
 
@@ -512,7 +517,9 @@ def measure_weight_h(params: MLParams, x):
     if not np.isfinite(series).all():
         x = float(xs[np.argmin(np.isfinite(series))])
         raise OverflowError(f"E at x = {x!r} exceeds float64 range")
-    h = _gamma(params.beta) * _ladder_head(params) * series * _meijer_g(params, xs)
+    # G underflows where E G need not (at (1, 3, 50, 0.5) from x ~ 360, with
+    # E ~ 1e157), so log E rides in the exponent of the kernel's map
+    h = _gamma(params.beta) * _ladder_head(params) * _meijer_g(params, xs, np.log(series))
     return float(h[0]) if scalar else h
 
 

@@ -274,14 +274,18 @@ class TestMoments:
         (MLParams(2.0, 3.0, 1.5, 0.7), 3.0, 43, 37),
         (MLParams(2.0, 3.0, 1.5, 0.7), 3.0, 43, 43),
         (MLParams(2.0, 3.0, 1.5, 0.7), 3.0, 43, 44),
-        # far past the cut p_n itself leaves float64 (p_200 ~ 1e-375 at |z| = 1),
-        # and at (7, 0.1, 9, 0.05) the window's own tail underflows to 0; the
-        # summands past the cut come from the window's top, so m = 10**8 is cheap
+        # far past the cut p_n itself leaves float64 (p_200 ~ 1e-375 at |z| = 1);
+        # the summands past the cut come from the window's top, so m = 10**8 is
+        # cheap.  At (7, 0.1, 9, 0.05), gamma/beta = 90 far above k/alpha, the
+        # tail bound follows the falling term ratio and the window stops at 23;
+        # at |z|^2 = 1e-294 its top p_1 ~ 9e-293 is below 2**-960, so the cut
+        # falls inside the window
         (UNIT_PARAMS, 1.0, 30, 200),
         (UNIT_PARAMS, 1.0, 30, 10 ** 8),
         (UNIT_PARAMS, 0.01, 8, 70),
-        (MLParams(7.0, 0.1, 9.0, 0.05), 1.5, 203, 200),
-        (MLParams(7.0, 0.1, 9.0, 0.05), 1.5, 203, 800),
+        (MLParams(7.0, 0.1, 9.0, 0.05), 1.5, 23, 200),
+        (MLParams(7.0, 0.1, 9.0, 0.05), 1.5, 23, 800),
+        (MLParams(7.0, 0.1, 9.0, 0.05), 1e-147, 2, 1),
     ])
     def test_moment_near_and_past_the_window_edge(self, params, mod, window, m):
         z = CSLabel(mod, 0.4)
@@ -298,6 +302,12 @@ class TestMoments:
         for m in range(window + 6):
             got = ordered_moment_fock(z, params, m)
             assert got == pytest.approx(mod ** (2 * m), rel=1e-12, abs=0), m
+
+    def test_moment_beyond_float64_is_named(self):
+        want = r"^\|z\|\^\(2m\) exceeds float64 range at \|z\|\^2 = 100.0, m = 155$"
+        for route in (expectation_ordered_power, ordered_moment_fock):
+            with pytest.raises(OverflowError, match=want):
+                route(CSLabel(10.0), UNIT_PARAMS, 155)
 
     def test_moment_domain(self):
         with pytest.raises(DomainError):
@@ -333,6 +343,22 @@ class TestBeyondFloatRange:
         np.testing.assert_allclose(probs, want, rtol=1e-11, atol=1e-300)
         phases = np.exp(1j * z.phase * np.arange(probs.size))
         np.testing.assert_allclose(state.coeffs, np.sqrt(probs) * phases, rtol=1e-15, atol=0)
+
+
+class TestSeriesWindow:
+    @pytest.mark.parametrize("x, window", [(200.0, 303), (1000.0, 862)])
+    def test_window_follows_the_falling_term_ratio(self, x, window):
+        # at (1, 3, 50, 0.5) gamma/beta = 16.7 is far above k/alpha = 0.5: the
+        # term ratio falls toward its limit, so the tail past n is bounded by
+        # the ratio at n, not at 0 (the window was 3,334 terms at x = 200, and
+        # 10,000 terms did not settle it at x = 1000)
+        params = MLParams(1.0, 3.0, 50.0, 0.5)
+        dist = photon_distribution(CSLabel(math.sqrt(x)), params)
+        assert dist.probs.size == window
+        want = log_space_probs(params, x, window + 100)
+        np.testing.assert_allclose(dist.probs, want[:window], rtol=1e-11, atol=1e-300)
+        # the reported tail mass bounds the mass past the window
+        assert want[window:].sum() <= dist.tail_mass <= 1e-12
 
 
 class TestPhotonStatistics:

@@ -201,7 +201,7 @@ class TestPeakWindow:
         skewed = weights * [1.0, 1.01]
         monkeypatch.setattr(continuum_mod, "_rule_pair", lambda: (nodes, skewed))
         with pytest.raises(ConvergenceError, match="node budget"):
-            log_nu(5.0)
+            continuum_mod._log_nu_gamma2(5.0)
 
 
 class TestContinuumMeasure:
@@ -268,14 +268,106 @@ class TestContinuumMeasure:
         assert heavy_imports_after(code) == {"numpy"}
 
 
+def reference_log_nu(x):
+    """mpmath log nu(x) on the defining energy integral at 40 digits, with
+    breakpoints at multiples of the decay length 1/|log x| below x = 1 and
+    around the peak E ~ x above it."""
+    with mpmath.workdps(40):
+        lx = mpmath.log(mpmath.mpf(x))
+        if x < 1.0:
+            s = 1.0 / abs(float(lx))
+            pts = [0, s, 5 * s, 30 * s, 200 * s + 20]
+        else:
+            w = math.sqrt(x + 1.0)
+            pts = sorted({0.0, max(0.0, x - 30 * w), max(0.0, x - 8 * w), x, x + 8 * w, x + 30 * w + 10})
+        val = mpmath.quad(lambda e: mpmath.exp(e * lx - mpmath.loggamma(e + 1)), pts + [mpmath.inf])
+        return float(mpmath.log(val))
+
+
+class TestNuTable:
+    """The default nu: Ramanujan's integral on its cached node table, held to
+    mpmath and to the peak window on the defining integral."""
+
+    # 1e-17 .. 1e-9 put log x near the table's lower end, where a shorter
+    # table would drop mass of order e**-|log x|
+    @pytest.mark.parametrize("x", np.geomspace(1e-300, 1e4, 31).tolist()
+                             + [1e-17, 1e-13, 1e-9, 0.3, 1.0, 10.0, 42.5])
+    def test_matches_mpmath(self, x):
+        want = reference_log_nu(x)
+        assert abs(log_nu(x) - want) <= 2e-14 * max(1.0, abs(want))
+
+    def test_frozen_value(self):
+        # mpmath gives 22026.189460481057; the peak window gave ...102
+        assert nu_function(10.0) == 22026.189460481062
+
+    def test_matches_the_peak_window(self):
+        # the window integrates x**E / Gamma(E+1) on math.lgamma: it shares no
+        # node, weight or function value with the table
+        import mlcs.continuum as continuum_mod
+
+        for x in np.geomspace(1e-300, 1e4, 240).tolist():
+            window = continuum_mod._window(continuum_mod._Kernel(math.log(x)))
+            got = log_nu(x)
+            assert abs(got - window) <= 1e-13 * max(1.0, abs(got)), x
+
+    def test_check_rule_meets_its_target_everywhere(self):
+        # log x from -745 (x = 5e-324) to 10 at step 0.01: no call raises
+        for lx in np.arange(-745.0, 10.0, 0.01).tolist():
+            assert math.isfinite(log_nu(math.exp(lx)))
+
+    def test_tiny_and_huge_arguments(self):
+        # nu vanishes like 1/|log x|: at 5e-324 it is about K alone, near
+        # 1/745; at 1e308, (1 - K) e^{-x} underflows and log nu is x
+        assert log_nu(5e-324) == pytest.approx(reference_log_nu(5e-324), rel=2e-15, abs=0)
+        assert log_nu(1e308) == 1e308
+
+    def test_makes_no_lgamma_call(self, monkeypatch):
+        import mlcs.continuum as continuum_mod
+
+        def forbidden(*args):
+            raise AssertionError("lgamma called")
+
+        monkeypatch.setattr(math, "lgamma", forbidden)
+        monkeypatch.setattr(continuum_mod, "_lgamma", forbidden)
+        for x in (1e-300, 0.5, 7.0, 800.0):
+            assert math.isfinite(log_nu(x))
+        assert continuum_husimi(CSLabel(2.0), 1.0) == pytest.approx(0.0725783711414998, rel=1e-9, abs=0)
+        assert continuum_measure_weight(1.0) > 0.0
+        assert EnergyDensityState.build(CSLabel(2.0)).norm_mass() == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(AssertionError, match="lgamma called"):
+            tilde_ml(MLParams(1.0, 2.0, 1.0, 1.0), 4.0)
+
+    def test_loads_no_scipy(self):
+        assert heavy_imports_after("from mlcs import log_nu\nlog_nu(5.0)") == {"numpy"}
+
+    def test_a_missed_check_raises(self, monkeypatch):
+        # a check rule 1 % off can never agree with the value to 1e-12
+        import mlcs.continuum as continuum_mod
+
+        nodes, weights = continuum_mod._ramanujan_table()
+        skewed = weights * [1.0, 1.01]
+        monkeypatch.setattr(continuum_mod, "_ramanujan_table", lambda: (nodes, skewed))
+        with pytest.raises(ConvergenceError, match="check missed its target at x = 5.0"):
+            log_nu(5.0)
+
+    def test_table_is_read_only(self):
+        import mlcs.continuum as continuum_mod
+
+        for a in continuum_mod._ramanujan_table():
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 class TestNuSecondRoutes:
-    """nu against identities that share no code with the energy integral."""
+    """nu against identities other than the one the table sums."""
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0])
     def test_ramanujan_integral(self, x):
         # nu(x) = e^x - int_R exp(-x e^u) / (pi^2 + u^2) du (Erdelyi et al.,
-        # Higher Transcendental Functions III, 18.3); the integrand is 1 to
-        # roundoff below u = -L, so that tail is taken in closed form
+        # Higher Transcendental Functions III, 18.3), the identity the table
+        # sums: this holds the table to QUADPACK on the same identity.  The
+        # integrand is 1 to roundoff below u = -L, so that tail is taken in
+        # closed form
         low = 60.0
         high = math.log(750.0 / x)
         body, _ = integrate.quad(lambda u: math.exp(-x * math.exp(u)) / (math.pi ** 2 + u * u),

@@ -464,6 +464,21 @@ class TestMeasureWeight:
         for x in np.linspace(0.05, 20.0, 15):
             assert measure_weight_h(params, float(x)) >= 0.0
 
+    @pytest.mark.parametrize("x", [400.0, 500.0])
+    def test_weight_where_the_kernel_alone_underflows(self, x):
+        # at (1, 3, 50, 0.5) Gamma(beta) (k/alpha) Gamma(gamma/k) / Gamma(beta/alpha)
+        # is 4.7e155 and E(400) is 1e169, while G(200) ~ 1e-325 underflows:
+        # the product used to overflow to NaN from x ~ 360
+        params = MLParams(1.0, 3.0, 50.0, 0.5)
+        a, b = params.gamma_over_k, params.beta_over_alpha
+        with mpmath.workdps(40):
+            y = mpmath.mpf(params.k) / params.alpha * x
+            want = float(mpmath.mpf(params.k) / params.alpha * mpmath.gamma(a) / mpmath.gamma(b)
+                         * mpmath.hyp1f1(a, b, y) * y ** (b - 1) * mpmath.exp(-y)
+                         * mpmath.hyperu(a - 1, b, y))
+        for got in (measure_weight_h(params, x), measure_weight_h(params, np.array([1.0, x]))[1]):
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("params, x, error, match", [
         (MLParams(2.0, 3.0, 1.5, 0.7), 5000.0, OverflowError, r"E at x = 5000.0 exceeds float64 range"),
         (MLParams(2.0, 3.0, 1.5, 0.7), 2e4, ConvergenceError, r"series at x=20000.0 "),
@@ -642,9 +657,9 @@ class TestResolutionIdentity:
             tables.append(x)
             return table(params, x)
 
-        def counted_kernel(params, x):
+        def counted_kernel(params, x, *lift):
             kernels.append(x)
-            return kernel(params, x)
+            return kernel(params, x, *lift)
 
         rule = quadrature_mod.half_line_quad
         depth = []
