@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
-from .kcore import MLParams, _gamma, _require_count, _require_nonnegative
+from .kcore import MLParams, _gamma, _require_count, _require_finite, _require_nonnegative
 from .mlfunc import _BIG, _DEFAULT_CONFIG, _DOWN, EvalConfig, _ml_sum
 
 __all__ = [
@@ -61,9 +61,7 @@ class CSLabel:
 
     def __post_init__(self):
         object.__setattr__(self, "modulus", _require_nonnegative(self.modulus, "modulus"))
-        if not (isinstance(self.phase, (int, float)) and math.isfinite(self.phase)):
-            raise DomainError(f"phase must be finite, got {self.phase!r}")
-        object.__setattr__(self, "phase", float(self.phase) % _TWO_PI)
+        object.__setattr__(self, "phase", _require_finite(self.phase, "phase") % _TWO_PI)
 
     @classmethod
     def from_complex(cls, w: complex) -> "CSLabel":
@@ -153,7 +151,7 @@ def _series_terms(params: MLParams, x: float):
     scaled by the same power of two.  A term past 2**960 scales everything
     kept by 2**-960, as mlfunc._series does, so the sum stays finite.  Every
     ratio past t_n is at most the larger of the next one and x (k/a) / (n+1),
-    as (g + m k) / (b + m a) is monotone in m with limit k/a."""
+    the mlfunc tail rule per index, which certifies short windows too."""
     a, b, g, k = params.alpha, params.beta, params.gamma, params.k
     t = 1.0 / _gamma(b)
     terms = [t]

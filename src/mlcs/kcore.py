@@ -32,9 +32,17 @@ def _require_positive(value, name: str) -> float:
 
 
 def _require_nonnegative(value, name: str) -> float:
-    """The package's one nonnegative-finite check; returns value as a float."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+    """The package's one nonnegative-finite check (bools refused); returns a float."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
+def _require_finite(value, name: str) -> float:
+    """The package's one finite-real check (bools refused); returns a float."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise DomainError(f"{name} must be a finite real, got {value!r}")
     return float(value)
 
 

@@ -47,9 +47,9 @@ the moment suite in coefficient space (entry n is pref times the
 coefficient of x**n in t_n times the moment s = n + 1 of G), not an
 independent check of it, and no E(x) is summed for it.  The rule's scale
 follows the tallest member, so one call of its first nodes usually covers
-every member, with one kernel call for all of them.  h(x) itself takes E(x)
-from the scalar series of the mlfunc module at a float x, and from one term
-table per call at an array.
+every member, with one kernel call for all of them.  h(x) itself takes
+log E(x) from the scaled sum of the scalar series of the mlfunc module at a
+float x, and of one term table per call at an array.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams, _gamma, _require_count, _require_positive
-from .mlfunc import _ml_sum, _ml_table
+from .mlfunc import _LN2, _ml_sum, _ml_table
 from .quadrature import gauss_legendre_panels, half_line_quad
 
 __all__ = [
@@ -501,10 +501,10 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
 
 def measure_weight_h(params: MLParams, x):
     """Full radial weight h(x); identically 1 at unit parameters.  x is a float
-    or a 1-d array, as for meijer_g_weight.  A float takes E(x) from the
-    scalar series, an array from one term table; either raises OverflowError
-    where E(x) overflows and ConvergenceError where its series does not
-    settle within the term budget."""
+    or a 1-d array, as for meijer_g_weight.  A float takes log E(x) from the
+    scaled sum of the scalar series, an array from one term table, so h is
+    finite wherever h itself is, E(x) beyond float64 or not; ConvergenceError
+    where the series does not settle within the term budget."""
     xs, scalar = _x_values(x)
     if scalar:
         sums, exps, used, _, settled = _ml_sum(params, float(xs[0]))
@@ -512,14 +512,10 @@ def measure_weight_h(params: MLParams, x):
             raise ConvergenceError(f"series at x={x!r} not converged after {used} terms")
     else:
         sums, exps, _ = _ml_table(params, xs)
-    with np.errstate(over="ignore"):
-        series = np.ldexp(sums, exps)
-    if not np.isfinite(series).all():
-        x = float(xs[np.argmin(np.isfinite(series))])
-        raise OverflowError(f"E at x = {x!r} exceeds float64 range")
     # G underflows where E G need not (at (1, 3, 50, 0.5) from x ~ 360, with
     # E ~ 1e157), so log E rides in the exponent of the kernel's map
-    h = _gamma(params.beta) * _ladder_head(params) * _meijer_g(params, xs, np.log(series))
+    lift = np.log(sums) + exps * _LN2
+    h = _gamma(params.beta) * _ladder_head(params) * _meijer_g(params, xs, lift)
     return float(h[0]) if scalar else h
 
 

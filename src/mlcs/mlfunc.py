@@ -7,19 +7,18 @@ by direct term recursion, plus a confluent-hypergeometric cross-check route
 and the Laplace transform of E in closed form and by quadrature.
 
 Every ML and 1F1 series at one argument is summed by one Kahan-compensated
-loop, _series, for the term ratio x (p + n q) / ((r + n s) (n + 1)) given as numbers:
-(x, p, q, r, s) = (z, gamma, k, beta, alpha) on the direct route and
-((k/alpha) z, gamma/k, 1, beta/alpha, 1) on the 1F1 route.  From order n on
-the ratio is bounded by cap / (n + 1), cap = |x| max(|p|/r, q/s); on the
-reflected series below, whose p can be large and negative, cap = |x|
-max(|p + m q|/(r + m s), q/s) at m = floor(|x| q/s), which holds from m on
-and is too large to certify anything before m.  Either yields a rigorous
-geometric tail bound once cap / (n + 1) drops below 1, and the sum stops when
-the bound falls under rel_tol times the partial sum.  The loop moves exact
-powers of two (2**960 at a time) out of its partial sums into a returned
-exponent, so a sum that stays below 2**960 is the plain float sum bit for
-bit, and E beyond float64 raises OverflowError instead of turning into NaN.
-Non-finite z raises DomainError.
+loop, _series, for the term ratio x (p + n q) / ((r + n s) (n + 1)) given as
+numbers: (x, p, q, r, s) = (z, gamma, k, beta, alpha) on the direct route and
+((k/alpha) z, gamma/k, 1, beta/alpha, 1) on the 1F1 route.  Every series here
+stops by one tail rule: (p + j q) / (r + j s) is monotone in j with limit q/s,
+so from m = floor(|x| q/s) on each term ratio is at most cap / (n + 1), with
+cap = |x| max(|p + m q| / (r + m s), q/s), a bound of at least 1 before m
+that certifies nothing there.  Once cap / (n + 1) < 1 the geometric tail past
+t_n bounds the rest, and the sum stops when that falls under rel_tol times the
+partial sum.  The loop moves exact powers of two (2**960 at a time) out of its
+partial sums into a returned exponent, so a sum that stays below 2**960 is the
+plain float sum bit for bit, and E beyond float64 raises OverflowError instead
+of turning into NaN.  Non-finite z raises DomainError.
 
 Negative arguments are summed through the confluent reflection
 
@@ -43,7 +42,7 @@ take _ml_table instead: the direct-route terms t_n(x_i) as one array, row i
 a cumulative product of the term ratios x_i (gamma + j k) / ((beta + j alpha)
 (j + 1)), built 64 columns at a time.  Each row has its own power-of-two
 exponent, moved out of its partial sum between blocks, and stops at its own
-first index where the _series rule certifies rel_tol, the terms past it
+first index where the tail rule certifies rel_tol, the terms past it
 masked to 0, so a row's value does not depend on the other x of its call.
 The table returns each row's sum, exponent and tail bound.
 
@@ -63,7 +62,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _gamma, _require_count, _require_positive
+from .kcore import MLParams, _gamma, _require_count, _require_finite, _require_positive
 
 __all__ = [
     "EvalConfig",
@@ -114,22 +113,25 @@ class SeriesResult:
     converged: bool
 
 
-def _series(t0, x, p, q, r, s, cap, cfg):
+def _series(t0, x, p, q, r, s, cfg):
     """Kahan sum of t0 * sum_n prod_{j<n} x (p + j q) / ((r + j s) (j + 1)).
 
-    Every term ratio from index n on is bounded in magnitude by cap / (n + 1);
-    the sum stops once the geometric tail bound falls below rel_tol of it.
-    Runs on float, complex or Decimal values.  A term past 2**960 moves that
-    power of two from the term, the sum and the compensation into the
-    exponent e (exact in binary), so the value is total * 2**e; once the
-    terms fall back below 2**960 and no term reached 2**1010, the power moves
-    back before the terms underflow in the scaled units.  Returns (total, e,
+    Stops by the tail rule of the module docstring, its cap worked out once
+    on entry.  Runs on float or complex values, or in decimal from the exact
+    float inputs when t0 is a Decimal.  A term past 2**960 moves that power
+    of two from the term, the sum and the compensation into the exponent e
+    (exact in binary), so the value is total * 2**e; once the terms fall
+    back below 2**960 and no term reached 2**1010, the power moves back
+    before the terms underflow in the scaled units.  Returns (total, e,
     terms used, tail bound, converged, largest |t_n|), the sums in units of
     2**e; OverflowError if a single term ratio overflows float64.
     """
+    m = abs(x) * q / s // 1
+    cap = abs(p + m * q) / (r + m * s)
+    cap = abs(x) * (cap if cap > q / s else q / s)
     tol, down = cfg.rel_tol, _DOWN
     if isinstance(t0, decimal.Decimal):
-        tol, cap, down = decimal.Decimal(tol), decimal.Decimal(cap), decimal.Decimal(down)
+        x, p, q, r, s, tol, cap, down = (decimal.Decimal(v) for v in (x, p, q, r, s, tol, cap, down))
     term = total = t0
     comp = t0 - t0
     peak = abs(t0)
@@ -161,7 +163,7 @@ def _series(t0, x, p, q, r, s, cap, cfg):
     return total, e, n + 1, tail, False, peak
 
 
-def _decimal_sum(t0, x, p, q, r, s, cap, cfg):
+def _decimal_sum(t0, x, p, q, r, s, cfg):
     """_series in decimal arithmetic with the float inputs taken exactly.
 
     Exact arithmetic makes a few more terms cheap, so the tail is summed
@@ -171,13 +173,12 @@ def _decimal_sum(t0, x, p, q, r, s, cap, cfg):
     and that rounding are below rel_tol of the sum; no certificate at 320
     digits gives False.
     """
-    args = [decimal.Decimal(v) for v in (t0, x, p, q, r, s)]
     fine = EvalConfig(min(cfg.rel_tol, _EPS), cfg.max_terms)
     prec = 40
     while True:
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            total, e, used, tail, _, peak = _series(+args[0], *args[1:], cap, fine)
+            total, e, used, tail, _, peak = _series(+decimal.Decimal(t0), x, p, q, r, s, fine)
         value, tail = float(total), float(tail)
         rounding = float(peak) * used * 10.0 ** (1 - prec)
         certified = rounding <= cfg.rel_tol * abs(value)
@@ -200,20 +201,15 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
     if z == 0:
         return t0 + 0 * z, 0, 1, 0.0, True
     if z.real >= 0.0:
-        return _series(t0 + 0 * z, z, p, q, r, s, abs(z) * max(p / r, q / s), cfg)[:5]
+        return _series(t0 + 0 * z, z, p, q, r, s, cfg)[:5]
     c = q * (r / s - p / q)
     y = -z
-    # (c + j q) / (r + j s) is monotone in j and tends to q/s, so from index
-    # m on its modulus is at most max(|c + m q| / (r + m s), q/s); with
-    # m <= |y| q/s that cap also keeps every ratio bound before m above 1
-    m = math.floor(min(abs(y) * q / s, cfg.max_terms))
-    cap = abs(y) * max(abs(c + m * q) / (r + m * s), q / s)
-    total, e, used, tail, ok, peak = _series(t0 + 0 * z, y, c, q, r, s, cap, cfg)
+    total, e, used, tail, ok, peak = _series(t0 + 0 * z, y, c, q, r, s, cfg)
     if isinstance(z, complex):
         scale = cmath.exp((q / s) * z + e * _LN2)
     else:
         if c < 0.0 and peak * (math.ceil(-c / q) + 1) * _EPS > cfg.rel_tol * abs(total):
-            total, e, used, tail, ok = _decimal_sum(t0, y, c, q, r, s, cap, cfg)
+            total, e, used, tail, ok = _decimal_sum(t0, y, c, q, r, s, cfg)
         scale = math.exp((q / s) * z + e * _LN2)
     # a budget spent leaves tail = inf, and a scale underflowed to 0 must not
     # turn that bound into NaN
@@ -230,8 +226,8 @@ def _ml_sum(params: MLParams, z, cfg: EvalConfig = _DEFAULT_CONFIG):
 # columns of the term table built per cumulative product
 _TABLE_BLOCK = 64
 # a row whose partial sum passes this moves its power of two into the row
-# exponent; the ratios of one block, each at most cap / n with cap below the
-# term budget, multiply a term by at most 2**555, so no block overflows
+# exponent, which leaves a block 2**617 of growth (at (1, 3, 50, 0.5) one
+# grows by 2**484 at most for x <= 2000); the tail rule caps no ratio before m
 _TABLE_SHIFT = 2.0 ** 400
 
 
@@ -239,17 +235,17 @@ def _ml_table(params: MLParams, x):
     """E on the direct route at a 1-d float array x >= 0, one row per x.
 
     Returns (sums, exps, tails): each row's sum and tail bound, both in units
-    of 2**exps[i].  Row i stops at its first index n >= 1 where
-    cap_i / (n + 1) < 1, cap_i = x_i max(gamma/beta, k/alpha), and the
-    geometric tail bound is at most rel_tol of its partial sum, the rule of
-    _series; its terms past n are 0.  ConvergenceError when a row needs more
-    than the term budget, OverflowError when Gamma(beta) is beyond float64.
+    of 2**exps[i].  Row i stops where the tail rule, with its own cap,
+    certifies rel_tol, its terms past that index 0.  ConvergenceError when a
+    row needs more than the term budget (at once where its cap reaches it),
+    OverflowError when Gamma(beta) or a row's terms leave float64.
     """
     import numpy as np
 
     a, b, g, k = params.alpha, params.beta, params.gamma, params.k
     tol, budget = _DEFAULT_CONFIG.rel_tol, _DEFAULT_CONFIG.max_terms
-    cap = x * max(g / b, k / a)
+    lead = x * k / a // 1
+    cap = x * np.maximum((g + lead * k) / (b + lead * a), k / a)
     if cap.size and cap.max() >= budget:
         # cap / (n + 1) < 1 needs more terms than the budget
         raise ConvergenceError(
@@ -261,40 +257,45 @@ def _ml_table(params: MLParams, x):
     idx, xa, ca = np.arange(m), x, cap
     carry, total, e = np.full(m, t0), np.full(m, t0), np.zeros(m, dtype=int)
     cols = np.arange(_TABLE_BLOCK)
-    for start in range(1, budget, _TABLE_BLOCK):
-        j = cols + start
-        ratios = xa[:, None] * ((g + (j - 1) * k) / ((b + (j - 1) * a) * j))
-        terms = carry[:, None] * np.cumprod(ratios, axis=1)
-        bound = ca[:, None] / (j + 1)
-        # tail bound terms * bound / (1 - bound) within tol of the partial sum
-        done = (bound < 1.0) & (terms * bound <= tol * (1.0 - bound)
-                                * (total[:, None] + np.cumsum(terms, axis=1)))
-        hit = done.any(axis=1)
-        last = np.where(hit, done.argmax(axis=1), _TABLE_BLOCK - 1)
-        terms[cols > last[:, None]] = 0.0
-        total = total + terms.sum(axis=1)
-        if hit.any():
-            rows = hit.nonzero()[0]
-            ended, at = idx[rows], last[rows]
-            sums[ended], exps[ended] = total[rows], e[rows]
-            edge = bound[rows, at]
-            tails[ended] = terms[rows, at] * edge / (1.0 - edge)
-            if rows.size == idx.size:
+    # a row past float64 anyway stays inf and ends once cap / (n + 1) < 1, as
+    # inf passes the tail test; the cap check above puts that within budget
+    with np.errstate(over="ignore"):
+        for start in range(1, budget, _TABLE_BLOCK):
+            j = cols + start
+            ratios = xa[:, None] * ((g + (j - 1) * k) / ((b + (j - 1) * a) * j))
+            bound = ca[:, None] / (j + 1)
+            terms = carry[:, None] * np.cumprod(ratios, axis=1)
+            # tail bound terms * bound / (1 - bound) within tol of the partial sum
+            done = (bound < 1.0) & (terms * bound <= tol * (1.0 - bound)
+                                    * (total[:, None] + np.cumsum(terms, axis=1)))
+            hit = done.any(axis=1)
+            last = np.where(hit, done.argmax(axis=1), _TABLE_BLOCK - 1)
+            terms[cols > last[:, None]] = 0.0
+            total = total + terms.sum(axis=1)
+            if hit.any():
+                rows = hit.nonzero()[0]
+                ended, at = idx[rows], last[rows]
+                sums[ended], exps[ended] = total[rows], e[rows]
+                edge = bound[rows, at]
+                tails[ended] = terms[rows, at] * edge / (1.0 - edge)
+                if rows.size == idx.size:
+                    break
+                going = ~hit
+                idx, xa, ca, total, e, terms = (v[going] for v in (idx, xa, ca, total, e, terms))
+            elif not m:
                 break
-            going = ~hit
-            idx, xa, ca, total, e, terms = (v[going] for v in (idx, xa, ca, total, e, terms))
-        elif not m:
-            break
-        carry = terms[:, -1]
-        big = total > _TABLE_SHIFT
-        if big.any():
-            shift = np.frexp(total[big])[1]
-            total[big] = np.ldexp(total[big], -shift)
-            carry[big] = np.ldexp(carry[big], -shift)
-            e[big] += shift
-    else:
-        raise ConvergenceError(
-            f"series at x={float(xa[0])} not converged after {budget} terms")
+            carry = terms[:, -1]
+            big = total > _TABLE_SHIFT
+            if big.any():
+                shift = np.frexp(total[big])[1]
+                total[big] = np.ldexp(total[big], -shift)
+                carry[big] = np.ldexp(carry[big], -shift)
+                e[big] += shift
+        else:
+            raise ConvergenceError(
+                f"series at x={float(xa[0])} not converged after {budget} terms")
+    if np.isinf(sums).any():
+        raise OverflowError(f"series terms at x={x[np.isinf(sums)][0]} leave float64")
     return sums, exps, tails
 
 
@@ -359,14 +360,12 @@ def ml_eval_via_1f1(params: MLParams, z: float) -> SeriesResult:
 def _laplace_arg(params: MLParams, s) -> float:
     """s as a float; DomainError unless it is a finite real above k/alpha,
     where the transform converges."""
-    thresh = params.k / params.alpha
-    if not (isinstance(s, (int, float)) and math.isfinite(s)):
-        raise DomainError(f"s must be a finite real, got {s!r}")
+    thresh, s = params.k / params.alpha, _require_finite(s, "s")
     if s <= thresh:
         raise DomainError(
             f"transform diverges for s <= k/alpha = {thresh}; got s = {s}"
         )
-    return float(s)
+    return s
 
 
 def ml_laplace(params: MLParams, s: float) -> float:
@@ -381,7 +380,7 @@ def ml_laplace(params: MLParams, s: float) -> float:
     a = params.gamma_over_k
     b = params.beta_over_alpha
 
-    # ratio at order m is w*(a+m)/(b+m) -> w < 1, bounded by w*max(a/b, 1)
+    # the tail rule of the module docstring per index: past order n every ratio is at most r
     term = 1.0
     total = 1.0
     comp = 0.0

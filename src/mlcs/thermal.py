@@ -30,7 +30,7 @@ import numpy as np
 
 from .coherent import CSLabel, _fock_probs
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _require_count, _require_positive
+from .kcore import MLParams, _require_count, _require_finite, _require_positive
 from .measure import meijer_g_weight
 from .mlfunc import SeriesResult, _ml_sum
 
@@ -76,9 +76,7 @@ class QuadraticSpectrum:
 
     def __post_init__(self):
         for name in ("a_lin", "b_quad"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+            _require_finite(getattr(self, name), name)
 
     def energy(self, n: int) -> float:
         return self.a_lin * n + self.b_quad * n * n

@@ -78,6 +78,15 @@ class TestMlEval:
         assert payload["results"]["converged"] is False
         assert payload["diagnostics"]
 
+    def test_tail_rule_settles_a_large_gamma_over_beta(self, capsys):
+        # the fixed cap z gamma/beta spent the whole budget here (exit 2)
+        code, out, err = run_cli(capsys, "ml-eval", "--alpha", "1", "--beta", "3",
+                                 "--gamma", "50", "--kpar", "0.5", "--z", "700")
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["converged"] is True
+        assert results["terms_used"] == 572
+
     def test_value_beyond_float64_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "ml-eval", "--alpha", "2", "--beta", "3",
                                  "--gamma", "1.5", "--kpar", "0.7", "--z", "2030")

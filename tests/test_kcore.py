@@ -1,5 +1,6 @@
 """Shared core: the parameter quadruple, the named Gamma and the package's
-one validator per kind of input (positive, nonnegative, integer count)."""
+one validator per kind of input (positive, nonnegative, finite real,
+integer count)."""
 
 import math
 
@@ -23,6 +24,7 @@ from mlcs import (
     continuum_partition,
     expectation_ordered_power,
     log_nu,
+    ml_laplace,
     nu_function,
     ordered_moment_fock,
     resolution_identity_matrix,
@@ -98,8 +100,22 @@ class TestPositiveValidator:
         ]
         for name, make in makers:
             make(0.0)
-            for bad in (-2.0, math.nan, math.inf, "1"):
+            # a bool is refused too: nu_function(True) and log_nu(False) were numbers
+            for bad in (-2.0, math.nan, math.inf, "1", True, False):
                 with pytest.raises(DomainError, match=f"{name} must be finite and >= 0"):
+                    make(bad)
+        # the label phase, the Laplace variable s and the quadratic spectrum's
+        # coefficients go through kcore._require_finite, bools refused alike
+        makers = [
+            ("phase", -2.0, lambda v: CSLabel(1.0, v)),
+            ("s", 2.0, lambda v: ml_laplace(UNIT_PARAMS, v)),
+            ("a_lin", -2.0, lambda v: QuadraticSpectrum(v, 0.0)),
+            ("b_quad", -2.0, lambda v: QuadraticSpectrum(1.0, v)),
+        ]
+        for name, good, make in makers:
+            make(good)
+            for bad in (math.nan, math.inf, "1", True, False):
+                with pytest.raises(DomainError, match=f"{name} must be a finite real"):
                     make(bad)
 
     def test_every_count_shares_one_check(self):

@@ -464,24 +464,45 @@ class TestMeasureWeight:
         for x in np.linspace(0.05, 20.0, 15):
             assert measure_weight_h(params, float(x)) >= 0.0
 
+    @staticmethod
+    def _weight_reference(params, x):
+        """h(x) from mpmath's 1F1 and Tricomi U at 40 digits."""
+        a, b = params.gamma_over_k, params.beta_over_alpha
+        with mpmath.workdps(40):
+            y = mpmath.mpf(params.k) / params.alpha * x
+            return float(mpmath.mpf(params.k) / params.alpha * mpmath.gamma(a) / mpmath.gamma(b)
+                         * mpmath.hyp1f1(a, b, y) * y ** (b - 1) * mpmath.exp(-y)
+                         * mpmath.hyperu(a - 1, b, y))
+
     @pytest.mark.parametrize("x", [400.0, 500.0])
     def test_weight_where_the_kernel_alone_underflows(self, x):
         # at (1, 3, 50, 0.5) Gamma(beta) (k/alpha) Gamma(gamma/k) / Gamma(beta/alpha)
         # is 4.7e155 and E(400) is 1e169, while G(200) ~ 1e-325 underflows:
         # the product used to overflow to NaN from x ~ 360
         params = MLParams(1.0, 3.0, 50.0, 0.5)
-        a, b = params.gamma_over_k, params.beta_over_alpha
-        with mpmath.workdps(40):
-            y = mpmath.mpf(params.k) / params.alpha * x
-            want = float(mpmath.mpf(params.k) / params.alpha * mpmath.gamma(a) / mpmath.gamma(b)
-                         * mpmath.hyp1f1(a, b, y) * y ** (b - 1) * mpmath.exp(-y)
-                         * mpmath.hyperu(a - 1, b, y))
+        want = self._weight_reference(params, x)
+        for got in (measure_weight_h(params, x), measure_weight_h(params, np.array([1.0, x]))[1]):
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("params, x", [
+        (MLParams(1.0, 3.0, 50.0, 0.5), 600.0),
+        (MLParams(1.0, 3.0, 50.0, 0.5), 700.0),
+        (MLParams(1.0, 3.0, 50.0, 0.5), 1500.0),
+        # these two raised OverflowError (E(5000) ~ 1e760 leaves float64) and
+        # ConvergenceError (the fixed cap 2e4 gamma/beta exceeds the budget)
+        (MLParams(2.0, 3.0, 1.5, 0.7), 5000.0),
+        (MLParams(2.0, 3.0, 1.5, 0.7), 2e4)])
+    def test_weight_where_the_series_leaves_float64(self, params, x):
+        # log E comes from the scaled sum, so E past float64 does not matter;
+        # at (1, 3, 50, 0.5) the series settled after 10,000 terms no more
+        want = self._weight_reference(params, x)
         for got in (measure_weight_h(params, x), measure_weight_h(params, np.array([1.0, x]))[1]):
             assert got == pytest.approx(want, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("params, x, error, match", [
-        (MLParams(2.0, 3.0, 1.5, 0.7), 5000.0, OverflowError, r"E at x = 5000.0 exceeds float64 range"),
-        (MLParams(2.0, 3.0, 1.5, 0.7), 2e4, ConvergenceError, r"series at x=20000.0 "),
+        # x k/alpha = 10,500 and 10,000: no cap / (n + 1) drops below 1 in budget
+        (MLParams(2.0, 3.0, 1.5, 0.7), 3e4, ConvergenceError, r"series at x=30000.0 "),
+        (MLParams(1.0, 3.0, 50.0, 0.5), 2e4, ConvergenceError, r"series at x=20000.0 "),
         (MLParams(1.0, 200.0, 1.0, 1.0), 1.0, OverflowError,
          r"Gamma\(beta\) exceeds float64 range at beta = 200.0"),
         (MLParams(0.5, 100.0, 1.0, 1.0), 1.0, OverflowError,

@@ -184,7 +184,7 @@ class TestTermTable:
     """mlfunc._ml_table against the scalar engine it replaces at rule nodes."""
 
     SETS = [UNIT_PARAMS, F2, MLParams(0.6, 1.4, 2.8, 1.1), MLParams(1.5, 1.2, 0.6, 1.0),
-            MLParams(3.0, 0.2, 0.1, 5.0)]
+            MLParams(3.0, 0.2, 0.1, 5.0), MLParams(1.0, 3.0, 50.0, 0.5)]
 
     @pytest.mark.parametrize("params", SETS)
     def test_sums_match_ml_eval(self, params):
@@ -210,8 +210,18 @@ class TestTermTable:
     def test_budget_and_empty_call(self):
         with pytest.raises(ConvergenceError, match="10000 terms"):
             mlfunc._ml_table(UNIT_PARAMS, np.array([1.0, 2e4]))
+        # x k/alpha = 9999.5, but the cap at m = 9999 is 10,088
+        with pytest.raises(ConvergenceError, match="x=19999.0 needs over 10000 terms"):
+            mlfunc._ml_table(MLParams(1.0, 3.0, 50.0, 0.5), np.array([19999.0]))
         sums, exps, tails = mlfunc._ml_table(UNIT_PARAMS, np.array([]))
         assert sums.size == exps.size == tails.size == 0
+
+    def test_block_beyond_float64_is_named(self, monkeypatch):
+        # with no power of two moved out, E(5000) ~ 2**2500 takes a block's
+        # terms past float64, which must raise, not sum to inf
+        monkeypatch.setattr(mlfunc, "_TABLE_SHIFT", math.inf)
+        with pytest.raises(OverflowError, match="series terms at x=5000.0 leave float64"):
+            mlfunc._ml_table(F2, np.array([1.0, 5000.0]))
 
     def test_gamma_of_beta_beyond_float64_is_named(self):
         params = MLParams(1.0, 200.0, 1.0, 1.0)
@@ -242,6 +252,19 @@ class TestSeriesDiagnostics:
             assert res.terms_used < 1000
             assert res.value == pytest.approx(truth, rel=1e-11, abs=0)
             assert abs(res.value - truth) <= res.tail_bound + 1e-13 * abs(truth)
+
+    @pytest.mark.parametrize("z, most", [(300.0, 317), (600.0, 511), (700.0, 572)])
+    def test_tail_rule_certifies_where_gamma_over_beta_is_large(self, z, most):
+        # gamma/beta = 16.7 against k/alpha = 0.5: the fixed cap z gamma/beta
+        # spent 5001 terms at z = 300 and the whole budget (converged False)
+        # at 600 and 700, though the terms peak near n = z/2
+        params = MLParams(1.0, 3.0, 50.0, 0.5)
+        truth = reference_value(params, z)
+        for res in (ml_eval(params, z), ml_eval_via_1f1(params, z)):
+            assert res.converged
+            assert res.terms_used == most
+            assert res.value == pytest.approx(truth, rel=1e-12, abs=0)
+            assert abs(res.value - truth) <= res.tail_bound + 1e-13 * truth
 
     def test_spent_budget_with_underflowed_scale_has_no_nan_bound(self):
         # |z| k/alpha = 27,766 terms are needed; after 10,000 the reflection
