@@ -24,9 +24,8 @@ from .kcore import MLParams
 # Each command imports the modules it computes with, so `ml-eval` loads
 # neither numpy nor scipy, and only the Meijer kernel of `scan pfn` and
 # `verify resolution` loads scipy.special, and that only where the kernel
-# takes its connection formula: below y = 1e-4 for gamma/k <= m - 1/2 or
-# max(beta/alpha, 1) < gamma/k < m + 1/2, m = min(beta/alpha, 1), and below
-# y = 1e-250 for |beta/alpha - 1| < 0.05 with gamma/k - m < 2.
+# takes its connection formula (the region is stated in the docstring of
+# mlcs.measure).
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 

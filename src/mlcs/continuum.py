@@ -438,7 +438,9 @@ class EnergyDensityState:
         )
 
     def norm_mass(self) -> float:
-        """int mass_density dE; equals 1 by construction (quadrature check)."""
+        """int mass_density dE = nu(|z|**2) / norm.  For a state from build
+        both come from the same nu table, so this is 1 up to rounding: an
+        identity, not a quadrature check."""
         return math.exp(log_nu(self.z.modulus ** 2) - math.log(self.norm))
 
     def norm_literal(self) -> float:

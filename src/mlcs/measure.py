@@ -20,14 +20,16 @@ routine: every y of a call is taken from the Laplace integral of U on the
 nodes in s of one half-line rule, with the integrand chosen by a1 (plain for
 a1 >= 1/2, the endpoint singularity subtracted for -1/2 < a1 < 1/2, one
 recurrence step below; see the comment above _laplace_family).  Below
-y = 1e-4, where the subtracted form or the recurrence would cancel
-(0 <= b2 < a1 < 1/2, or a1 <= -1/2), the connection formula of U (two short
-Kummer series) gives the value instead, and so it does below y = 1e-250 for
-b2 < 0.05 and a1 < 2, where the Laplace integrand's mass reaches the float64
-floor.  A y that underflows to 0 is the origin, whose limit is returned; a
-value beyond float64 raises OverflowError.  An independent Mellin-Barnes
-contour evaluation of the same kernel backs the fast route, and the moment
-identity
+y = 1e-4, where the subtracted family in use (first index a = a1 for
+-1/2 < a1 < 1/2, a = a1 + 1 of the recurrence for a1 <= -1/2) has
+p = b2 - a < 0 and cancels by up to y**-a, the connection formula of U (two
+short Kummer series) gives the value instead, and so it does below
+y = 1e-250 for b2 < 0.05 and 0 != a1 < 2, where the Laplace integrand's mass
+reaches the float64 floor; the indices are those after Kummer's
+transformation, so the formula sees 0 <= b2 < 1/2 only.  A y that
+underflows to 0 is the origin, whose limit is returned; a value beyond
+float64 raises OverflowError.  An independent Mellin-Barnes contour
+evaluation of the same kernel backs the fast route, and the moment identity
 
     int_0^inf x**(s-1) G((k/alpha) x) dx
         = (alpha/k)**s * Gamma(s) Gamma(b2 + s) / Gamma(a1 + s)
@@ -132,11 +134,11 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 #                      form takes over at a1 = 1/2;
 #   a1 <= -1/2         one backward step of the a-recurrence from a1 + 1 (the
 #                      subtracted form) and a1 + 2 (the plain one), both
-#                      families on the same nodes;
+#                      families on the same nodes; the step cancels only
+#                      where the a1 + 1 family does, at b2 < a1 + 1;
 #   a1 = 0 or p = 0    G = y**p e**-y in closed form, from its exponent.
-# Below _SMALL_Y the subtracted form with p < 0 and the recurrence cancel
-# without bound; there the connection formula takes over, value by value,
-# and below _FLOOR_Y it does where b2 is near 0 (see there).
+# Below _SMALL_Y the connection formula takes over where these cancel, value
+# by value (the region is stated in the module docstring).
 
 
 def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
@@ -149,13 +151,15 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
     if a >= 0.5:
         # e**-s s**(a-1) (y+s)**p relative to its value at s_ref: the peak
         # where -s + (a-1) log s + p log(y+s) has one (a root of
-        # s**2 + h s - (a-1) y, taken without cancellation), else y
+        # s**2 + h s - (a-1) y, taken without cancellation), else min(y, 1):
+        # a reference at a large y would scale the values near s = 0 by
+        # about e**y (s/y)**(a-1), beyond float64 from y ~ 700
         h = y - b2 + 1.0
         c = (a - 1.0) * y
         r = np.sqrt(np.maximum(h * h + 4.0 * c, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.where(h > 0.0, 2.0 * c / (h + r), 0.5 * (r - h))
-        s_ref = root if a > 1.0 else np.maximum(root, y)
+        s_ref = root if a > 1.0 else np.maximum(root, np.minimum(y, 1.0))
         # exponent: -s + (a-1) log s once per node, the peak term once per
         # column (kernel reuses it, so its rounding cancels), and one log per
         # element of p log((y+s)/(y+s_ref)), a ratio: as two logs it would be
@@ -224,13 +228,13 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float, lift=0.0)
 # Below this kernel argument the cancelling Laplace routes hand over to the
 # connection formula, whose two Kummer series need only a few terms there.
 _SMALL_Y = 1e-4
-# Below this one the connection formula takes b2 < _NEAR_INTEGER, a1 < 2 as
+# Below this one the connection formula takes b2 < _NEAR_ZERO, a1 < 2 as
 # well: the integrand's mass, spread like s**(b2-1) from s = y up to 1, then
 # reaches within a few decades of the float64 floor, where the rule's nodes
 # end, and below s = y the weighted integrand falls only like s**a1.
 _FLOOR_Y = 1e-250
-# |b2 - round(b2)| below which the two series are paired term by term.
-_NEAR_INTEGER = 0.05
+# b2 below which the two series are paired term by term.
+_NEAR_ZERO = 0.05
 _TAYLOR_N = np.arange(1, 11)
 _TAYLOR_W = 1.0 / np.cumprod(_TAYLOR_N)  # 1 / n!
 
@@ -249,16 +253,6 @@ def _kummer_reg(a: float, b: float, y: float) -> float:
     raise ConvergenceError(f"Kummer series M({a}, {b}, {y}) did not settle")
 
 
-def _kummer_poly(p: int, c: float, y: float) -> float:
-    """U(-p, c, y), a polynomial (DLMF 13.2.7)."""
-    from scipy import special
-
-    return (-1) ** p * sum(
-        math.comb(p, s) * float(special.poch(c + s, p - s)) * (-y) ** s
-        for s in range(p + 1)
-    )
-
-
 def _gamma_ratio_m1(x: float, d: float) -> float:
     """(Gamma(x + d) / Gamma(x) - 1) / d for |d| << 1 with no cancellation;
     psi(x) at d = 0.  x + i must stay clear of 0 for the upward shifts."""
@@ -274,73 +268,66 @@ def _gamma_ratio_m1(x: float, d: float) -> float:
 
 
 def _g_small_y(a1: float, b2: float, y: float) -> float:
-    """Kernel G(y) for 0 < y < _SMALL_Y, a1 != 0, from the connection formula
-    (DLMF 13.2.42) in regularized form:
+    """Kernel G(y) for 0 < y < _SMALL_Y, 0 <= b2 < 1/2, a1 != 0, from the
+    connection formula (DLMF 13.2.42) in regularized form:
 
         G = pi / sin(pi b2) * exp(-y) * [ M~(a1-b2, 1-b2, y) / Gamma(a1)
                                           - y**b2 M~(a1, 1+b2, y) / Gamma(a1-b2) ]
 
-    with M~(a, b, y) = M(a, b, y) / Gamma(b).  For b2 = m + eps near an integer
-    m >= 0 the term y**(m+j) of the first series and y**(m+eps+j) of the
-    second cancel to O(eps); they are paired and divided by eps analytically,
-    which gives the logarithmic limit at eps = 0.  If moreover a1 - b2 is a
-    nonpositive integer -p, the pairing degenerates and G is the polynomial
-    exp(-y) U(-p, 1-b2, y).
+    with M~(a, b, y) = M(a, b, y) / Gamma(b).  For b2 near 0 the term y**j
+    of the first series and y**(b2+j) of the second cancel to O(b2); they
+    are paired and divided by b2 analytically, which gives the logarithmic
+    limit at b2 = 0.  If moreover a1 - b2 is 0 or -1, the pairing
+    degenerates and G is exp(-y) U(a1 - b2, 1 - b2, y), which is exp(-y) or
+    exp(-y) (y - 1 + b2) (DLMF 13.2.7).
     """
     from scipy import special
 
-    m = round(b2)
-    eps = b2 - m
-    if abs(eps) >= _NEAR_INTEGER:
-        head = (-1) ** m * math.pi / math.sin(math.pi * eps)
+    if b2 >= _NEAR_ZERO:
+        head = math.pi / math.sin(math.pi * b2)
         return math.exp(-y) * head * (
             float(special.rgamma(a1)) * _kummer_reg(a1 - b2, 1.0 - b2, y)
             - float(special.rgamma(a1 - b2)) * y ** b2 * _kummer_reg(a1, 1.0 + b2, y)
         )
-    # a1 - eps + shift is the one quantity that can sit next to a pole of
-    # Gamma; form it once so 1/Gamma(a1 - b2) and Gamma(a1 - eps + j) agree
+    # a1 - b2 + shift is the one quantity that can sit next to a pole of
+    # Gamma; form it once so 1/Gamma(a1 - b2) and Gamma(a1 - b2 + j) agree
     shift = 1 if a1 < -0.5 else 0
-    base = (a1 + shift) - eps
-    r_ab = float(special.rgamma(base))  # becomes 1/Gamma(a1 - b2)
-    for i in range(1, m + shift + 1):
-        r_ab *= base - i
-    if r_ab == 0.0:
-        return math.exp(-y) * _kummer_poly(m + shift - round(base), 1.0 - b2, y)
-    # first-series terms y**k, k < m: 1/Gamma(1 - b2 + k) cancels the sine
-    finite = 0.0
-    t = float(special.rgamma(a1))
-    for k in range(m):
-        finite += (-1) ** k * math.gamma(m - k + eps) * t
-        t *= (a1 - b2 + k) * y / (k + 1)
+    base = (a1 + shift) - b2
+    # c = (a1)_j y**j / (Gamma(a1-b2) j! j!), from 1/Gamma(a1 - b2) at j = 0
+    c = float(special.rgamma(base))
+    if shift:
+        c *= base - 1.0
+    if c == 0.0:
+        # a1 - b2 = -shift, the polynomial case
+        return math.exp(-y) * (y - (1.0 - b2) if shift else 1.0)
     log_y = math.log(y)
-    y_eps = log_y * float(special.exprel(eps * log_y))  # (y**eps - 1) / eps
-    c = r_ab * y ** m / math.factorial(m)  # (a1)_j y**(m+j) / (Gamma(a1-b2) j! (m+j)!)
+    y_eps = log_y * float(special.exprel(b2 * log_y))  # (y**b2 - 1) / b2
     paired = 0.0
-    # pair j over eps is c * [Gamma(x - eps) j! / (Gamma(x) Gamma(1 + j - eps))
-    #                         - y**eps (m + j)! / Gamma(1 + m + j + eps)] / eps
+    # pair j over b2 is c * [Gamma(x - b2) j! / (Gamma(x) Gamma(1 + j - b2))
+    #                        - y**b2 j! / Gamma(1 + j + b2)] / b2
     # with x = a1 + j; each gamma ratio is 1 + d * (ratio - 1) / d, so the
     # leading 1s cancel exactly and only the smooth quotients remain
     for j in range(200):
         x = a1 + j
-        if abs(eps) > 0.5 * min(abs(x), abs(x + 1.0)):
-            # Gamma(x - eps) is near a pole: the pair does not cancel
+        if b2 > 0.5 * min(abs(x), abs(x + 1.0)):
+            # Gamma(x - b2) is near a pole: the pair does not cancel
             ratio = float(special.gamma(base) * special.poch(base, j - shift)
                           * special.rgamma(x))
-            ga = (ratio - 1.0) / -eps
+            ga = (ratio - 1.0) / -b2
         else:
-            ga = _gamma_ratio_m1(x, -eps)
-        gb = _gamma_ratio_m1(1.0 + j, -eps)
-        gc = _gamma_ratio_m1(1.0 + m + j, eps)
-        rho = 1.0 / (1.0 + eps * gc)
-        term = c * (-ga + (1.0 - eps * ga) * gb / (1.0 - eps * gb) + (gc - y_eps) * rho)
+            ga = _gamma_ratio_m1(x, -b2)
+        gb = _gamma_ratio_m1(1.0 + j, -b2)
+        gc = _gamma_ratio_m1(1.0 + j, b2)
+        rho = 1.0 / (1.0 + b2 * gc)
+        term = c * (-ga + (1.0 - b2 * ga) * gb / (1.0 - b2 * gb) + (gc - y_eps) * rho)
         paired += term
         if j > 0 and abs(term) <= 1e-17 * abs(paired):
             break
-        c *= x * y / ((j + 1) * (m + j + 1))
+        c *= x * y / ((j + 1) * (j + 1))
     else:
         raise ConvergenceError(f"paired Kummer series at y={y} did not settle")
-    sigma = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
-    return math.exp(-y) * (finite + (-1) ** m * sigma * paired)
+    sigma = math.pi * b2 / math.sin(math.pi * b2) if b2 else 1.0
+    return math.exp(-y) * (sigma * paired)
 
 
 def _x_values(x) -> tuple[np.ndarray, bool]:
@@ -359,42 +346,34 @@ def _x_values(x) -> tuple[np.ndarray, bool]:
     return xs, scalar
 
 
-def meijer_g_weight(params: MLParams, x, check: bool = False,
-                    check_tol: float = 1e-6):
+def meijer_g_weight(params: MLParams, x, check: bool = False):
     """Meijer kernel G((k/alpha) x | gamma/k - 1 ; 0, beta/alpha - 1).
 
     x is a float (returns a float) or a 1-d array (returns an array).  Fast
     route through Tricomi U, all values of an array on the nodes of one
     half-line rule, so an array call agrees with per-element calls to
     roundoff but not bit for bit.  With check=True the Mellin-Barnes contour
-    referee runs on every element too and disagreement raises
-    RouteMismatchError carrying both values.  x = 0, or an x whose (k/alpha)
-    x underflows to 0, gives the analytic limit: finite for beta/alpha > 1
-    or gamma/k = beta/alpha, else an infinity with the kernel's sign near 0.
-    A value beyond float64 raises OverflowError; a negative or non-finite x
-    is a domain error.
+    referee runs on every element too, and a disagreement above 1e-9 of the
+    value (plus the referee's roundoff floor) raises RouteMismatchError
+    carrying both values.  x = 0, or an x whose (k/alpha) x underflows to 0,
+    gives the analytic limit: finite for beta/alpha > 1 or gamma/k =
+    beta/alpha, else an infinity with the kernel's sign near 0.  A value
+    beyond float64 raises OverflowError; a negative or non-finite x is a
+    domain error.
     """
     xs, scalar = _x_values(x)
     g = _meijer_g(params, xs)
     if check:
         # the contour sum carries roundoff proportional to its t = 0
-        # integrand, which dwarfs the kernel itself once exp(-y) is deep;
-        # phase error from loggamma/exp grows with contour length, so allow
-        # 1e-10 of that head.  Only disagreement above the floor is evidence
-        # of a defect.
-        a1, b2 = _g_params(params)
-        c = max(0.0, -b2) + 0.75
-        lg_denom = math.inf if a1 + c == 0.0 else math.lgamma(a1 + c)
+        # integrand (phase error from loggamma/exp grows with contour
+        # length), so 1e-10 of that head is allowed on top of 1e-9 of the
+        # value: only disagreement above that floor is evidence of a defect
         for xi, value in zip(xs.tolist(), g.tolist()):
             if xi == 0.0:
                 continue
-            referee = meijer_g_weight_mb(params, xi)
+            referee, head = _mb_contour(params, xi)
             scale = max(abs(value), abs(referee))
-            floor = 1e-10 * math.exp(
-                math.lgamma(c) + math.lgamma(b2 + c) - lg_denom
-                - c * math.log((params.k / params.alpha) * xi)
-            ) / math.pi
-            if scale > 1e-280 and abs(value - referee) > check_tol * scale + floor:
+            if scale > 1e-280 and abs(value - referee) > 1e-9 * scale + 1e-10 * head:
                 raise RouteMismatchError(
                     f"Meijer kernel routes disagree at x={xi}: {value!r} vs {referee!r}",
                     value,
@@ -415,11 +394,13 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
     # Laplace routes add b2 log y to the exponent of their map
     power = min(b2, 0.0)
     a, b = a1 - power, abs(b2)
-    # the connection formula, value by value, where the Laplace routes cancel
-    # or cannot reach the mass; an x > 0 whose y underflows is the origin too
-    if a != 0.0 and (a <= -0.5 or (a < 0.5 and b < a)):
+    # the connection formula, value by value, where the subtracted family in
+    # use has p < 0 or the Laplace routes cannot reach the mass; a = 0 is the
+    # closed form G = y**b e**-y at any y.  An x > 0 whose y underflows is
+    # the origin too
+    if a < 0.5 and b < (a + 1.0 if a <= -0.5 else a):
         edge = y < _SMALL_Y
-    elif b < _NEAR_INTEGER and a < 2.0:
+    elif a != 0.0 and b < _NEAR_ZERO and a < 2.0:
         edge = y < _FLOOR_Y
     else:
         edge = y == 0.0
@@ -473,17 +454,30 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
     """Same kernel by numerical Mellin-Barnes inversion:
 
         G(y) = (1/pi) Re int_0^T Gamma(s) Gamma(b2+s) / Gamma(a1+s) y**(-s) dt,
-        s = c + i t,  c = max(0, -b2) + 3/4
+        s = c + i t,  c = max(max(0, -b2) + 3/4, s*),
 
-    (the integrand decays like exp(-pi t / 2), so T ~ 80 is far past
-    roundoff).  Contour stays right of all poles of both numerator gammas.
+    s* the positive root of s**2 + (b2 - y) s - a1 y (its vertex where it has
+    none), where psi(s) + psi(b2 + s) - psi(a1 + s) ~ log y: the saddle of
+    the integrand on the real axis.  There its modulus along the line stays
+    near G, so the sum does not cancel G into the roundoff of its t = 0
+    value, as a fixed c does once exp(-y) is deep.  The contour stays right
+    of all poles of both numerator gammas, and the integrand decays like
+    exp(-pi t / 2) past t ~ sqrt(c), so T = max(80, 9 sqrt(c)) is far past
+    roundoff.
     """
+    return _mb_contour(params, _require_positive(x, "x"))[0]
+
+
+def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
+    """meijer_g_weight_mb at a validated x, and the modulus of its integrand
+    at t = 0 over pi, the scale of its roundoff."""
     from scipy import special
 
-    x = _require_positive(x, "x")
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * x
-    c = max(0.0, -b2) + 0.75
+    h = y - b2
+    saddle = 0.5 * (h + math.sqrt(max(h * h + 4.0 * a1 * y, 0.0)))
+    c = max(max(0.0, -b2) + 0.75, saddle)
     log_y = math.log(y)
 
     def integrand(t):
@@ -496,7 +490,8 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
         )
         return np.exp(lg).real
 
-    return gauss_legendre_panels(integrand, 0.0, 80.0, 40, 24) / math.pi
+    value = gauss_legendre_panels(integrand, 0.0, max(80.0, 9.0 * math.sqrt(c)), 40, 24)
+    return value / math.pi, abs(float(integrand(0.0))) / math.pi
 
 
 def measure_weight_h(params: MLParams, x):

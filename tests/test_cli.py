@@ -373,6 +373,10 @@ class TestImportBudget:
         # the subtracted Laplace form at -1/2 < gamma/k - 1 < 1/2 as well
         (["verify", "resolution", "--alpha", "1.5", "--beta", "1.2", "--gamma", "0.6",
           "--kpar", "1"], {"numpy"}),
+        # and the recurrence at gamma/k - 1 = -0.7, whose a1 + 1 family has
+        # p = 0.2 >= 0, at every node
+        (["verify", "resolution", "--alpha", "2", "--beta", "3", "--gamma", "0.3",
+          "--kpar", "1"], {"numpy"}),
     ])
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"

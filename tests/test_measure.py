@@ -152,6 +152,18 @@ class TestMeijerKernel:
         with pytest.raises(OverflowError, match="Meijer kernel at x = 1e-315 exceeds"):
             meijer_g_weight(MLParams(1.0, 0.001, 0.1, 1.0), 1e-315)
 
+    def test_plain_form_without_a_peak_at_large_argument(self):
+        # a1 = 0.1125, b2 = -0.39, so a = 0.506 after Kummer's transformation:
+        # the plain form's integrand was scaled by its value at s = y, about
+        # e**y (s/y)**(a-1) near s = 0, and raised "integrand is not finite
+        # near x=2.363260e-67" at y = 631
+        params = MLParams(2.0625, 1.25, 1.390625, 1.25)
+        a1, b2 = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
+        ys = np.array([0.5, 1.0, 2.0, 600.0, 631.0, 700.0])
+        got = meijer_g_weight(params, ys * params.alpha / params.k)
+        for y, g in zip(ys, got):
+            assert g == pytest.approx(reference_kernel_u(a1, b2, y), rel=1e-12, abs=0.0), y
+
     def test_tiny_argument_with_negative_second_index(self):
         # (a1, b2) = (2, -1/2): the mass of the Laplace integrand at s ~ y sat
         # below every node, and the kernel returned 0.0
@@ -229,6 +241,54 @@ class TestMeijerKernel:
                     reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=1e-15
                 ), (a1_, b2_, y)
 
+    @pytest.mark.parametrize("y", [1e-8, 1e-100, 1e-200, 1e-300])
+    @pytest.mark.parametrize("a1, b2, formula", [
+        # the a1 + 1 family of the recurrence has p = b2 - a1 - 1 >= 0: the
+        # Laplace route holds down to y = 1e-300
+        (-0.7, 0.5, False), (-0.95, 0.3, False), (-0.6, 0.45, False),
+        # its p < 0, or a1's own for -1/2 < a1 < 1/2: the connection formula
+        (-0.6, 0.3, True), (-0.55, 0.2, True), (0.3, 0.1, True),
+        # G = y**b2 e**-y in closed form (a1 = b2 after Kummer's
+        # transformation); the formula took it below y = 1e-250, 2.9e-7 off
+        (0.0, 0.03, False), (-0.03, -0.03, False)])
+    def test_connection_formula_runs_where_the_subtracted_family_cancels(
+            self, a1, b2, formula, y, monkeypatch):
+        import mlcs.measure as measure_mod
+
+        params, a1_, b2_ = grid_params(a1, b2)
+        seen = []
+        small = measure_mod._g_small_y
+        monkeypatch.setattr(measure_mod, "_g_small_y",
+                            lambda *args: seen.append(args) or small(*args))
+        assert meijer_g_weight(params, y) == pytest.approx(
+            reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=0.0)
+        assert bool(seen) == formula
+
+    @pytest.mark.parametrize("a1, b2, y", [(-0.6, 0.3, 1e-200), (-0.55, 0.2, 1e-100),
+                                           (0.3, 0.1, 1e-100)])
+    def test_laplace_routes_alone_cancel_where_the_formula_runs(self, a1, b2, y):
+        import mlcs.measure as measure_mod
+
+        params, a1_, b2_ = grid_params(a1, b2)
+        alone = measure_mod._laplace_kernel(a1_, b2_, np.array([y]), 0.0)[0]
+        assert abs(alone / reference_kernel_u(a1_, b2_, y) - 1.0) > 0.5
+
+    def test_connection_formula_sees_second_index_below_one_half(self, monkeypatch):
+        # after Kummer's transformation the region leaves 0 <= b2 < 1/2, so
+        # the paired series never meets an integer b2 other than 0
+        import mlcs.measure as measure_mod
+
+        seen = []
+        small = measure_mod._g_small_y
+        monkeypatch.setattr(measure_mod, "_g_small_y",
+                            lambda *args: seen.append(args) or small(*args))
+        ys = np.array([1e-300, 1e-200, 1e-100, 1e-30, 1e-8, 9e-5])
+        grid = np.linspace(-0.95, 2.95, 14)
+        for a1 in grid:
+            for b2 in grid:
+                meijer_g_weight(grid_params(a1, b2)[0], ys)
+        assert seen and all(0.0 <= b < 0.5 for _, b, _ in seen)
+
     @pytest.mark.parametrize("a", [-0.99, -0.7, -0.5, -0.3, -1e-2, -1e-3, -1e-9, 1e-9,
                                    1e-3, 2e-3, 1e-2, 0.1, 0.49, 0.5, 0.99, 1.0, 1.5, 3.0])
     def test_tricomi_grid_against_mpmath(self, a):
@@ -247,13 +307,15 @@ class TestMeijerKernel:
                 tol = {"abs": 1e-15} if want == 0.0 else {"rel": 1e-12, "abs": 0.0}
                 assert g == pytest.approx(want, **tol), (a1, b2, y)
 
-    @pytest.mark.parametrize("gamma, beta", [(0.01, 1.01), (0.02, 1.02), (0.5, 1.5)])
+    @pytest.mark.parametrize("gamma, beta",
+                             [(0.01, 1.01), (0.02, 1.02), (0.5, 1.5), (1.01, 1.01)])
     def test_polynomial_case_of_the_connection_formula(self, gamma, beta):
-        # a1 - b2 = -1: 1/Gamma(a1 - b2) is 0 and G is e**-y U(-1, 1 - b2, y),
-        # a polynomial, which the paired series takes where b2 is near 0
+        # a1 - b2 = -1 or 0: 1/Gamma(a1 - b2) is 0 and G is e**-y U(a1 - b2,
+        # 1 - b2, y), a polynomial, which the paired series takes where b2 is
+        # near 0 and y below 1e-250; above, the Laplace routes do
         params = MLParams(1.0, beta, gamma, 1.0)
         a1, b2 = params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0
-        for y in (1e-30, 1e-5):
+        for y in (1e-300, 1e-30, 1e-5):
             assert meijer_g_weight(params, y) == pytest.approx(
                 reference_kernel_u(a1, b2, y), rel=1e-14, abs=0.0)
 
@@ -309,15 +371,35 @@ class TestMeijerKernel:
         assert abs(fast - referee) <= 1e-9 * max(fast, abs(referee))
 
     @given(alpha=PARAM, beta=PARAM, gamma=PARAM, k=PARAM,
-           y=st.floats(min_value=0.05, max_value=30.0))
+           y=st.floats(min_value=0.05, max_value=700.0))
     @settings(max_examples=40, deadline=None)
     def test_checked_mode_accepts_honest_values(self, alpha, beta, gamma, k, y):
-        # deep in the exponential tail the referee only resolves the kernel
-        # to its own roundoff floor; checked mode must not cry wolf there
+        # the referee resolves the kernel to 1e-10 of its head, which the
+        # saddle keeps near the kernel deep in the exponential tail too;
+        # checked mode must not cry wolf there
         params = MLParams(alpha, beta, gamma, k)
         x = y * alpha / k
-        checked = meijer_g_weight(params, x, check=True, check_tol=1e-9)
+        checked = meijer_g_weight(params, x, check=True)
         assert checked == meijer_g_weight(params, x)
+
+    @pytest.mark.parametrize("params",
+                             [MLParams(1.4, 2.6, 0.9, 1.7), MLParams(2.0, 3.0, 1.5, 0.7)])
+    def test_checked_mode_sees_a_small_error_deep_in_the_tail(self, params, monkeypatch):
+        # at y = 40 the contour at c = 3/4 carried a roundoff floor ~1e9 times
+        # the kernel, so a referee off by 1e-6 passed; at the saddle it fails
+        import mlcs.measure as measure_mod
+
+        contour = measure_mod._mb_contour
+
+        def off(p, x):
+            value, head = contour(p, x)
+            return value * (1.0 + 1e-6), head
+
+        x = 40.0 * params.alpha / params.k
+        meijer_g_weight(params, x, check=True)
+        monkeypatch.setattr(measure_mod, "_mb_contour", off)
+        with pytest.raises(RouteMismatchError):
+            meijer_g_weight(params, x, check=True)
 
     def test_checked_mode_passes_on_grid(self):
         params = MLParams(1.4, 2.6, 0.9, 1.7)
@@ -330,8 +412,8 @@ class TestMeijerKernel:
 
         params = MLParams(1.4, 2.6, 0.9, 1.7)
         honest = meijer_g_weight(params, 1.0)
-        monkeypatch.setattr(measure_mod, "meijer_g_weight_mb",
-                            lambda p, x: 1.5 * honest)
+        monkeypatch.setattr(measure_mod, "_mb_contour",
+                            lambda p, x: (1.5 * honest, 0.0))
         with pytest.raises(RouteMismatchError) as exc:
             meijer_g_weight(params, 1.0, check=True)
         assert exc.value.first == honest
@@ -402,20 +484,24 @@ class TestArrayKernel:
 
         params = MLParams(1.4, 2.6, 0.9, 1.7)
         seen = []
-        referee = measure_mod.meijer_g_weight_mb
+        contour = measure_mod._mb_contour
 
         def counting(p, x):
             seen.append(x)
-            return referee(p, x)
+            return contour(p, x)
 
-        monkeypatch.setattr(measure_mod, "meijer_g_weight_mb", counting)
+        monkeypatch.setattr(measure_mod, "_mb_contour", counting)
         xs = np.array([0.2, 1.0, 4.0, 12.0])
         assert np.array_equal(meijer_g_weight(params, xs, check=True),
                               meijer_g_weight(params, xs))
         assert seen == xs.tolist()
+
         # one element off: the whole call is refused
-        monkeypatch.setattr(measure_mod, "meijer_g_weight_mb",
-                            lambda p, x: referee(p, x) * (1.5 if x == 4.0 else 1.0))
+        def one_off(p, x):
+            value, head = contour(p, x)
+            return value * (1.5 if x == 4.0 else 1.0), head
+
+        monkeypatch.setattr(measure_mod, "_mb_contour", one_off)
         with pytest.raises(RouteMismatchError):
             meijer_g_weight(params, xs, check=True)
 
@@ -491,7 +577,15 @@ class TestMeasureWeight:
         # these two raised OverflowError (E(5000) ~ 1e760 leaves float64) and
         # ConvergenceError (the fixed cap 2e4 gamma/beta exceeds the budget)
         (MLParams(2.0, 3.0, 1.5, 0.7), 5000.0),
-        (MLParams(2.0, 3.0, 1.5, 0.7), 2e4)])
+        (MLParams(2.0, 3.0, 1.5, 0.7), 2e4),
+        # first index 1/2 <= a <= 1 (after Kummer's transformation): the plain
+        # form's integrand, scaled by its value at s = y, left float64 near
+        # s = 0, and h raised ConvergenceError at y = 631 and 2000 (x = 1041.15
+        # and 3300) and at y = 700 of (1, 1, 1.6, 1), beside a value at y = 600
+        (MLParams(2.0625, 1.25, 1.390625, 1.25), 990.0),
+        (MLParams(2.0625, 1.25, 1.390625, 1.25), 1041.15),
+        (MLParams(2.0625, 1.25, 1.390625, 1.25), 3300.0),
+        (MLParams(1.0, 1.0, 1.6, 1.0), 700.0)])
     def test_weight_where_the_series_leaves_float64(self, params, x):
         # log E comes from the scaled sum, so E past float64 does not matter;
         # at (1, 3, 50, 0.5) the series settled after 10,000 terms no more
