@@ -49,13 +49,15 @@ the moment suite in coefficient space (entry n is pref times the
 coefficient of x**n in t_n times the moment s = n + 1 of G), not an
 independent check of it, and no E(x) is summed for it.  The rule's scale
 follows the tallest member, so one call of its first nodes usually covers
-every member, with one kernel call for all of them.  h(x) itself takes
-log E(x) from the scaled sum of the scalar series of the mlfunc module at a
-float x, and of one term table per call at an array.
+every member, with one kernel call for all of them.  h(x) itself adds
+log(pref E(x)) to the exponent of the kernel's map, from Gamma(beta) E(x)
+summed with first term 1 (by the scalar series of the mlfunc module at a
+float x, one term table per call at an array) and the logs of the Gammas.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,9 +65,9 @@ import numpy as np
 
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
-from .kcore import MLParams, _gamma, _require_count, _require_positive
-from .mlfunc import _LN2, _ml_sum, _ml_table
-from .quadrature import gauss_legendre_panels, half_line_quad
+from .kcore import MLParams, _gamma, _require_count, _require_nonnegative, _require_positive
+from .mlfunc import _DEFAULT_CONFIG, _LN2, _ml_table, _series
+from .quadrature import _first_nodes, gauss_legendre_panels, half_line_quad
 
 __all__ = [
     "MomentReport",
@@ -141,13 +143,31 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 # by value (the region is stated in the module docstring).
 
 
-def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
+@functools.lru_cache(maxsize=64)
+def _node_column(a: float, scale: float) -> np.ndarray:
+    """(a-1) log s - s, free of y, as a read-only column at the rule's first nodes s."""
+    s = _first_nodes(scale)[1][:, None]
+    node = (a - 1.0) * np.log(s) - s
+    node.flags.writeable = False
+    return node
+
+
+def _laplace_family(a: float, b2: float, y: np.ndarray, lift, scale: float):
     """Integrand in s of the kernel at first index a > -1/2, a != 0, for
     every y, and the map from its integral to e**lift G(y), G(y) = y**b2 e**-y
     U(a, b2+1, y), lift added to the exponent the map forms.  The integrand
-    takes the nodes s as a column and the y to evaluate (an index array, or a
-    slice for all of them)."""
+    is one of half_line_quad: it takes the nodes s and the y to evaluate (an
+    index array, or all of them)."""
     p = b2 - a
+    first = _first_nodes(scale)[1]
+
+    def nodes(s):
+        # s as a column and (a-1) log s - s, cached at the rule's first nodes
+        if s is first:
+            return first[:, None], _node_column(a, scale)
+        s = s[:, None]
+        return s, (a - 1.0) * np.log(s) - s
+
     if a >= 0.5:
         # e**-s s**(a-1) (y+s)**p relative to its value at s_ref: the peak
         # where -s + (a-1) log s + p log(y+s) has one (a root of
@@ -157,8 +177,7 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
         h = y - b2 + 1.0
         c = (a - 1.0) * y
         r = np.sqrt(np.maximum(h * h + 4.0 * c, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.where(h > 0.0, 2.0 * c / (h + r), 0.5 * (r - h))
+        root = np.divide(2.0 * c, h + r, out=0.5 * (r - h), where=h > 0.0)
         s_ref = root if a > 1.0 else np.maximum(root, np.minimum(y, 1.0))
         # exponent: -s + (a-1) log s once per node, the peak term once per
         # column (kernel reuses it, so its rounding cancels), and one log per
@@ -167,8 +186,8 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
         peak = s_ref - (a - 1.0) * np.log(s_ref)
         y_ref = y + s_ref
 
-        def integrand(s, cols):
-            node = -s + (a - 1.0) * np.log(s)
+        def integrand(s, cols=slice(None)):
+            s, node = nodes(s)
             return np.exp(node + peak[cols] + p * np.log((y[cols] + s) / y_ref[cols]))
 
         def kernel(total):
@@ -180,11 +199,9 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift):
         rgamma = 1.0 / math.gamma(a)
         sign = math.copysign(1.0, p)
 
-        def integrand(s, cols):
-            node = -s + (a - 1.0) * np.log(s)
-            yc = y[cols]
-            with np.errstate(divide="ignore"):
-                tail = np.log(np.abs(np.expm1(-p * np.log1p(s / yc))))
+        def integrand(s, cols=slice(None)):
+            (s, node), yc = nodes(s), y[cols]
+            tail = np.log(np.abs(np.expm1(-p * np.log1p(s / yc))))
             return sign * np.exp(node + p * np.log(yc + s) + tail)
 
         def kernel(total):
@@ -201,28 +218,25 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float, lift=0.0)
         return np.exp((b2 - a1 + power) * np.log(y) - y + lift)
     if power:
         lift = lift + power * np.log(y)
-    firsts = (a1,) if a1 > -0.5 else (a1 + 1.0, a1 + 2.0)
-    families = [_laplace_family(a, b2, y, lift) for a in firsts]
+    # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
+    scale = max(1.0, b2, a1)
+    if a1 > -0.5:
+        integrand, kernel = _laplace_family(a1, b2, y, lift, scale)
+        return kernel(half_line_quad(integrand, scale)[0])
+    (f1, g1), (f2, g2) = (_laplace_family(a, b2, y, lift, scale) for a in (a1 + 1.0, a1 + 2.0))
     m = y.size
 
     def integrands(s, live=None):
-        # the live columns of every family: member i * m + j of the rule is
-        # y[j] of family i.  While all are live, slices select them without
-        # a copy of y.
+        # the live columns of both families: member j of the rule is y[j] of
+        # the first, member m + j y[j] of the second
         if live is None:
-            parts = [slice(None)] * len(families)
-        else:
-            cut = np.searchsorted(live, m)
-            parts = (live[:cut], live[cut:] - m)
-        return np.hstack([f(s[:, None], cols) for (f, _), cols in zip(families, parts)])
+            return np.hstack((f1(s), f2(s)))
+        cut = np.searchsorted(live, m)
+        return np.hstack((f1(s, live[:cut]), f2(s, live[cut:] - m)))
 
-    # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
-    totals, _ = half_line_quad(integrands, max(1.0, b2, a1))
-    g = [kernel(totals[i * m:(i + 1) * m]) for i, (_, kernel) in enumerate(families)]
-    if len(g) == 1:
-        return g[0]
+    totals, _ = half_line_quad(integrands, scale)
     b = b2 + 1.0
-    return (2.0 * a1 + 2.0 - b + y) * g[0] - (a1 + 1.0) * (a1 + 2.0 - b) * g[1]
+    return (2.0 * a1 + 2.0 - b + y) * g1(totals[:m]) - (a1 + 1.0) * (a1 + 2.0 - b) * g2(totals[m:])
 
 
 # Below this kernel argument the cancelling Laplace routes hand over to the
@@ -334,16 +348,13 @@ def _x_values(x) -> tuple[np.ndarray, bool]:
     """x as a 1-d float array, and whether it came as a scalar; DomainError
     unless every element is finite and >= 0, or for a bool (scalar or array)."""
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        xs, scalar = np.array([float(x)]), True
-    elif isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iuf":
-        xs, scalar = x.astype(float), False
-    else:
+        return np.array([_require_nonnegative(x, "x")]), True
+    if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iuf"):
         raise DomainError(f"x must be a float or a 1-d real array, got {x!r}")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if np.any(xs < 0.0):
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    return xs, scalar
+    xs = x.astype(float)
+    if np.count_nonzero((xs >= 0.0) & (xs < math.inf)) < xs.size:
+        raise DomainError(f"x must be finite and >= 0, got {x!r}")
+    return xs, False
 
 
 def meijer_g_weight(params: MLParams, x, check: bool = False):
@@ -367,7 +378,8 @@ def meijer_g_weight(params: MLParams, x, check: bool = False):
         # the contour sum carries roundoff proportional to its t = 0
         # integrand (phase error from loggamma/exp grows with contour
         # length), so 1e-10 of that head is allowed on top of 1e-9 of the
-        # value: only disagreement above that floor is evidence of a defect
+        # value: only disagreement above that floor is evidence of a defect.
+        # A head beyond float64 (a referee that is not finite) refutes nothing
         for xi, value in zip(xs.tolist(), g.tolist()):
             if xi == 0.0:
                 continue
@@ -406,7 +418,7 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
         edge = y == 0.0
     origin = ()
     with np.errstate(over="ignore"):
-        if not edge.any():
+        if not np.count_nonzero(edge):
             g = _laplace_kernel(a, b, y, power, lift)
         else:
             # e**lift at the origin until the values off it have passed the test
@@ -419,7 +431,7 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
             g[series] *= y[series] ** power
             if not edge.all():
                 g[~edge] = _laplace_kernel(a, b, y[~edge], power, lift[~edge])
-    if not np.isfinite(g).all():
+    if np.count_nonzero(np.isfinite(g)) < g.size:
         x = float(xs[np.argmin(np.isfinite(g))])
         raise OverflowError(f"Meijer kernel at x = {x!r} exceeds float64 range")
     if len(origin):
@@ -463,18 +475,25 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
     value, as a fixed c does once exp(-y) is deep.  The contour stays right
     of all poles of both numerator gammas, and the integrand decays like
     exp(-pi t / 2) past t ~ sqrt(c), so T = max(80, 9 sqrt(c)) is far past
-    roundoff.
+    roundoff.  A y that underflows to 0 gives the origin limit; OverflowError
+    where the integrand leaves float64 (at a subnormal y even if G does not).
     """
-    return _mb_contour(params, _require_positive(x, "x"))[0]
+    value, head = _mb_contour(params, _require_positive(x, "x"))
+    if head and not math.isfinite(value):  # head is 0 at the origin only
+        raise OverflowError(f"Meijer kernel contour at x = {x!r} exceeds float64 range")
+    return value
 
 
 def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
     """meijer_g_weight_mb at a validated x, and the modulus of its integrand
-    at t = 0 over pi, the scale of its roundoff."""
+    at t = 0 over pi, the scale of its roundoff (0 at the origin, where the
+    limit of meijer_g_weight is returned)."""
     from scipy import special
 
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * x
+    if y == 0.0:
+        return _g_origin(a1, b2, x), 0.0
     h = y - b2
     saddle = 0.5 * (h + math.sqrt(max(h * h + 4.0 * a1 * y, 0.0)))
     c = max(max(0.0, -b2) + 0.75, saddle)
@@ -490,35 +509,31 @@ def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
         )
         return np.exp(lg).real
 
-    value = gauss_legendre_panels(integrand, 0.0, max(80.0, 9.0 * math.sqrt(c)), 40, 24)
-    return value / math.pi, abs(float(integrand(0.0))) / math.pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = gauss_legendre_panels(integrand, 0.0, max(80.0, 9.0 * math.sqrt(c)), 40, 24)
+        return value / math.pi, abs(float(integrand(0.0))) / math.pi
 
 
 def measure_weight_h(params: MLParams, x):
     """Full radial weight h(x); identically 1 at unit parameters.  x is a float
-    or a 1-d array, as for meijer_g_weight.  A float takes log E(x) from the
-    scaled sum of the scalar series, an array from one term table, so h is
-    finite wherever h itself is, E(x) beyond float64 or not; ConvergenceError
-    where the series does not settle within the term budget."""
+    or a 1-d array, as for meijer_g_weight.  The kernel's map takes log(pref
+    E(x)) into its exponent (see the module docstring), so h is finite
+    wherever h itself is, E(x) and the Gammas beyond float64 or not;
+    ConvergenceError where the series does not settle within the budget."""
     xs, scalar = _x_values(x)
     if scalar:
-        sums, exps, used, _, settled = _ml_sum(params, float(xs[0]))
+        sums, exps, _, _, settled, _ = _series(
+            1.0, float(xs[0]), params.gamma, params.k, params.beta, params.alpha, _DEFAULT_CONFIG)
         if not settled:
-            raise ConvergenceError(f"series at x={x!r} not converged after {used} terms")
+            raise ConvergenceError(f"series at x={x!r} not converged within the term budget")
     else:
         sums, exps, _ = _ml_table(params, xs)
     # G underflows where E G need not (at (1, 3, 50, 0.5) from x ~ 360, with
-    # E ~ 1e157), so log E rides in the exponent of the kernel's map
-    lift = np.log(sums) + exps * _LN2
-    h = _gamma(params.beta) * _ladder_head(params) * _meijer_g(params, xs, lift)
+    # E ~ 1e157), so the whole factor rides in the exponent of the kernel's map
+    head = (math.log(params.k / params.alpha) + math.lgamma(params.gamma_over_k)
+            - math.lgamma(params.beta_over_alpha))
+    h = _meijer_g(params, xs, np.log(sums) + (exps * _LN2 + head))
     return float(h[0]) if scalar else h
-
-
-def _ladder_head(params: MLParams) -> float:
-    """(k/alpha) Gamma(gamma/k) / Gamma(beta/alpha), the constant factor of h
-    over Gamma(beta)."""
-    return ((params.k / params.alpha) * _gamma(params.gamma_over_k, "gamma/k")
-            / _gamma(params.beta_over_alpha, "beta/alpha"))
 
 
 def moment_closed_form(params: MLParams, s: float) -> float:
@@ -575,7 +590,8 @@ def resolution_identity_matrix(params: MLParams, n_max: int = 10) -> np.ndarray:
     pref / Gamma(beta) needs no Gamma(beta), so beta may pass 171.6.
     """
     _require_count(n_max, "n_max", 0)
-    head = _ladder_head(params)
+    head = ((params.k / params.alpha) * _gamma(params.gamma_over_k, "gamma/k")
+            / _gamma(params.beta_over_alpha, "beta/alpha"))
     e = _structure(params, np.arange(1, n_max + 1))
     return np.diag(_kernel_integrals(
         params, n_max, lambda xs, g: np.cumprod(np.hstack((head * g, xs[:, None] / e)), axis=1)))

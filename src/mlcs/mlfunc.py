@@ -37,14 +37,14 @@ near 1e8 times the value).  Whenever float rounding of that peak could exceed
 rel_tol of the sum, the same loop sums the series again in decimal
 arithmetic from the exact float inputs, at a precision that covers the peak.
 
-Callers that need E at many nonnegative x at once (the nodes of a rule)
-take _ml_table instead: the direct-route terms t_n(x_i) as one array, row i
-a cumulative product of the term ratios x_i (gamma + j k) / ((beta + j alpha)
-(j + 1)), built 64 columns at a time.  Each row has its own power-of-two
-exponent, moved out of its partial sum between blocks, and stops at its own
-first index where the tail rule certifies rel_tol, the terms past it
-masked to 0, so a row's value does not depend on the other x of its call.
-The table returns each row's sum, exponent and tail bound.
+Callers that need E at many nonnegative x at once (the nodes of a rule) take
+_ml_table instead: the terms of Gamma(beta) E(x_i), first term 1, as one
+array, row i a cumulative product of the term ratios x_i (gamma + j k) /
+((beta + j alpha) (j + 1)), built 64 columns at a time.  Each row has its
+own power-of-two exponent, moved out of its partial sum between blocks, and
+stops at its own first index where the tail rule certifies rel_tol, the
+terms past it masked to 0, so a row's value does not depend on the other x
+of its call.  The table returns each row's sum, exponent and tail bound.
 
 The scalar series code needs the standard library only; _ml_table imports
 numpy when called, and ml_laplace_quad, the quadrature route, imports the
@@ -117,18 +117,21 @@ def _series(t0, x, p, q, r, s, cfg):
     """Kahan sum of t0 * sum_n prod_{j<n} x (p + j q) / ((r + j s) (j + 1)).
 
     Stops by the tail rule of the module docstring, its cap worked out once
-    on entry.  Runs on float or complex values, or in decimal from the exact
-    float inputs when t0 is a Decimal.  A term past 2**960 moves that power
-    of two from the term, the sum and the compensation into the exponent e
-    (exact in binary), so the value is total * 2**e; once the terms fall
-    back below 2**960 and no term reached 2**1010, the power moves back
-    before the terms underflow in the scaled units.  Returns (total, e,
+    on entry (a cap that reaches the term budget returns t0 alone there,
+    unconverged).  Runs on float or complex values, or in decimal from the
+    exact float inputs when t0 is a Decimal.  A term past 2**960 moves that
+    power of two from the term, the sum and the compensation into the
+    exponent e (exact in binary), so the value is total * 2**e; once the
+    terms fall back below 2**960 and no term reached 2**1010, the power moves
+    back before the terms underflow in the scaled units.  Returns (total, e,
     terms used, tail bound, converged, largest |t_n|), the sums in units of
     2**e; OverflowError if a single term ratio overflows float64.
     """
     m = abs(x) * q / s // 1
     cap = abs(p + m * q) / (r + m * s)
     cap = abs(x) * (cap if cap > q / s else q / s)
+    if cap >= cfg.max_terms:  # cap / (n + 1) stays >= 1 within the budget
+        return t0, 0, 1, math.inf, False, abs(t0)
     tol, down = cfg.rel_tol, _DOWN
     if isinstance(t0, decimal.Decimal):
         x, p, q, r, s, tol, cap, down = (decimal.Decimal(v) for v in (x, p, q, r, s, tol, cap, down))
@@ -232,13 +235,13 @@ _TABLE_SHIFT = 2.0 ** 400
 
 
 def _ml_table(params: MLParams, x):
-    """E on the direct route at a 1-d float array x >= 0, one row per x.
+    """Gamma(beta) E (first term 1) at a 1-d float array x >= 0, one row per x.
 
     Returns (sums, exps, tails): each row's sum and tail bound, both in units
     of 2**exps[i].  Row i stops where the tail rule, with its own cap,
     certifies rel_tol, its terms past that index 0.  ConvergenceError when a
     row needs more than the term budget (at once where its cap reaches it),
-    OverflowError when Gamma(beta) or a row's terms leave float64.
+    OverflowError when a row's terms leave float64.
     """
     import numpy as np
 
@@ -251,11 +254,10 @@ def _ml_table(params: MLParams, x):
         raise ConvergenceError(
             f"series at x={float(x[cap.argmax()])} needs over {budget} terms")
     m = x.size
-    t0 = 1.0 / _gamma(b)
     sums, tails, exps = np.empty(m), np.empty(m), np.zeros(m, dtype=int)
     # the rows still summing: index, x, cap, last term, partial sum, exponent
     idx, xa, ca = np.arange(m), x, cap
-    carry, total, e = np.full(m, t0), np.full(m, t0), np.zeros(m, dtype=int)
+    carry, total, e = np.ones(m), np.ones(m), np.zeros(m, dtype=int)
     cols = np.arange(_TABLE_BLOCK)
     # a row past float64 anyway stays inf and ends once cap / (n + 1) < 1, as
     # inf passes the tail test; the cap check above puts that within budget
@@ -403,7 +405,8 @@ def ml_laplace_quad(params: MLParams, s: float) -> float:
 
     The integrand decays like exp(-(s - k/alpha) x) times a power, so one
     call of the half-line rule with scale 1 / (s - k/alpha) and a relative
-    target covers it, one term table per level of the rule.  The factor
+    target covers it, one term table (of Gamma(beta) E) per level of the
+    rule.  The factor
     exp(-s x) is folded into the rows' power-of-two exponents, so nodes where
     E(x) itself is beyond float64 still contribute; a series that does not
     converge at a node raises ConvergenceError.
@@ -419,4 +422,4 @@ def ml_laplace_quad(params: MLParams, s: float) -> float:
         return sums * np.exp(exps * _LN2 - s * xs)
 
     value, _ = half_line_quad(f, 1.0 / (s - params.k / params.alpha))
-    return float(value[0])
+    return float(value[0]) / _gamma(params.beta)

@@ -57,6 +57,15 @@ REFERENCE_SETS = (
     MLParams(2.0, 3.0, 1.0, 1.0),
 )
 
+# one set per route of the Meijer kernel, for the moment and Gram criteria
+KERNEL_ROUTE_SETS = (
+    MLParams(2.0, 3.0, 1.5, 0.7),  # the plain Laplace form
+    MLParams(1.5, 1.2, 0.6, 1.0),  # Kummer's transformation, the subtracted form
+    MLParams(2.0, 3.0, 0.3, 1.0),  # the backward recurrence
+    MLParams(1.0, 0.8, 1.2, 1.0),  # the connection formula
+    MLParams(1.0, 0.5, 0.4, 1.0),  # second index b2 < 0
+)
+
 
 def report(num: int, label: str, ok: bool) -> None:
     # bypass capture so the per-criterion line always reaches the console
@@ -96,7 +105,7 @@ def test_criterion_02_series_vs_confluent_route():
 
 def test_criterion_03_measure_moments():
     worst = 0.0
-    for params in REFERENCE_SETS:
+    for params in REFERENCE_SETS + KERNEL_ROUTE_SETS:
         rep = verify_resolution(params, s_max=10)
         worst = max(worst, rep.max_rel_err)
     ok = worst <= 1e-6
@@ -106,7 +115,7 @@ def test_criterion_03_measure_moments():
 
 def test_criterion_04_resolution_of_identity():
     worst = 0.0
-    for params in REFERENCE_SETS:
+    for params in REFERENCE_SETS + KERNEL_ROUTE_SETS:
         mat = resolution_identity_matrix(params, n_max=10)
         worst = max(worst, float(np.max(np.abs(mat - np.eye(11)))))
     ok = worst <= 1e-6

@@ -152,6 +152,20 @@ class TestMeijerKernel:
         with pytest.raises(OverflowError, match="Meijer kernel at x = 1e-315 exceeds"):
             meijer_g_weight(MLParams(1.0, 0.001, 0.1, 1.0), 1e-315)
 
+    def test_referee_raises_typed_errors_or_returns_the_origin(self):
+        # the contour sum was NaN where G leaves float64 (b2 = 759), and
+        # math.log(y) raised a bare ValueError where y underflows to 0
+        x = 8.61e-4
+        big = MLParams(0.071017, 53.966646, 11.873263, 3.207051)
+        for run in (meijer_g_weight, meijer_g_weight_mb):
+            with pytest.raises(OverflowError, match=f"at x = {x!r} exceeds float64 range"):
+                run(big, x)
+        tiny = MLParams(0.623343, 43.684261, 0.877782, 0.143089)
+        want = meijer_g_weight(tiny, 5e-324)
+        assert want == pytest.approx(1.184e95, rel=1e-3, abs=0)
+        assert meijer_g_weight_mb(tiny, 5e-324) == want
+        assert meijer_g_weight(tiny, 5e-324, check=True) == want
+
     def test_plain_form_without_a_peak_at_large_argument(self):
         # a1 = 0.1125, b2 = -0.39, so a = 0.506 after Kummer's transformation:
         # the plain form's integrand was scaled by its value at s = y, about
@@ -597,15 +611,24 @@ class TestMeasureWeight:
         # x k/alpha = 10,500 and 10,000: no cap / (n + 1) drops below 1 in budget
         (MLParams(2.0, 3.0, 1.5, 0.7), 3e4, ConvergenceError, r"series at x=30000.0 "),
         (MLParams(1.0, 3.0, 50.0, 0.5), 2e4, ConvergenceError, r"series at x=20000.0 "),
-        (MLParams(1.0, 200.0, 1.0, 1.0), 1.0, OverflowError,
-         r"Gamma\(beta\) exceeds float64 range at beta = 200.0"),
-        (MLParams(0.5, 100.0, 1.0, 1.0), 1.0, OverflowError,
-         r"Gamma\(beta/alpha\) exceeds float64 range at beta/alpha = 200.0"),
         (MLParams(1.0, 0.001, 0.1, 1.0), 1e-315, OverflowError, r"Meijer kernel at x = 1e-315 exceeds")])
     def test_scalar_and_array_raise_the_same_errors(self, params, x, error, match):
         for arg in (x, np.array([1.0, x])):
             with pytest.raises(error, match=match):
                 measure_weight_h(params, arg)
+
+    @pytest.mark.parametrize("params, x", [
+        # Gamma(beta) (k/alpha) Gamma(gamma/k) / Gamma(beta/alpha) is beyond
+        # float64 while E G underflows: their product was inf * 0 = NaN
+        (MLParams(6.239063, 117.197027, 22.539513, 0.209489), 0.0347),
+        # Gamma(beta) and Gamma(beta/alpha) beyond float64 raised OverflowError
+        (MLParams(1.0, 200.0, 1.0, 1.0), 150.0),
+        (MLParams(0.5, 100.0, 1.0, 1.0), 100.0)])
+    def test_weight_past_the_gammas(self, params, x):
+        want = self._weight_reference(params, x)
+        assert 1e-6 < want < 1e6
+        for got in (measure_weight_h(params, x), measure_weight_h(params, np.array([1.0, x]))[1]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_one_value_sums_the_scalar_series(self, monkeypatch):
         import mlcs.measure as measure_mod
@@ -745,6 +768,7 @@ class TestResolutionIdentity:
         monkeypatch.setattr(measure_mod, "half_line_quad",
                             lambda f, scale: families.append(f) or (np.ones(12), None))
         resolution_identity_matrix(params, n_max=11)
+        monkeypatch.undo()  # the family and h at these x on the real rule
         xs = np.array([0.0, 0.3, 4.0, 40.0])
         columns = families[0](xs)
         assert columns.shape == (4, 12)
@@ -811,17 +835,13 @@ class TestResolutionIdentity:
         assert len(tables) == 1
 
     def test_gamma_beyond_float64_is_named(self):
-        params = MLParams(1.0, 200.0, 1.0, 1.0)
-        want = r"Gamma\(beta\) exceeds float64 range at beta = 200.0"
-        for run in (lambda: measure_weight_h(params, 1.0),
-                    lambda: cs_build(CSLabel(1.0), params)):
-            with pytest.raises(OverflowError, match=want):
-                run()
+        # h takes every Gamma from its log (TestMeasureWeight), the state and
+        # the Gram ladder do not
+        with pytest.raises(OverflowError, match=r"Gamma\(beta\) exceeds float64 range at beta = 200.0"):
+            cs_build(CSLabel(1.0), MLParams(1.0, 200.0, 1.0, 1.0))
         # the Gram ladder needs Gamma(beta/alpha), not Gamma(beta)
-        for run in (lambda p: measure_weight_h(p, 1.0),
-                    lambda p: resolution_identity_matrix(p, n_max=2)):
-            with pytest.raises(OverflowError, match=r"Gamma\(beta/alpha\) .* at beta/alpha = 200.0"):
-                run(MLParams(0.5, 100.0, 1.0, 1.0))
+        with pytest.raises(OverflowError, match=r"Gamma\(beta/alpha\) .* at beta/alpha = 200.0"):
+            resolution_identity_matrix(MLParams(0.5, 100.0, 1.0, 1.0), n_max=2)
 
     def test_gram_matrix_past_gamma_of_beta(self):
         # Gamma(200) is beyond float64, but the ladder's head (k/alpha)
@@ -929,12 +949,44 @@ class TestHalfLineRule:
         to_x = params.alpha / params.k
         cfg = ThermalConfig(0.6, LinearSpectrum.from_params(params))
         for run in (lambda: meijer_g_weight(params, 0.7 * to_x),
+                    lambda: meijer_g_weight(params, 0.05 * to_x),
+                    lambda: meijer_g_weight(params, 30.0 * to_x),
                     lambda: measure_weight_h(params, 2.0 * to_x),
                     lambda: p_function(CSLabel(math.sqrt(to_x)), params, cfg),
                     lambda: mlcs.ml_laplace_quad(params, 3.0 * params.k / params.alpha)):
             calls.clear()
             run()
             assert calls == [[129]]
+
+    @pytest.mark.parametrize("params", [
+        MLParams(2.0, 3.0, 1.5, 0.7), MLParams(1.0, 2.0, 3.0, 1.0), MLParams(1.5, 1.2, 0.6, 1.0),
+        MLParams(2.0, 3.0, 0.3, 1.0), MLParams(1.0, 0.8, 1.2, 1.0), MLParams(1.0, 0.5, 0.4, 1.0)])
+    def test_float_call_is_its_one_element_array_call(self, params):
+        # one code path: a float is a 1-element array to the kernel, bit for bit
+        for y in (1e-300, 1e-5, 0.05, 0.7, 5.0, 30.0, 700.0):
+            x = y * params.alpha / params.k
+            assert meijer_g_weight(params, x) == meijer_g_weight(params, np.array([x]))[0]
+
+    def test_first_call_exit_is_the_loops_result(self):
+        # x**0.5 e**-x meets its target on the first call; beside a narrow
+        # peak that needs halvings it keeps the value and estimate of that
+        # call, which a family of two such members returns after one call
+        asked = []
+
+        def family(second):
+            def f(x, live=None):
+                asked.append(x.size)
+                cols = np.stack((np.sqrt(x) * np.exp(-x), second(x)), axis=1)
+                return cols if live is None else cols[:, live]
+            return f
+
+        alone = half_line_quad(family(lambda x: np.sqrt(x) * np.exp(-x)), 1.0)
+        assert asked == [129]
+        asked.clear()
+        beside = half_line_quad(family(lambda x: np.exp(-x - 100.0 * (x - 2.0) ** 2)), 1.0)
+        assert len(asked) > 1
+        assert (alone[0][0], alone[1][0]) == (beside[0][0], beside[1][0])
+        assert alone[0][0] == pytest.approx(math.gamma(1.5), rel=1e-14, abs=0)
 
     def test_each_member_stops_at_its_own_target(self):
         # exp(-x) meets its target on the first level; a narrow peak at x = 2

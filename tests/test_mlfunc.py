@@ -192,6 +192,8 @@ class TestTermTable:
         # small x next to x a thousand times larger in one call
         xs = np.concatenate([xs, np.geomspace(1e-3, 2.0, 20), np.geomspace(1.0, 2000.0, 20)])
         sums, exps, tails = mlfunc._ml_table(params, xs)
+        # the table sums Gamma(beta) E, its first term 1
+        sums, tails = sums / math.gamma(params.beta), tails / math.gamma(params.beta)
         for x, total, e, tail in zip(xs.tolist(), sums, exps.tolist(), tails):
             try:
                 want = math.ldexp(ml_eval(params, x).value, -e)
@@ -278,10 +280,19 @@ class TestSeriesDiagnostics:
             assert res.tail_bound == math.inf
 
     def test_unconverged_result_is_flagged_not_raised(self):
-        res = ml_eval(UNIT_PARAMS, 40.0, EvalConfig(rel_tol=1e-12, max_terms=12))
+        res = ml_eval(UNIT_PARAMS, 10.0, EvalConfig(rel_tol=1e-12, max_terms=12))
         assert not res.converged
         assert res.terms_used == 12
         assert math.isfinite(res.value)
+
+    @pytest.mark.parametrize("params, z, max_terms", [
+        (UNIT_PARAMS, 40.0, 12), (UNIT_PARAMS, -20000.0, 10000),
+        # its terms leave float64 before the budget ends, and raised OverflowError
+        (MLParams(1.0, 3.0, 50.0, 0.5), 19999.0, 10000)])
+    def test_cap_at_the_budget_returns_at_entry(self, params, z, max_terms):
+        # no cap / (n + 1) drops below 1 within the budget, so no term is summed
+        res = ml_eval(params, z, EvalConfig(max_terms=max_terms))
+        assert (res.terms_used, res.tail_bound, res.converged) == (1, math.inf, False)
 
     def test_complex_variant_raises_on_term_budget(self):
         with pytest.raises(ConvergenceError) as exc:
