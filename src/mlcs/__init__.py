@@ -5,7 +5,7 @@ space distributions, and their continuous-spectrum limits.
 The package is a lazy namespace (PEP 562): `import mlcs` loads no submodule,
 and the first access to a public name imports the one submodule that owns
 it.  So the series functions of `mlfunc` come without numpy, and scipy is
-loaded only by the code that integrates or needs special functions.
+loaded only by the opt-in QUADPACK referee of the continuum module.
 """
 
 from importlib import import_module as _import_module

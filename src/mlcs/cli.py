@@ -22,10 +22,7 @@ from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 
 # Each command imports the modules it computes with, so `ml-eval` loads
-# neither numpy nor scipy, and only the Meijer kernel of `scan pfn` and
-# `verify resolution` loads scipy.special, and that only where the kernel
-# takes its connection formula (the region is stated in the docstring of
-# mlcs.measure).
+# neither numpy nor scipy, and no command loads scipy.
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 

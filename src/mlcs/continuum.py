@@ -41,7 +41,7 @@ integrand is sharply peaked once w is large.  Two schemes:
     budget spent raises ConvergenceError.  No value is returned unchecked.
 * "adaptive" is QUADPACK on [0, E* + H] with a breakpoint at E*, on scipy's
   gammaln: the referee the tests hold the window and the table to.  scipy
-  is imported in that branch only.
+  is imported in that branch only (a test extra; DomainError without it).
 
 The two identity suites (measure moments and Boltzmann diagonals) integrate
 in x instead, on the half-line double-exponential rule of the quadrature
@@ -206,7 +206,10 @@ def _window(kernel: _Kernel) -> float:
 
 def _quadpack(kernel: _Kernel) -> float:
     """log of the same integral by QUADPACK with scipy's gammaln: the referee."""
-    from scipy import integrate, special
+    try:
+        from scipy import integrate, special
+    except ImportError:
+        raise DomainError('scheme="adaptive" needs scipy, from the test extra (mlcs[test])') from None
 
     peak = kernel.peak()
     upper = peak + _half_width(peak)

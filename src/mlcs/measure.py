@@ -23,10 +23,11 @@ recurrence step below; see the comment above _laplace_family).  Below
 y = 1e-4, where the subtracted family in use (first index a = a1 for
 -1/2 < a1 < 1/2, a = a1 + 1 of the recurrence for a1 <= -1/2) has
 p = b2 - a < 0 and cancels by up to y**-a, the connection formula of U (two
-short Kummer series) gives the value instead, and so it does below
-y = 1e-250 for b2 < 0.05 and 0 != a1 < 2, where the Laplace integrand's mass
-reaches the float64 floor; the indices are those after Kummer's
-transformation, so the formula sees 0 <= b2 < 1/2 only.  A y that
+short Kummer series) gives the value instead; so it does where the Laplace
+integrand's mass reaches the float64 floor, below y = 1e-250 for b2 < 0.05
+and 0 != a1 < 2, and for any 0 != a1 and b2 < 1/2 below the smallest normal
+float64, where b2 >= 1/2 takes the origin limit.  The indices are those after
+Kummer's transformation, so the formula sees 0 <= b2 < 1/2 only.  A y that
 underflows to 0 is the origin, whose limit is returned; a value beyond
 float64 raises OverflowError.  An independent Mellin-Barnes contour
 evaluation of the same kernel backs the fast route, and the moment identity
@@ -66,7 +67,7 @@ import numpy as np
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams, _gamma, _require_count, _require_nonnegative, _require_positive
-from .mlfunc import _DEFAULT_CONFIG, _LN2, _ml_table, _series
+from .mlfunc import _DEFAULT_CONFIG, _LN2, EvalConfig, _ml_table, _series
 from .quadrature import _first_nodes, gauss_legendre_panels, half_line_quad
 
 __all__ = [
@@ -247,43 +248,65 @@ _SMALL_Y = 1e-4
 # reaches within a few decades of the float64 floor, where the rule's nodes
 # end, and below s = y the weighted integrand falls only like s**a1.
 _FLOOR_Y = 1e-250
+_TINY_Y = np.finfo(float).tiny  # below it the Laplace integrand's ratios overflow
 # b2 below which the two series are paired term by term.
 _NEAR_ZERO = 0.05
-_TAYLOR_N = np.arange(1, 11)
-_TAYLOR_W = 1.0 / np.cumprod(_TAYLOR_N)  # 1 / n!
+_KUMMER_CFG = EvalConfig(1e-17, 200)  # the formula's Kummer series, to float64 resolution
+# B_2k (DLMF 24.2.1) for Stirling's series (DLMF 5.11.1, Horner order) and for
+# (-1)**(n+1) psi^(n)(z) = sum_j _PSI[n, j] / z**j, + log z at n = 0 (DLMF 5.15.8)
+_B2K = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510])
+_K2 = 2 * np.arange(1, 9)
+_STIRLING = (_B2K / (_K2 * (_K2 - 1.0)))[::-1]
+_N1 = np.arange(1.0, 11.0)  # n + 1
+_FACT = np.cumprod(np.append(1.0, _N1[:-1]))  # n!
+_PSI = np.zeros((10, 27))
+_PSI[range(1, 10), range(1, 10)] = _FACT[:-1]  # (n-1)! / z**n
+_PSI[range(10), range(1, 11)] = 0.5 * _FACT  # n! / (2 z**(n+1))
+_PSI[np.arange(10)[:, None], np.arange(10)[:, None] + _K2] = _B2K * np.array(
+    [[math.perm(k + n - 1, n) / k for k in _K2] for n in range(10)])  # (2k+n-1)! B_2k / (2k)!
+
+
+def _rgamma(x: float, lift: float = 0.0) -> float:
+    """e**lift / Gamma(x), 0 at its poles, from one exponent (inf past float64) where either leaves it."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    if x < 171.0 and abs(lift) < 700.0:
+        return math.exp(lift) / math.gamma(x)
+    return (-1.0 if x < 0.0 and math.ceil(-x) % 2 else 1.0) * np.exp(lift - math.lgamma(x))
+
+
+def _polygammas(x: float) -> np.ndarray:
+    """psi^(n)(x), n = 0..9, x >= 2: DLMF 5.15.5 up to z >= 20, then 5.15.8."""
+    m = max(0, math.ceil(20.0 - x))
+    z = x + m
+    steps = ((x + np.arange(m))[:, None] ** -_N1).sum(axis=0)
+    psi = (-1.0) ** _N1 * (_FACT * steps + _PSI @ z ** -np.arange(27.0))
+    psi[0] += math.log(z)
+    return psi
 
 
 def _kummer_reg(a: float, b: float, y: float) -> float:
-    """M(a, b, y) / Gamma(b) for 0 < y < _SMALL_Y and b + k away from 0."""
-    from scipy import special
-
-    term = float(special.rgamma(b))
-    total = term
-    for k in range(200):
-        term *= (a + k) * y / ((k + 1) * (b + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise ConvergenceError(f"Kummer series M({a}, {b}, {y}) did not settle")
+    """M(a, b, y) / Gamma(b) for 0 < y < _SMALL_Y and b > 0, on mlfunc's series engine."""
+    total, e, _, _, settled, _ = _series(_rgamma(b), y, a, 1.0, b, 1.0, _KUMMER_CFG)
+    if not settled:
+        raise ConvergenceError(f"Kummer series M({a}, {b}, {y}) did not settle")
+    return math.ldexp(total, e)
 
 
 def _gamma_ratio_m1(x: float, d: float) -> float:
     """(Gamma(x + d) / Gamma(x) - 1) / d for |d| << 1 with no cancellation;
     psi(x) at d = 0.  x + i must stay clear of 0 for the upward shifts."""
-    from scipy import special
-
     acc = 0.0
     while x < 2.0:
         acc -= math.log1p(d / x) / d if d else 1.0 / x
         x += 1.0
-    slope = acc + float(np.dot(special.polygamma(_TAYLOR_N - 1, x),
-                               d ** (_TAYLOR_N - 1) * _TAYLOR_W))
-    return slope * float(special.exprel(d * slope))
+    slope = acc + float(np.dot(_polygammas(x), d ** (_N1 - 1.0) / (_FACT * _N1)))
+    return math.expm1(d * slope) / d if d else slope
 
 
-def _g_small_y(a1: float, b2: float, y: float) -> float:
-    """Kernel G(y) for 0 < y < _SMALL_Y, 0 <= b2 < 1/2, a1 != 0, from the
-    connection formula (DLMF 13.2.42) in regularized form:
+def _g_small_y(a1: float, b2: float, y: float, lift: float = 0.0) -> float:
+    """e**lift G(y) for 0 < y < _SMALL_Y or subnormal, 0 <= b2 < 1/2, a1 != 0, e**lift
+    in the 1/Gamma factors of the connection formula (DLMF 13.2.42), regularized:
 
         G = pi / sin(pi b2) * exp(-y) * [ M~(a1-b2, 1-b2, y) / Gamma(a1)
                                           - y**b2 M~(a1, 1+b2, y) / Gamma(a1-b2) ]
@@ -295,27 +318,25 @@ def _g_small_y(a1: float, b2: float, y: float) -> float:
     degenerates and G is exp(-y) U(a1 - b2, 1 - b2, y), which is exp(-y) or
     exp(-y) (y - 1 + b2) (DLMF 13.2.7).
     """
-    from scipy import special
-
     if b2 >= _NEAR_ZERO:
         head = math.pi / math.sin(math.pi * b2)
         return math.exp(-y) * head * (
-            float(special.rgamma(a1)) * _kummer_reg(a1 - b2, 1.0 - b2, y)
-            - float(special.rgamma(a1 - b2)) * y ** b2 * _kummer_reg(a1, 1.0 + b2, y)
+            _rgamma(a1, lift) * _kummer_reg(a1 - b2, 1.0 - b2, y)
+            - _rgamma(a1 - b2, lift) * y ** b2 * _kummer_reg(a1, 1.0 + b2, y)
         )
     # a1 - b2 + shift is the one quantity that can sit next to a pole of
     # Gamma; form it once so 1/Gamma(a1 - b2) and Gamma(a1 - b2 + j) agree
     shift = 1 if a1 < -0.5 else 0
     base = (a1 + shift) - b2
     # c = (a1)_j y**j / (Gamma(a1-b2) j! j!), from 1/Gamma(a1 - b2) at j = 0
-    c = float(special.rgamma(base))
+    c = _rgamma(base, lift)
     if shift:
         c *= base - 1.0
-    if c == 0.0:
+    if base == 0.0:
         # a1 - b2 = -shift, the polynomial case
-        return math.exp(-y) * (y - (1.0 - b2) if shift else 1.0)
+        return math.exp(-y) * np.exp(lift) * (y - (1.0 - b2) if shift else 1.0)
     log_y = math.log(y)
-    y_eps = log_y * float(special.exprel(b2 * log_y))  # (y**b2 - 1) / b2
+    y_eps = math.expm1(b2 * log_y) / b2 if b2 else log_y  # (y**b2 - 1) / b2
     paired = 0.0
     # pair j over b2 is c * [Gamma(x - b2) j! / (Gamma(x) Gamma(1 + j - b2))
     #                        - y**b2 j! / Gamma(1 + j + b2)] / b2
@@ -324,10 +345,9 @@ def _g_small_y(a1: float, b2: float, y: float) -> float:
     for j in range(200):
         x = a1 + j
         if b2 > 0.5 * min(abs(x), abs(x + 1.0)):
-            # Gamma(x - b2) is near a pole: the pair does not cancel
-            ratio = float(special.gamma(base) * special.poch(base, j - shift)
-                          * special.rgamma(x))
-            ga = (ratio - 1.0) / -b2
+            # Gamma(x - b2) near a pole (base - 1 would round off the distance)
+            g = math.gamma(base + (j - shift)) if j >= shift else math.gamma(base) / (base - 1.0)
+            ga = (g * _rgamma(x) - 1.0) / -b2
         else:
             ga = _gamma_ratio_m1(x, -b2)
         gb = _gamma_ratio_m1(1.0 + j, -b2)
@@ -364,22 +384,22 @@ def meijer_g_weight(params: MLParams, x, check: bool = False):
     route through Tricomi U, all values of an array on the nodes of one
     half-line rule, so an array call agrees with per-element calls to
     roundoff but not bit for bit.  With check=True the Mellin-Barnes contour
-    referee runs on every element too, and a disagreement above 1e-9 of the
+    referee runs on every element too: a disagreement above 1e-9 of the
     value (plus the referee's roundoff floor) raises RouteMismatchError
-    carrying both values.  x = 0, or an x whose (k/alpha) x underflows to 0,
-    gives the analytic limit: finite for beta/alpha > 1 or gamma/k =
-    beta/alpha, else an infinity with the kernel's sign near 0.  A value
-    beyond float64 raises OverflowError; a negative or non-finite x is a
-    domain error.
+    carrying both values, an element it cannot sum raises its OverflowError.
+    x = 0, or an x whose (k/alpha) x underflows to 0, gives the analytic
+    limit: finite for beta/alpha > 1 or gamma/k = beta/alpha, else an
+    infinity with the kernel's sign near 0.  A value beyond float64 raises
+    OverflowError; a negative or non-finite x is a domain error.
     """
     xs, scalar = _x_values(x)
     g = _meijer_g(params, xs)
     if check:
         # the contour sum carries roundoff proportional to its t = 0
-        # integrand (phase error from loggamma/exp grows with contour
+        # integrand (phase error from log Gamma/exp grows with contour
         # length), so 1e-10 of that head is allowed on top of 1e-9 of the
         # value: only disagreement above that floor is evidence of a defect.
-        # A head beyond float64 (a referee that is not finite) refutes nothing
+        # A referee that is not finite raises its OverflowError naming x
         for xi, value in zip(xs.tolist(), g.tolist()):
             if xi == 0.0:
                 continue
@@ -407,13 +427,13 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
     power = min(b2, 0.0)
     a, b = a1 - power, abs(b2)
     # the connection formula, value by value, where the subtracted family in
-    # use has p < 0 or the Laplace routes cannot reach the mass; a = 0 is the
-    # closed form G = y**b e**-y at any y.  An x > 0 whose y underflows is
-    # the origin too
+    # use has p < 0 or the Laplace routes cannot reach the mass (b >= 1/2
+    # takes the origin limit below _TINY_Y); a = 0 is the closed form G =
+    # y**b e**-y at any y.  An x > 0 whose y underflows is the origin too
     if a < 0.5 and b < (a + 1.0 if a <= -0.5 else a):
         edge = y < _SMALL_Y
-    elif a != 0.0 and b < _NEAR_ZERO and a < 2.0:
-        edge = y < _FLOOR_Y
+    elif a != 0.0:
+        edge = y < (_FLOOR_Y if b < _NEAR_ZERO and a < 2.0 else _TINY_Y)
     else:
         edge = y == 0.0
     origin = ()
@@ -426,9 +446,13 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
             g = np.exp(lift)
             origin = np.flatnonzero(y == 0.0)
             series = edge & (y > 0.0)
-            for i in np.flatnonzero(series):
-                g[i] *= _g_small_y(a, b, float(y[i]))
-            g[series] *= y[series] ** power
+            if b < 0.5:
+                for i in np.flatnonzero(series):
+                    g[i] = _g_small_y(a, b, float(y[i]), float(lift[i]))
+                g[series] *= y[series] ** power
+            elif a != 0.0:  # subnormal y: Gamma(b) / Gamma(a) y**power, one exponent with lift
+                g[series] = math.copysign(1.0, a) * np.exp(
+                    lift[series] + power * np.log(y[series]) + (math.lgamma(b) - math.lgamma(a)))
             if not edge.all():
                 g[~edge] = _laplace_kernel(a, b, y[~edge], power, lift[~edge])
     if np.count_nonzero(np.isfinite(g)) < g.size:
@@ -478,18 +502,29 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
     roundoff.  A y that underflows to 0 gives the origin limit; OverflowError
     where the integrand leaves float64 (at a subnormal y even if G does not).
     """
-    value, head = _mb_contour(params, _require_positive(x, "x"))
-    if head and not math.isfinite(value):  # head is 0 at the origin only
-        raise OverflowError(f"Meijer kernel contour at x = {x!r} exceeds float64 range")
-    return value
+    return _mb_contour(params, _require_positive(x, "x"))[0]
+
+
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z) + 2 pi i k on rows of columns with one ascending Im z and
+    Re z > -1: Stirling's series, within 1e-16 at |z| >= 8, after an upward
+    shift by one integer (DLMF 5.5.1) of the prefix of columns below Im z = 8."""
+    cut = int(np.searchsorted(z[0].imag, 8.0))
+    m = max(0, math.ceil(8.0 - z[:, :cut].real.min(initial=8.0)))
+    prod = np.prod(z[:, :cut, None] + np.arange(m), axis=2)
+    z = np.hstack((z[:, :cut] + m, z[:, cut:]))
+    w = 1.0 / z
+    log_z = np.log(np.abs(z)) + 1j * np.angle(z)  # half the time of numpy's complex log
+    lg = (z - 0.5) * log_z - z + (0.5 * math.log(2.0 * math.pi)) + w * np.polyval(_STIRLING, w * w)
+    lg[:, :cut] -= np.log(prod)
+    return lg
 
 
 def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
     """meijer_g_weight_mb at a validated x, and the modulus of its integrand
     at t = 0 over pi, the scale of its roundoff (0 at the origin, where the
-    limit of meijer_g_weight is returned)."""
-    from scipy import special
-
+    limit of meijer_g_weight is returned); OverflowError naming x where the
+    sum is not finite.  Only exp of each log Gamma is used: its branch is free."""
     a1, b2 = _g_params(params)
     y = (params.k / params.alpha) * x
     if y == 0.0:
@@ -498,20 +533,21 @@ def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
     saddle = 0.5 * (h + math.sqrt(max(h * h + 4.0 * a1 * y, 0.0)))
     c = max(max(0.0, -b2) + 0.75, saddle)
     log_y = math.log(y)
+    head = []
 
     def integrand(t):
-        s = c + 1j * t
-        lg = (
-            special.loggamma(s)
-            + special.loggamma(b2 + s)
-            - special.loggamma(a1 + s)
-            - s * log_y
-        )
-        return np.exp(lg).real
+        # t = 0 leads the ascending nodes, so the head shares their log Gamma
+        s = c + 1j * np.append(0.0, t)
+        lg = _log_gamma(s + np.array([[0.0], [b2], [a1]]))
+        f = np.exp(lg[0] + lg[1] - lg[2] - s * log_y).real
+        head.append(abs(float(f[0])) / math.pi)
+        return f[1:].reshape(t.shape)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = gauss_legendre_panels(integrand, 0.0, max(80.0, 9.0 * math.sqrt(c)), 40, 24)
-        return value / math.pi, abs(float(integrand(0.0))) / math.pi
+    if not math.isfinite(value):
+        raise OverflowError(f"Meijer kernel contour at x = {x!r} exceeds float64 range")
+    return value / math.pi, head[0]
 
 
 def measure_weight_h(params: MLParams, x):

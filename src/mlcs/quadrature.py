@@ -31,9 +31,9 @@ Two fixed schemes are kept deliberately distinct:
   The caller passes only the integrand and a scale: the target and node
   budget are constants.
 
-The peak window of the continuum module (its default scheme) places the
-cached Gauss-Legendre nodes on its own panels, and its QUADPACK referee
-imports scipy for itself, so both rules here need numpy only.
+The Meijer kernel's contour referee runs on the composite rule, the continuum
+module places the cached nodes on its own panels, and its opt-in QUADPACK
+referee loads scipy for itself, so both rules here need numpy only.
 """
 
 from __future__ import annotations

@@ -349,6 +349,10 @@ class TestCheckout:
 
 
 _KERNEL_PARAMS = ("--alpha", "2", "--beta", "3", "--gamma", "1.5", "--kpar", "0.7")
+# a1 = 0.2, b2 = -0.2: the connection formula at the kernel's smallest nodes
+_FORMULA_PARAMS = ("--alpha", "1", "--beta", "0.8", "--gamma", "1.2", "--kpar", "1")
+# a scan there from x = 1e-5 (the kernel is infinite at the origin)
+_FORMULA_SCAN = ("--x-min", "1e-5", "--x-max", "2", *_FORMULA_PARAMS)
 
 
 class TestImportBudget:
@@ -377,10 +381,35 @@ class TestImportBudget:
         # p = 0.2 >= 0, at every node
         (["verify", "resolution", "--alpha", "2", "--beta", "3", "--gamma", "0.3",
           "--kpar", "1"], {"numpy"}),
+        # and the connection formula at the smallest nodes, on numpy and math
+        (["verify", "resolution", *_FORMULA_PARAMS], {"numpy"}),
+        (["scan", "--quantity", "pfn", "--x-steps", "3", *_FORMULA_SCAN], {"numpy"}),
     ])
     def test_command_stays_within_its_imports(self, argv, allowed):
         code = f"import mlcs.cli\nassert mlcs.cli.main({argv!r}) == 0"
         assert heavy_imports_after(code) <= allowed
+
+    @pytest.mark.parametrize("call", ["meijer_g_weight(MLParams(1, 0.8, 1.2, 1), 1e-6, check=True)",
+                                      "meijer_g_weight_mb(MLParams(2, 3, 1.5, 0.7), 1.3)"])
+    def test_contour_referee_loads_no_scipy(self, call):
+        code = f"from mlcs import MLParams, meijer_g_weight, meijer_g_weight_mb\n{call}"
+        assert heavy_imports_after(code) == {"numpy"}
+
+    def test_every_command_runs_with_scipy_blocked(self):
+        # scipy is a test-time referee only: with it unimportable every
+        # verify suite, every scan quantity and both kernel routes still run
+        commands = [["ml-eval", "--z", "1.5"], ["verify", "ansatz", "--B", "0.005"],
+                    ["verify", "laplace", "--s", "3"], ["verify", "moments-continuum"],
+                    ["verify", "resolution", *_FORMULA_PARAMS], ["verify", "resolution"],
+                    *(["scan", "--quantity", q, "--x-steps", "3", *_FORMULA_SCAN]
+                      for q in ("pn", "husimi", "pfn", "nu", "husimi-cont", "p-cont"))]
+        code = ("import sys\nsys.modules['scipy'] = None\nimport mlcs.cli\n"
+                f"for argv in {commands!r}:\n    assert mlcs.cli.main(argv) == 0, argv\n"
+                "from mlcs import MLParams, meijer_g_weight, meijer_g_weight_mb\n"
+                "meijer_g_weight(MLParams(1, 0.8, 1.2, 1), 1e-6, check=True)\n"
+                "meijer_g_weight_mb(MLParams(1, 0.8, 1.2, 1), 1e-6)\n"
+                "del sys.modules['scipy']")
+        assert heavy_imports_after(code) == {"numpy"}
 
     def test_series_call_loads_no_numpy(self):
         # the term table of mlfunc imports numpy inside itself, not at import

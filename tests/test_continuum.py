@@ -340,6 +340,15 @@ class TestNuTable:
     def test_loads_no_scipy(self):
         assert heavy_imports_after("from mlcs import log_nu\nlog_nu(5.0)") == {"numpy"}
 
+    def test_adaptive_scheme_without_scipy_names_the_extra(self, monkeypatch):
+        # scipy comes with the test extra only; the default scheme needs none
+        import sys
+
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(DomainError, match=r"needs scipy, from the test extra \(mlcs\[test\]\)"):
+            log_nu(5.0, scheme="adaptive")
+        assert log_nu(5.0) == pytest.approx(reference_log_nu(5.0), rel=1e-13, abs=0)
+
     def test_a_missed_check_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12
         import mlcs.continuum as continuum_mod

@@ -165,6 +165,14 @@ class TestMeijerKernel:
         assert want == pytest.approx(1.184e95, rel=1e-3, abs=0)
         assert meijer_g_weight_mb(tiny, 5e-324) == want
         assert meijer_g_weight(tiny, 5e-324, check=True) == want
+        # G = -1.37e150 and -3.3e193 here, but the contour's t = 0 modulus
+        # is e**780 and e**1004: check=True passed both without a word
+        neg = MLParams(1.0, 0.4, 0.1, 1.0)
+        for x, value in ((1e-251, -1.37e150), (5e-324, -3.3e193)):
+            assert meijer_g_weight(neg, x) == pytest.approx(value, rel=1e-2, abs=0)
+            for run in (meijer_g_weight_mb, lambda p, x: meijer_g_weight(p, x, check=True)):
+                with pytest.raises(OverflowError, match=f"contour at x = {x!r} exceeds float64"):
+                    run(neg, x)
 
     def test_plain_form_without_a_peak_at_large_argument(self):
         # a1 = 0.1125, b2 = -0.39, so a = 0.506 after Kummer's transformation:
@@ -202,6 +210,25 @@ class TestMeijerKernel:
         params, a1_, b2_ = grid_params(a1, b2)
         assert meijer_g_weight(params, y) == pytest.approx(
             reference_kernel_u(a1_, b2_, y), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a1", (-0.7, -0.3, 0.2, 0.7, 2.0, 8.0))
+    def test_subnormal_argument_grid(self, a1):
+        # below the smallest normal float64 the plain form's ratio (y + s) /
+        # y_ref overflowed: (0.7, 0.5) at 1e-310 spent the node budget, and
+        # (0.2, -0.999) warned in a log.  Now b2 < 1/2 (after Kummer's
+        # transformation) takes the connection formula and b2 >= 1/2 the
+        # origin limit; a G beyond float64 raises OverflowError naming x
+        for b2 in (-0.999, -0.6, -0.3, -1e-3, 0.0, 0.2, 0.45, 0.5, 1.0, 2.5):
+            params, a1_, b2_ = grid_params(a1, b2)
+            for y in (1e-310, 1e-320, 5e-324):
+                with mpmath.workdps(40):
+                    want = mpmath.mpf(y) ** b2_ * mpmath.hyperu(a1_, b2_ + 1.0, mpmath.mpf(y))
+                if abs(want) > np.finfo(float).max:
+                    with pytest.raises(OverflowError, match=f"at x = {y!r} exceeds float64"):
+                        meijer_g_weight(params, y)
+                else:
+                    assert meijer_g_weight(params, y) == pytest.approx(
+                        float(want), rel=1e-12, abs=0), (a1_, b2_, y)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -301,7 +328,7 @@ class TestMeijerKernel:
         for a1 in grid:
             for b2 in grid:
                 meijer_g_weight(grid_params(a1, b2)[0], ys)
-        assert seen and all(0.0 <= b < 0.5 for _, b, _ in seen)
+        assert seen and all(0.0 <= args[1] < 0.5 for args in seen)
 
     @pytest.mark.parametrize("a", [-0.99, -0.7, -0.5, -0.3, -1e-2, -1e-3, -1e-9, 1e-9,
                                    1e-3, 2e-3, 1e-2, 0.1, 0.49, 0.5, 0.99, 1.0, 1.5, 3.0])
@@ -623,7 +650,11 @@ class TestMeasureWeight:
         (MLParams(6.239063, 117.197027, 22.539513, 0.209489), 0.0347),
         # Gamma(beta) and Gamma(beta/alpha) beyond float64 raised OverflowError
         (MLParams(1.0, 200.0, 1.0, 1.0), 150.0),
-        (MLParams(0.5, 100.0, 1.0, 1.0), 100.0)])
+        (MLParams(0.5, 100.0, 1.0, 1.0), 100.0),
+        # at a subnormal x, b2 = 0.3 takes the connection formula, whose
+        # 1/Gamma(a1) underflowed before e**lift was applied: inf * 0 again
+        (MLParams(1.0, 1.3, 172.0, 1.0), 5e-324),
+        (MLParams(1.0, 1.3, 200.0, 1.0), 1e-310)])
     def test_weight_past_the_gammas(self, params, x):
         want = self._weight_reference(params, x)
         assert 1e-6 < want < 1e6
@@ -855,6 +886,74 @@ class TestResolutionIdentity:
             resolution_identity_matrix(UNIT_PARAMS, n_max=-1)
         with pytest.raises(DomainError):
             verify_resolution(UNIT_PARAMS, s_max=0)
+
+
+class TestSpecialFunctions:
+    """The numpy and math special functions of the kernel's connection formula
+    and of its contour referee, against mpmath."""
+
+    def test_log_gamma_on_contour_nodes(self):
+        # rows of one contour: Re z from -0.25 to 700, Im z ascending to 250,
+        # through the shifted prefix below Im z = 8 and Stirling's series
+        # beyond; only exp of the log is used, so the branch is free
+        import mlcs.measure as measure_mod
+
+        t = np.concatenate((np.linspace(0.0, 10.0, 41), np.linspace(10.5, 250.0, 40)))
+        re = np.array([-0.25, 0.1, 0.75, 1.3, 5.0, 7.9, 8.0, 30.0, 155.5, 700.0])
+        got = measure_mod._log_gamma(re[:, None] + 1j * t)
+        with mpmath.workdps(30):
+            for i, r in enumerate(re):
+                for j, im in enumerate(t):
+                    ratio = mpmath.exp(got[i, j] - mpmath.loggamma(mpmath.mpc(r, im)))
+                    # the log is formed from terms of size |z log z|, z
+                    # shifted up to |z| >= 8 (scipy's loggamma meets the
+                    # same bound: 2.6e-16 of that size at worst here)
+                    size = abs(complex(r, im)) + 8.0
+                    assert abs(ratio - 1) <= 5e-16 * size * math.log(size), (r, im)
+
+    def test_polygammas(self):
+        import mlcs.measure as measure_mod
+
+        with mpmath.workdps(30):
+            for x in np.geomspace(2.0, 1e3, 41):
+                got = measure_mod._polygammas(float(x))
+                for n in range(10):
+                    assert got[n] == pytest.approx(
+                        float(mpmath.polygamma(n, float(x))), rel=4e-15, abs=0), (n, x)
+
+    def test_reciprocal_gamma_at_and_next_to_its_poles(self):
+        import mlcs.measure as measure_mod
+
+        for x in (0.0, -1.0, -2.0, -7.0):
+            assert measure_mod._rgamma(x) == 0.0
+        with mpmath.workdps(30):
+            for x in (1e-300, -1e-17, 1e-9, -1.0 + 1e-15, -1.0 - 1e-9, -2.0 + 1e-12,
+                      -0.5, 0.5, 2.5, 170.0, 200.0):
+                assert measure_mod._rgamma(x) == pytest.approx(
+                    float(mpmath.rgamma(x)), rel=1e-15, abs=0), x
+            # e**lift / Gamma(x) from one exponent where a factor leaves float64,
+            # with the sign of Gamma on (-2, 0)
+            for x, lift in ((200.0, 800.0), (180.0, 0.0), (2.5, 705.0), (0.3, -705.0),
+                            (-0.5, 705.0), (-1.5, 706.0)):
+                assert measure_mod._rgamma(x, lift) == pytest.approx(
+                    float(mpmath.exp(lift) * mpmath.rgamma(x)), rel=1e-13, abs=0), (x, lift)
+        with np.errstate(over="ignore"):  # inf where the quotient leaves float64
+            assert measure_mod._rgamma(2.5, 720.0) == math.inf
+
+    def test_gamma_ratio_near_zero_step(self):
+        # (Gamma(x + d) / Gamma(x) - 1) / d as expm1(d slope) / d, psi(x) at
+        # d = 0: the exprel step of the paired series, at d = -b2 and b2 for
+        # 0 <= b2 < 0.05, b2 = beta/alpha - 1 at least 2**-53 where nonzero
+        import mlcs.measure as measure_mod
+
+        with mpmath.workdps(60):  # the difference of two log Gammas is O(d)
+            for x in (-0.95, -0.4, 0.3, 1.0, 2.5, 30.0):
+                for d in (0.0, 2.0 ** -53, -1.1e-16, 1e-12, -1e-7, 3e-4, -0.049, 0.049):
+                    want = (mpmath.psi(0, x) if d == 0 else
+                            mpmath.re(mpmath.expm1(mpmath.loggamma(mpmath.mpf(x) + d)
+                                                   - mpmath.loggamma(x))) / d)
+                    assert measure_mod._gamma_ratio_m1(x, d) == pytest.approx(
+                        float(want), rel=4e-15, abs=0), (x, d)
 
 
 class TestHalfLineRule:
