@@ -214,15 +214,18 @@ def overlap(z1: CSLabel, z2: CSLabel, params: MLParams,
     if z1 == z2:
         return 1.0 + 0.0j
     w = z1.value.conjugate() * z2.value
-    num, num_exp, _, _, num_ok = _ml_sum(params, w, cfg)
+    num, num_exp, _, num_tail, _ = _ml_sum(params, w, cfg)
     d1, d1_exp, _, _, d1_ok = _ml_sum(params, z1.modulus ** 2, cfg)
     d2, d2_exp, _, _, d2_ok = _ml_sum(params, z2.modulus ** 2, cfg)
-    if not (num_ok and d1_ok and d2_ok):
-        raise ConvergenceError(f"overlap series at w={w} did not converge")
     # two square roots: the product of the normalizations overflows first;
     # the exponents are multiples of 960, so their half is an integer
-    ratio = num / (math.sqrt(d1) * math.sqrt(d2))
+    norm = math.sqrt(d1) * math.sqrt(d2)
     shift = num_exp - (d1_exp + d2_exp) // 2
+    # |<z1|z2>| <= 1, so the numerator's error bound is held to rel_tol of the
+    # normalization: away from the real axis the numerator itself cancels
+    if not (d1_ok and d2_ok and math.ldexp(num_tail / norm, shift) <= cfg.rel_tol):
+        raise ConvergenceError(f"overlap series at w={w} did not converge")
+    ratio = num / norm
     return complex(math.ldexp(ratio.real, shift), math.ldexp(ratio.imag, shift))
 
 

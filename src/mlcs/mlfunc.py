@@ -37,6 +37,19 @@ near 1e8 times the value).  Whenever float rounding of that peak could exceed
 rel_tol of the sum, the same loop sums the series again in decimal
 arithmetic from the exact float inputs, at a precision that covers the peak.
 
+Where |w| = (k/alpha)|z| reaches _ASYMPTOTIC_FROM = 20, _ml_sum first tries
+the expansion DLMF 13.7.2 of E = Gamma(b)/Gamma(beta) M(a, b, w), a = gamma/k,
+b = beta/alpha: e^{+-i pi a} w^-a / Gamma(b - a) sum (a)_s (a - b + 1)_s / s!
+(-w)^-s + e^w w^(a - b) / Gamma(a) sum (1 - a)_s (b - a)_s / s! w^-s, the sign
+that of Im w.  Each sum stops at its first term below target under the Olver
+bound DLMF 13.7.4; on the real axis the sum decaying along it only counts as
+error, unless 1 / Gamma(b - a) = 0 and the other terminates.  The tail bound
+adds the rounding of the sums and of the prefactors, each formed as one
+exponent.  Where it certifies rel_tol, the expansion gives E in tens of terms,
+elsewhere the series does; a complex series is certified only where twice eps
+times its largest term, its rounding where the terms cancel, is below rel_tol
+too.  ml_eval_via_1f1, the referee, and _ml_table always sum the series.
+
 Callers that need E at many nonnegative x at once (the nodes of a rule) take
 _ml_table instead: the terms of Gamma(beta) E(x_i), first term 1, as one
 array, row i a cumulative product of the term ratios x_i (gamma + j k) /
@@ -96,6 +109,9 @@ _BIG = 2.0 ** _SHIFT
 _DOWN = 2.0 ** -_SHIFT
 _UNDO = 2.0 ** 50  # 10,000 terms below 2**(_SHIFT + 50) sum below float64 max unscaled
 _LN2 = math.log(2.0)
+# |w| = (k/alpha)|z| from which _ml_sum tries the large-argument expansion:
+# below it the expansion's smallest term seldom reaches 1e-12
+_ASYMPTOTIC_FROM = 20.0
 
 
 @dataclass(frozen=True)
@@ -198,16 +214,22 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
     when p/q == r/s, and folds the exponent of that sum into exp((q/s) z).
     At real z a reflected series with p < 0 alternates for ceil(-p/q) terms;
     when rounding of its largest term could exceed rel_tol of the sum, it is
-    summed again in decimal.  Returns (total, e, terms used, tail bound,
-    converged), the value being total * 2**e.
+    summed again in decimal.  At complex z the tail bound adds twice eps times
+    the largest term, and converged asks that alone to be below rel_tol of
+    the sum too.  Returns (total, e, terms used, tail bound, converged), the
+    value being total * 2**e.
     """
     if z == 0:
         return t0 + 0 * z, 0, 1, 0.0, True
-    if z.real >= 0.0:
-        return _series(t0 + 0 * z, z, p, q, r, s, cfg)[:5]
-    c = q * (r / s - p / q)
-    y = -z
+    flip = z.real < 0.0
+    c = q * (r / s - p / q) if flip else p
+    y = -z if flip else z
     total, e, used, tail, ok, peak = _series(t0 + 0 * z, y, c, q, r, s, cfg)
+    if isinstance(z, complex):
+        rounding = 2.0 * _EPS * peak
+        tail, ok = tail + rounding, ok and rounding <= cfg.rel_tol * abs(total)
+    if not flip:
+        return total, e, used, tail, ok
     if isinstance(z, complex):
         scale = cmath.exp((q / s) * z + e * _LN2)
     else:
@@ -219,9 +241,87 @@ def _kummer_sum(t0, z, p, q, r, s, cfg):
     return scale * total, 0, used, abs(scale) * tail if tail < math.inf else tail, ok
 
 
+def _asymptotic_sum(a, c, w, target, top):
+    """sum_{s<n} (a)_s (c)_s / s! * w**-s for the first n <= top whose term is
+    at most target in modulus, as (sum, n, |t_n|, largest |t_s|), |t_n| = inf
+    if none is: the terms may grow before they fall, so only top ends it."""
+    term, total, peak = 1.0, 0.0 * w, 1.0
+    for n in range(top + 1):
+        size = abs(term)
+        if size <= target:
+            return total, n, size, peak
+        if size > peak:
+            peak = size
+        total += term
+        term = term * (a + n) * (c + n) / ((n + 1) * w)
+    return total, top + 1, math.inf, peak
+
+
+def _asymptotic(params: MLParams, w, cfg):
+    """E by the large-argument expansion of the module docstring, as
+    (total, e, used, tail, True) like _kummer_sum, or None where its error
+    bound does not certify rel_tol."""
+    a, b, r = params.gamma_over_k, params.beta_over_alpha, abs(w)
+    if r == math.inf:
+        return None
+    sigma = abs(b - 2.0 * a) / r
+    alf = 1.0 / (1.0 - sigma) if sigma < 1.0 else math.inf
+    grow = 2.0 * alf * (0.5 * abs(2.0 * a * (a - b) + b) + sigma * (1.0 + sigma / 4.0) * alf * alf) / r
+    if not grow < 400.0:  # only a terminating sum certifies then
+        alf = grow = math.inf
+    ph, lr, lgb, lgbeta = cmath.phase(w), math.log(r), math.lgamma(b), math.lgamma(params.beta)
+    # each sum as (a, c, argument, |ph| of its U argument, log|prefactor|,
+    # the magnitudes of the parts of that log added up, the prefactor's phase)
+    parts = (lgb, -lgbeta, -math.lgamma(a), w.real, (a - b) * lr)
+    sums = [(1.0 - a, b - a, w, math.pi - abs(ph), sum(parts), sum(map(abs, parts)),
+             w.imag + (a - b) * ph)]
+    if b > a or b - a != math.floor(b - a):  # else 1 / Gamma(b - a) = 0
+        parts = (lgb, -lgbeta, -math.lgamma(b - a), -a * lr)
+        # near a pole b - a, and pi (b - a) in lgamma, round relative to its distance
+        near = (a + b) / abs(b - a - round(b - a)) if b < a else 0.0
+        sums.append((a, a - b + 1.0, -w, abs(ph), sum(parts), sum(map(abs, parts)) + near,
+                     a * (math.copysign(math.pi, w.imag) - ph) + math.pi * (b < a and math.ceil(a - b) % 2)))
+    # on the real axis the sum decaying along it only counts as error
+    values = 1 if len(sums) == 2 and not w.imag else len(sums)
+    if values == 1 and w.real < 0.0:
+        sums.reverse()
+    # the largest prefactor, formed as one exponent and phase, carries their
+    # rounding, eps times the magnitudes of their parts, unless E underflows
+    top, spread, phase = max(t[4:] for t in sums)
+    if not (2.0 * _EPS * (spread + abs(phase)) <= cfg.rel_tol or top < -1000.0):
+        return None
+    e = _SHIFT * max(0, int(top / (_SHIFT * _LN2)))
+    total, tail, used = 0.0 * w, 0.0, 0
+    for i, (pa, pc, arg, u_ph, lmag, spread, phase) in enumerate(sums):
+        # the terms grow for good past the larger root of (s + pa)(s + pc) = (s + 1) r
+        h = pa + pc - r
+        disc = h * h - 4.0 * (pa * pc - r)
+        last = int(min((math.sqrt(disc) - h) / 2.0 + 1.0, cfg.max_terms - 1)) if disc >= 0.0 else 0
+        # C_n = chi(n) <= sqrt(pi (n + 1) / 2) and C_1 = pi / 2 past |ph| = pi / 2, else 1
+        bound = 2.0 * alf * (math.sqrt(math.pi * (last + 1) / 2.0) * math.exp(grow * math.pi / 2)
+                             if u_ph > math.pi / 2 else math.exp(grow))
+        mag = math.exp(lmag - e * _LN2)
+        if i == values:
+            tail += mag * bound
+            break
+        target = cfg.rel_tol / (4.0 * bound) * math.exp(min(top - lmag, 700.0))
+        part, n, size, peak = _asymptotic_sum(pa, pc, arg, target, last)
+        total += (cmath.rect(mag, phase) if w.imag else math.copysign(mag, math.cos(phase))) * part
+        tail += mag * ((bound * size if size else 0.0)
+                       + _EPS * (peak * n + 2.0 * (spread + abs(phase)) * abs(part)))
+        used += n
+    return (total, e, used, tail, True) if tail <= cfg.rel_tol * abs(total) else None
+
+
 def _ml_sum(params: MLParams, z, cfg: EvalConfig = _DEFAULT_CONFIG):
-    """E(z) = total * 2**e as _kummer_sum in the k-symbol grouping
-    (x, p, q, r, s) = (z, gamma, k, beta, alpha)."""
+    """E(z) = total * 2**e: by _asymptotic where |w| = (k/alpha)|z| reaches
+    _ASYMPTOTIC_FROM and it certifies, else as _kummer_sum in the k-symbol
+    grouping (x, p, q, r, s) = (z, gamma, k, beta, alpha)."""
+    w = params.k / params.alpha * z
+    if abs(w) >= _ASYMPTOTIC_FROM:
+        got = _asymptotic(params, w, cfg)
+        if got is not None:
+            return got
     return _kummer_sum(1.0 / _gamma(params.beta), z, params.gamma, params.k,
                        params.beta, params.alpha, cfg)
 
@@ -325,7 +425,7 @@ def _real_arg(z) -> float:
 
 
 def ml_eval(params: MLParams, z: float, cfg: EvalConfig | None = None) -> SeriesResult:
-    """Sum the series at real z.  Never raises on slow convergence; inspect
+    """E at real z by _ml_sum.  Never raises on slow convergence; inspect
     the converged flag (or use ml_eval_complex, which does raise).  Raises
     OverflowError when E(z) is beyond float64, DomainError for non-finite z."""
     z = _real_arg(z)
@@ -333,19 +433,19 @@ def ml_eval(params: MLParams, z: float, cfg: EvalConfig | None = None) -> Series
 
 
 def ml_eval_complex(params: MLParams, z: complex, cfg: EvalConfig | None = None) -> complex:
-    """Series value at complex z; raises ConvergenceError if the tail bound
-    never certifies rel_tol, OverflowError beyond float64, DomainError for
+    """E at complex z by _ml_sum; raises ConvergenceError where no route
+    certifies rel_tol, OverflowError beyond float64, DomainError for
     non-finite z."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
-    value, used, tail, ok = _unscale(z, _ml_sum(params, z, cfg or _DEFAULT_CONFIG))
-    if not ok:
+    total, e, used, tail, ok = _ml_sum(params, z, cfg or _DEFAULT_CONFIG)
+    if not ok:  # checked first: a sum that cancelled has no size to speak of either
         raise ConvergenceError(
-            f"series at z={z} not converged after {used} terms (tail bound {tail:.3e})",
-            partial=SeriesResult(abs(value), used, tail, False),
+            f"series at z={z} not certified after {used} terms (tail bound {tail:.3e} * 2**{e})",
+            partial=SeriesResult(abs(total), used, tail, False),
         )
-    return value
+    return _unscale(z, (total, e, used, tail, ok))[0]
 
 
 def ml_eval_via_1f1(params: MLParams, z: float) -> SeriesResult:

@@ -46,6 +46,7 @@ from mlcs import (
     verify_continuum_moments,
     verify_resolution,
 )
+from mlcs import mlfunc
 from reference_quad import improper_quad
 
 SEED = 20260814
@@ -91,6 +92,7 @@ def test_criterion_01_exponential_reduction():
 def test_criterion_02_series_vs_confluent_route():
     rng = np.random.default_rng(SEED)
     worst = 0.0
+    pairs = 0  # draws where ml_eval takes the large-|w| expansion, the referee the series
     for _ in range(200):
         params = draw_params(rng)
         z = float(rng.uniform(-20.0, 20.0))
@@ -98,8 +100,12 @@ def test_criterion_02_series_vs_confluent_route():
         via = ml_eval_via_1f1(params, z)
         assert direct.converged and via.converged
         worst = max(worst, abs(direct.value - via.value) / abs(direct.value))
+        w = params.k / params.alpha * z
+        pairs += (abs(w) >= mlfunc._ASYMPTOTIC_FROM
+                  and mlfunc._asymptotic(params, w, mlfunc._DEFAULT_CONFIG) is not None)
     ok = worst <= 1e-9
-    report(2, "series route equals confluent route on 200 draws", ok)
+    report(2, f"series route equals confluent route on 200 draws, {pairs} of them "
+              "the large-|w| expansion against the series", ok)
     assert ok, f"worst relative disagreement {worst:.3e}"
 
 

@@ -72,20 +72,21 @@ class TestMlEval:
         assert "mlcs:" in err
 
     def test_unconverged_series_exits_two_with_report(self, capsys):
-        code, out, _ = run_cli(capsys, "ml-eval", "--z", "50.0", "--max-terms", "10")
+        code, out, _ = run_cli(capsys, "ml-eval", "--z", "15.0", "--max-terms", "10")
         assert code == 2
         payload = json.loads(out)
         assert payload["results"]["converged"] is False
         assert payload["diagnostics"]
 
     def test_tail_rule_settles_a_large_gamma_over_beta(self, capsys):
-        # the fixed cap z gamma/beta spent the whole budget here (exit 2)
-        code, out, err = run_cli(capsys, "ml-eval", "--alpha", "1", "--beta", "3",
-                                 "--gamma", "50", "--kpar", "0.5", "--z", "700")
+        # the fixed cap z gamma/beta = 11,700 would spend the whole budget here
+        # (exit 2); (k/alpha) z = 19.5 keeps it on the series
+        code, out, err = run_cli(capsys, "ml-eval", "--alpha", "1", "--beta", "0.5",
+                                 "--gamma", "150", "--kpar", "0.5", "--z", "39")
         assert (code, err) == (0, "")
         results = json.loads(out)["results"]
         assert results["converged"] is True
-        assert results["terms_used"] == 572
+        assert results["terms_used"] == 320
 
     def test_value_beyond_float64_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "ml-eval", "--alpha", "2", "--beta", "3",

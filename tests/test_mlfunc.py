@@ -4,6 +4,7 @@ import cmath
 import decimal
 import inspect
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -28,6 +29,18 @@ import mlcs
 PARAM = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 # E(x) of these parameters leaves float64 range near x = 2030
 F2 = MLParams(2.0, 3.0, 1.5, 0.7)
+
+
+def series_sums(params, z, cfg=mlfunc._DEFAULT_CONFIG):
+    """_ml_sum as the series alone sums it: _kummer_sum in the k-symbol
+    grouping, which _ml_sum takes wherever the large-|w| expansion does not."""
+    return mlfunc._kummer_sum(1.0 / math.gamma(params.beta), z, params.gamma, params.k,
+                              params.beta, params.alpha, cfg)
+
+
+def series_route(params, z, cfg=mlfunc._DEFAULT_CONFIG):
+    """ml_eval on the series alone."""
+    return mlfunc.SeriesResult(*mlfunc._unscale(z, series_sums(params, z, cfg)))
 
 
 def reference_value(params, z):
@@ -180,6 +193,106 @@ class TestLogScale:
         assert kinds[5] is float and decimal.Decimal in kinds[6:]
 
 
+# log-uniform parameters in [0.3, 4]
+LOG_PARAM = st.floats(min_value=math.log(0.3), max_value=math.log(4.0)).map(math.exp)
+
+
+def reference_at(params, z):
+    """E(z) at 40 digits as an mpmath number, real or complex z, with
+    a = gamma/k and b = beta/alpha the floats both routes start from: where
+    b - a nearly cancels, the rounding of the ratios moves E far beyond 1e-12
+    (see CHANGES.md), which no evaluation from them can see."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(params.gamma_over_k), mpmath.mpf(params.beta_over_alpha)
+        w = mpmath.mpf(params.k) / mpmath.mpf(params.alpha) * mpmath.mpmathify(z)
+        return mpmath.hyp1f1(a, b, w) / mpmath.gamma(params.beta)
+
+
+def expansion_certifies(params, z):
+    w = params.k / params.alpha * z
+    return (abs(w) >= mlfunc._ASYMPTOTIC_FROM
+            and mlfunc._asymptotic(params, w, mlfunc._DEFAULT_CONFIG) is not None)
+
+
+def assert_certified_or_typed(params, z):
+    """E(z) is a certified value or a typed error: an OverflowError only
+    beyond float64, ml_eval_complex's ConvergenceError (converged=False from
+    ml_eval) where no route certifies.  A value from the large-|w| expansion
+    lies within its tail bound and 1e-12 of mpmath; returns the relative
+    error of a value from the series (0 for an error)."""
+    truth = reference_at(params, z)
+    sums = mlfunc._ml_sum(params, z)
+    if not sums[4]:
+        if isinstance(z, complex):
+            with pytest.raises(ConvergenceError):
+                ml_eval_complex(params, z)
+        else:
+            assert not ml_eval(params, z).converged
+        return 0.0
+    try:
+        value, _, tail, _ = mlfunc._unscale(z, sums)
+    except OverflowError:
+        assert abs(truth) > sys.float_info.max
+        return 0.0
+    # below float64's normal range E and its bound round to subnormals or 0
+    err = abs(mpmath.mpmathify(value) - truth) - sys.float_info.min
+    if not expansion_certifies(params, z):
+        return float(err / abs(truth))
+    assert err <= 1e-12 * abs(truth), (params, z, float(err / abs(truth)))
+    assert err <= tail, (params, z, float(err), tail)
+    return 0.0
+
+
+class TestLargeArgument:
+    """_ml_sum at |w| = (k/alpha)|z| >= 20 tries the expansion DLMF 13.7.2
+    before the series (mlfunc module docstring)."""
+
+    @given(alpha=LOG_PARAM, beta=LOG_PARAM, gamma=LOG_PARAM, k=LOG_PARAM,
+           r=st.floats(min_value=math.log(10.0), max_value=math.log(2000.0)).map(math.exp),
+           sign=st.sampled_from([1.0, -1.0]))
+    # 1 / Gamma(b - a) = 0: the second sum ends after 98 terms and is exact,
+    # where the series needs 572
+    @example(alpha=1.0, beta=3.0, gamma=50.0, k=0.5, r=350.0, sign=1.0)
+    @example(alpha=1.0, beta=3.0, gamma=50.0, k=0.5, r=350.0, sign=-1.0)
+    # b - a = 1e-12 and -2.0003: 1 / Gamma(b - a) nearly vanishes, and the
+    # rounding of b - a is far above rel_tol of it
+    @example(alpha=1.0, beta=1.0, gamma=math.e, k=2.718281828461764, r=math.exp(3.0), sign=-1.0)
+    @example(alpha=0.9372947305885181, beta=0.5115560143832958, gamma=2.1154150058518795,
+             k=0.8308630906837835, r=79.27960057634446, sign=-1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_real_axis_against_mpmath(self, alpha, beta, gamma, k, r, sign):
+        params = MLParams(alpha, beta, gamma, k)
+        assert_certified_or_typed(params, sign * r * alpha / k)
+
+    @pytest.mark.parametrize("r", [20.0, 30.0, 60.0])
+    @pytest.mark.parametrize("j", range(5, 12))
+    def test_cone_around_the_imaginary_axis(self, r, j):
+        # the series summed here with its terms peaking 1e8 and more above E
+        # and reported 1e-8 errors as converged; at |w| = 60 the expansion
+        # certifies every phase, e^z-like growth or not
+        z = cmath.rect(r, j * math.pi / 16) * F2.alpha / F2.k
+        assert assert_certified_or_typed(F2, z) <= 1e-12
+        if r == 60.0:
+            assert expansion_certifies(F2, z)
+
+    @pytest.mark.parametrize("params, z", [(F2, 60j * F2.alpha / F2.k), (UNIT_PARAMS, -20000.0),
+                                           (F2, 2030.0), (F2, -2030.0)])
+    def test_edge_points(self, params, z):
+        # 60i is the benchmark's F4; at unit parameters the sums terminate and
+        # give e^-20000 as 0.0 from 1 term, where the series' budget ran out;
+        # E(2030) of F2 still raises OverflowError
+        assert_certified_or_typed(params, z)
+        assert expansion_certifies(params, z)
+        if params is UNIT_PARAMS:
+            assert ml_eval(params, z) == mlfunc.SeriesResult(0.0, 1, 0.0, True)
+
+    def test_rounding_of_the_exponent_declines(self):
+        # e^20000 would round with eps |w| = 4.4e-12: the expansion declines
+        # and the series, its cap past the budget, reports converged=False
+        assert not expansion_certifies(UNIT_PARAMS, 20000.0)
+        assert not ml_eval(UNIT_PARAMS, 20000.0).converged
+
+
 class TestTermTable:
     """mlfunc._ml_table against the scalar engine it replaces at rule nodes."""
 
@@ -196,9 +309,9 @@ class TestTermTable:
         sums, tails = sums / math.gamma(params.beta), tails / math.gamma(params.beta)
         for x, total, e, tail in zip(xs.tolist(), sums, exps.tolist(), tails):
             try:
-                want = math.ldexp(ml_eval(params, x).value, -e)
+                want = math.ldexp(series_route(params, x).value, -e)
             except OverflowError:  # E beyond float64: the same sum in its own scale
-                total_s, e_s, *_ = mlfunc._ml_sum(params, x)
+                total_s, e_s, *_ = series_sums(params, x)
                 want = math.ldexp(total_s, e_s - e)
             assert total == pytest.approx(want, rel=1e-13, abs=0), x
             assert 0.0 <= tail <= 1e-12 * total
@@ -262,7 +375,7 @@ class TestSeriesDiagnostics:
         # at 600 and 700, though the terms peak near n = z/2
         params = MLParams(1.0, 3.0, 50.0, 0.5)
         truth = reference_value(params, z)
-        for res in (ml_eval(params, z), ml_eval_via_1f1(params, z)):
+        for res in (series_route(params, z), ml_eval_via_1f1(params, z)):
             assert res.converged
             assert res.terms_used == most
             assert res.value == pytest.approx(truth, rel=1e-12, abs=0)
@@ -274,7 +387,7 @@ class TestSeriesDiagnostics:
         # infinite tail bound gave NaN
         params = MLParams(0.2678261523233445, 2.058285639066555,
                           3.0414599535391176, 4.7010531303667005)
-        for res in (ml_eval(params, -1581.8601650386486),
+        for res in (series_route(params, -1581.8601650386486),
                     ml_eval_via_1f1(params, -1581.8601650386486)):
             assert not res.converged
             assert res.tail_bound == math.inf
@@ -291,12 +404,12 @@ class TestSeriesDiagnostics:
         (MLParams(1.0, 3.0, 50.0, 0.5), 19999.0, 10000)])
     def test_cap_at_the_budget_returns_at_entry(self, params, z, max_terms):
         # no cap / (n + 1) drops below 1 within the budget, so no term is summed
-        res = ml_eval(params, z, EvalConfig(max_terms=max_terms))
+        res = series_route(params, z, EvalConfig(max_terms=max_terms))
         assert (res.terms_used, res.tail_bound, res.converged) == (1, math.inf, False)
 
     def test_complex_variant_raises_on_term_budget(self):
         with pytest.raises(ConvergenceError) as exc:
-            ml_eval_complex(UNIT_PARAMS, 40.0 + 0.0j, EvalConfig(max_terms=12))
+            ml_eval_complex(UNIT_PARAMS, 15.0 + 0.0j, EvalConfig(max_terms=12))
         assert exc.value.partial is not None
 
     def test_complex_phase_rotation(self):
