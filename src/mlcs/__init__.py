@@ -4,8 +4,8 @@ space distributions, and their continuous-spectrum limits.
 
 The package is a lazy namespace (PEP 562): `import mlcs` loads no submodule,
 and the first access to a public name imports the one submodule that owns
-it.  So the series functions of `mlfunc` come without numpy, and scipy is
-loaded only by the opt-in QUADPACK referee of the continuum module.
+it.  So the series functions of `mlcs.mlfunc` come without numpy.  No
+module loads scipy: QUADPACK is a referee of the tests only.
 """
 
 from importlib import import_module as _import_module

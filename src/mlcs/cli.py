@@ -16,13 +16,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import MLParams
 
-# Each command imports the modules it computes with, so `ml-eval` loads
-# neither numpy nor scipy, and no command loads scipy.
+# Each command imports the modules it computes with, so `ml-eval` loads no
+# numpy; no module of the package imports scipy.
 
 __all__ = ["OutputRecord", "cmd_ml_eval", "cmd_verify", "cmd_scan", "main", "entry"]
 
@@ -47,14 +47,7 @@ class OutputRecord:
     schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "diagnostics": list(self.diagnostics),
-            "schema_version": self.schema_version,
-        }
-        return _canonical_json(payload)
+        return _canonical_json(vars(self))
 
 
 def _format_float(v: float) -> str:
@@ -108,11 +101,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_PARAM_FLAGS = ("alpha", "beta", "gamma", "kpar")
+
+
 def _add_param_flags(p: _Parser):
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kpar", type=float, default=1.0)
+    for name in _PARAM_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=1.0)
 
 
 @functools.cache  # parse_args keeps no state on the parser: build it once per process
@@ -160,12 +154,7 @@ def _params_from(args) -> MLParams:
 
 
 def _param_inputs(args) -> dict:
-    return {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "kpar": args.kpar,
-    }
+    return {name: getattr(args, name) for name in _PARAM_FLAGS}
 
 
 def cmd_ml_eval(args) -> tuple[OutputRecord, int]:
@@ -179,12 +168,7 @@ def cmd_ml_eval(args) -> tuple[OutputRecord, int]:
     record = OutputRecord(
         command="ml-eval",
         inputs=inputs,
-        results={
-            "value": result.value,
-            "terms_used": result.terms_used,
-            "tail_bound": result.tail_bound,
-            "converged": result.converged,
-        },
+        results=asdict(result),
         diagnostics=[] if result.converged else ["series did not converge"],
     )
     return record, (0 if result.converged else 2)

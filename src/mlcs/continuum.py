@@ -2,7 +2,7 @@
 of the exponential), its four-parameter generalization, and the continuum
 versions of the measure, partition function, Husimi Q and diagonal P weights.
 
-nu by default sums Ramanujan's Gamma-free integral (Erdelyi et al., Higher
+nu sums Ramanujan's Gamma-free integral (Erdelyi et al., Higher
 Transcendental Functions III, 18.3), nu(x) = e^x - int_R exp(-x e^u) /
 (u**2 + pi**2) du = expm1(x) + K(x), K(x) = int_R (1 - exp(-e^v)) /
 ((v - log x)**2 + pi**2) dv: every term is positive, so nothing cancels from
@@ -18,30 +18,29 @@ on [0, inf), with
     L(E) = E log w + log Gamma(a+E) - log Gamma(b+E) - m log Gamma(E+1),
 
 the gamma ratio only in tilde_ml and m = 2 only in the literal-normalization
-kernel; log_nu(x, "adaptive") integrates it with m = 1 and no ratio.  The
-integrand is sharply peaked once w is large.  Two schemes:
+kernel.  The integrand is sharply peaked once w is large, and one peak window
+on numpy and math.lgamma integrates it:
 
-* "fixed", the default, is one peak window on numpy and math.lgamma.
-  - The peak E* comes in closed form from psi(z) ~ log(z - 1/2) (DLMF
-    5.11.2): E* = w - 1/2 for nu, sqrt(w) - 1/2 for the Gamma**2 kernel,
-    and for tilde_ml the positive root of (E+b-1/2)(E+1/2) = w (E+a-1/2);
-    0 when there is none.
-  - The window is [max(0, E* - H), E* + H] with H = 40 + 10 sqrt(E*).  Its
-    panel edges sit at E* +- s (2**j - 1), where s is the width of the peak,
-    sqrt((E* + 1/2) / m), or the decay length 1/|log w| when that is shorter.
-    Where the pole of Gamma(a+E) at -a lies within s / 4 of E = 0, the
-    points a (4**j - 1) grade the first panels toward it.
-  - Each panel carries a 16-point and a 12-point Gauss-Legendre rule on
-    math.lgamma values, scaled by the largest log-integrand value at the
-    nodes.  The 16-point sum is the value; its distance from the 12-point sum
-    is the error estimate.
-  - The estimate must meet 1e-12 of the value, or the rounding floor of L
-    where that is larger, and the end nodes of the window must be
-    negligible.  Otherwise every panel is halved or H doubled, and a node
-    budget spent raises ConvergenceError.  No value is returned unchecked.
-* "adaptive" is QUADPACK on [0, E* + H] with a breakpoint at E*, on scipy's
-  gammaln: the referee the tests hold the window and the table to.  scipy
-  is imported in that branch only (a test extra; DomainError without it).
+* The peak E* comes in closed form from psi(z) ~ log(z - 1/2) (DLMF 5.11.2):
+  E* = w - 1/2 for nu, sqrt(w) - 1/2 for the Gamma**2 kernel, and for
+  tilde_ml the positive root of (E+b-1/2)(E+1/2) = w (E+a-1/2); 0 when there
+  is none.
+* The window is [max(0, E* - H), E* + H] with H = 40 + 10 sqrt(E*).  Its
+  panel edges sit at E* +- s (2**j - 1), where s is the width of the peak,
+  sqrt((E* + 1/2) / m), or the decay length 1/|log w| when that is shorter.
+  Where the pole of Gamma(a+E) at -a lies within s / 4 of E = 0, the points
+  a (4**j - 1) grade the first panels toward it.
+* Each panel carries a 16-point and a 12-point Gauss-Legendre rule on
+  math.lgamma values, scaled by the largest log-integrand value at the
+  nodes.  The 16-point sum is the value; its distance from the 12-point sum
+  is the error estimate.
+* The estimate must meet 1e-12 of the value, or the rounding floor of L
+  where that is larger, and the end nodes of the window must be negligible.
+  Otherwise every panel is halved or H doubled, and a node budget spent
+  raises ConvergenceError.  No value is returned unchecked.
+
+The module needs numpy alone.  The tests hold the table and the window to
+QUADPACK on the same integrand, a referee that lives with them.
 
 The two identity suites (measure moments and Boltzmann diagonals) integrate
 in x instead, on the half-line double-exponential rule of the quadrature
@@ -77,7 +76,6 @@ __all__ = [
     "verify_continuum_moments",
 ]
 
-_SCHEMES = ("fixed", "adaptive")
 # Gauss-Legendre orders of the window's value and of its check
 _ORDER, _CHECK_ORDER = 16, 12
 # panel edges at E* +- s (2**j - 1), j = 1..5
@@ -99,10 +97,11 @@ class _Kernel(NamedTuple):
     a: float = 1.0
     b: float = 1.0
 
-    def log_f(self, e, lgamma):
-        out = e * self.lw - self.power * lgamma(e + 1.0)
+    def log_f(self, e: np.ndarray) -> np.ndarray:
+        """L at a 1-d array of E."""
+        out = e * self.lw - self.power * _lgamma(e + 1.0)
         if self.a != self.b:
-            out = out + lgamma(self.a + e) - lgamma(self.b + e)
+            out = out + _lgamma(self.a + e) - _lgamma(self.b + e)
         return out
 
     def peak(self) -> float:
@@ -121,8 +120,10 @@ class _Kernel(NamedTuple):
         peak = max(0.0, 0.5 * s * (math.sqrt(disc) - lin))
         # the asymptotic form means nothing where a + E or b + E < 1/2: its
         # root there can sit below the integrand's value at E = 0
-        if min(self.a, self.b) < 0.5 and self.log_f(peak, math.lgamma) < self.log_f(0.0, math.lgamma):
-            return 0.0
+        if min(self.a, self.b) < 0.5:
+            at_peak, at_zero = self.log_f(np.array([peak, 0.0]))
+            if at_peak < at_zero:
+                return 0.0
         return peak
 
 
@@ -148,6 +149,14 @@ def _rule_pair() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((x16, x12)) + 1.0, weights
 
 
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of both rules on the panels between edges, panel by panel, the
+    panels' half-widths h and _rule_pair's weights: panel i sums h[i] f @ weights."""
+    t, weights = _rule_pair()
+    h = 0.5 * (edges[1:] - edges[:-1])
+    return (np.outer(h, t) + edges[:-1, None]).ravel(), h, weights
+
+
 def _panel_edges(lo: float, peak: float, hi: float, width: float, pole: float | None):
     """Panel edges of the window [lo, hi]: the peak, peak +- width (2**j - 1)
     inside it, and pole (4**j - 1) below width when lo = 0 and a pole sits at
@@ -168,7 +177,6 @@ def _window(kernel: _Kernel) -> float:
     if kernel.lw < -1.0:
         width = min(width, -1.0 / kernel.lw)
     pole = kernel.a if kernel.a != kernel.b else None
-    t, weights = _rule_pair()
     half = _half_width(peak)
     halvings = spent = 0
     while True:
@@ -178,13 +186,12 @@ def _window(kernel: _Kernel) -> float:
             raise ConvergenceError(f"peak window is narrower than the float spacing at E* = {peak:.6e}")
         for _ in range(halvings):
             edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
-        h = 0.5 * (edges[1:] - edges[:-1])
-        e = (np.outer(h, t) + edges[:-1, None]).ravel()
+        e, h, weights = _panel_nodes(edges)
         spent += e.size
         if spent > _MAX_NODES:
             raise ConvergenceError(
                 f"peak window spent its {_MAX_NODES} node budget near E* = {peak:.6e}")
-        log_f = kernel.log_f(e, _lgamma).reshape(h.size, t.size)
+        log_f = kernel.log_f(e).reshape(h.size, -1)
         scale = log_f.max()
         f = np.exp(log_f - scale)
         value, check = h @ (f @ weights)
@@ -204,59 +211,28 @@ def _window(kernel: _Kernel) -> float:
             return float(scale + math.log(value))
 
 
-def _quadpack(kernel: _Kernel) -> float:
-    """log of the same integral by QUADPACK with scipy's gammaln: the referee."""
-    try:
-        from scipy import integrate, special
-    except ImportError:
-        raise DomainError('scheme="adaptive" needs scipy, from the test extra (mlcs[test])') from None
-
-    peak = kernel.peak()
-    upper = peak + _half_width(peak)
-    scale = float(kernel.log_f(peak, special.gammaln))
-
-    def g(e):
-        return math.exp(float(kernel.log_f(e, special.gammaln)) - scale)
-
-    value, err = integrate.quad(g, 0.0, upper, epsabs=1e-14, epsrel=1e-12,
-                                limit=_MAX_NODES // 21, points=[peak] if peak > 0.0 else None)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConvergenceError(f"peaked integral failed: value={value}, err={err}")
-    return scale + math.log(value)
-
-
-def _log_integral(kernel: _Kernel, scheme: str) -> float:
-    if scheme == "fixed":
-        return _window(kernel)
-    if scheme == "adaptive":
-        return _quadpack(kernel)
-    raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-
-
 @functools.cache
 def _ramanujan_table() -> tuple[np.ndarray, np.ndarray]:
     """Nodes v of both rules on the panels of K (module docstring) and the
     (nodes, 2) matrix of the x-free factor (1 - exp(-e**v)) times the
     weight of each rule, built once (read-only arrays)."""
-    edges = np.linspace(_V_LO, _V_HI, _V_PANELS + 1)
-    t, weights = _rule_pair()
-    h = 0.5 * np.diff(edges)
-    v = (np.outer(h, t) + edges[:-1, None]).ravel()
+    v, h, weights = _panel_nodes(np.linspace(_V_LO, _V_HI, _V_PANELS + 1))
     w = (h[:, None, None] * weights).reshape(v.size, 2) * -np.expm1(-np.exp(v))[:, None]
     for a in (v, w):
         a.flags.writeable = False
     return v, w
 
 
+# "fixed" is the only scheme; the keyword stays because perfbench's continuum workload passes it
 def log_nu(x: float, scheme: str = "fixed") -> float:
     """log of nu(x); -inf at x = 0.  Usable far beyond where nu itself
     overflows (nu grows like e^x)."""
     x = _require_nonnegative(x, "x")
+    if scheme != "fixed":
+        raise DomainError(f'scheme must be "fixed", got {scheme!r}')
     if x == 0.0:
         return -math.inf
     lx = math.log(x)
-    if scheme != "fixed":
-        return _log_integral(_Kernel(lx), scheme)
     v, w = _ramanujan_table()
     d = v - lx
     value, check = (1.0 / (d * d + math.pi ** 2)) @ w
@@ -270,6 +246,7 @@ def log_nu(x: float, scheme: str = "fixed") -> float:
     return math.log(math.expm1(x) + k)
 
 
+# "fixed" is the only scheme; the keyword stays because perfbench's continuum workload passes it
 def nu_function(x: float, scheme: str = "fixed") -> float:
     """nu(x) = int_0^inf x**E / Gamma(E+1) dE, the integral analogue of e^x.
 
@@ -277,8 +254,6 @@ def nu_function(x: float, scheme: str = "fixed") -> float:
     for x past ~700 the value overflows float64, use log_nu instead.
     """
     x = _require_nonnegative(x, "x")
-    if x == 0.0:
-        return 0.0
     return _exp(log_nu(x, scheme), f"nu(x) exceeds float64 range at x = {x!r}; use log_nu")
 
 
@@ -297,7 +272,7 @@ def _log_nu_gamma2(x: float) -> float:
     return _window(_Kernel(math.log(x), power=2))
 
 
-def tilde_ml(params: MLParams, x: float, scheme: str = "fixed") -> float:
+def tilde_ml(params: MLParams, x: float) -> float:
     """Four-parameter integral analogue of the series function:
 
         int_0^inf [Gamma(beta/alpha) / (Gamma(gamma/k) Gamma(beta))]
@@ -313,16 +288,14 @@ def tilde_ml(params: MLParams, x: float, scheme: str = "fixed") -> float:
     b = params.beta_over_alpha
     lw = math.log(params.k / params.alpha) + math.log(x)
     log_pref = math.lgamma(b) - math.lgamma(a) - math.lgamma(params.beta)
-    return _exp(log_pref + _log_integral(_Kernel(lw, a=a, b=b), scheme),
+    return _exp(log_pref + _window(_Kernel(lw, a=a, b=b)),
                 f"tilde_ml(x) exceeds float64 range at x = {x!r}")
 
 
-def continuum_measure_weight(x: float, scheme: str = "fixed") -> float:
+def continuum_measure_weight(x: float) -> float:
     """Radial measure weight h(x) = exp(-x) * nu(x) of the continuum family."""
     x = _require_nonnegative(x, "x")
-    if x == 0.0:
-        return 0.0
-    return math.exp(log_nu(x, scheme) - x)
+    return math.exp(log_nu(x) - x)
 
 
 def continuum_partition(beta_b: float) -> float:
@@ -331,7 +304,7 @@ def continuum_partition(beta_b: float) -> float:
     return 1.0 / beta_b
 
 
-def continuum_husimi(z: CSLabel, beta_b: float, scheme: str = "fixed") -> float:
+def continuum_husimi(z: CSLabel, beta_b: float) -> float:
     """Husimi weight of the continuum Gibbs state:
 
         Q(|z|^2) = beta_b * nu(exp(-beta_b) |z|^2) / nu(|z|^2)
@@ -344,8 +317,8 @@ def continuum_husimi(z: CSLabel, beta_b: float, scheme: str = "fixed") -> float:
     x = z.modulus ** 2
     if x == 0.0:
         return beta_b
-    num = log_nu(x * math.exp(-beta_b), scheme)
-    den = log_nu(x, scheme)
+    num = log_nu(x * math.exp(-beta_b))
+    den = log_nu(x)
     return beta_b * math.exp(num - den)
 
 

@@ -75,7 +75,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .kcore import MLParams, _gamma, _require_count, _require_finite, _require_positive
+from .kcore import _LOG_MAX, MLParams, _gamma, _require_count, _require_finite, _require_positive
 
 __all__ = [
     "EvalConfig",
@@ -415,6 +415,21 @@ def _unscale(z, sums):
     return total, used, tail, ok
 
 
+def _real_result(params: MLParams, z: float, sums) -> SeriesResult:
+    """SeriesResult of a _kummer_sum result at real z.  Where the cap reached
+    the budget at entry and w = (k/alpha) z >= 1, every term is positive, so
+    E >= t_m at m = floor(w) (at most 1e300, t_m far past float64 there): a
+    log t_m past float64 raises OverflowError instead of returning t_0."""
+    if sums[2] == 1 and not sums[4] and (w := params.k / params.alpha * z) >= 1.0:
+        a, b, m = params.gamma_over_k, params.beta_over_alpha, math.floor(min(w, 1e300))
+        log_t = (math.lgamma(a + m) - math.lgamma(a) + math.lgamma(b) - math.lgamma(b + m)
+                 + m * math.log(w) - math.lgamma(m + 1.0) - math.lgamma(params.beta))
+        if log_t > _LOG_MAX:
+            raise OverflowError(
+                f"E at z = {z!r} exceeds float64 range (its term {m:.6g} is e**{log_t:.6g})")
+    return SeriesResult(*_unscale(z, sums))
+
+
 def _real_arg(z) -> float:
     if isinstance(z, complex):
         raise DomainError("z must be real here; use ml_eval_complex")
@@ -429,7 +444,7 @@ def ml_eval(params: MLParams, z: float, cfg: EvalConfig | None = None) -> Series
     the converged flag (or use ml_eval_complex, which does raise).  Raises
     OverflowError when E(z) is beyond float64, DomainError for non-finite z."""
     z = _real_arg(z)
-    return SeriesResult(*_unscale(z, _ml_sum(params, z, cfg or _DEFAULT_CONFIG)))
+    return _real_result(params, z, _ml_sum(params, z, cfg or _DEFAULT_CONFIG))
 
 
 def ml_eval_complex(params: MLParams, z: complex, cfg: EvalConfig | None = None) -> complex:
@@ -456,7 +471,7 @@ def ml_eval_via_1f1(params: MLParams, z: float) -> SeriesResult:
     w = (params.k / params.alpha) * z
     sums = _kummer_sum(1.0 / _gamma(params.beta), w, params.gamma_over_k, 1.0,
                        params.beta_over_alpha, 1.0, _DEFAULT_CONFIG)
-    return SeriesResult(*_unscale(z, sums))
+    return _real_result(params, z, sums)
 
 
 def _laplace_arg(params: MLParams, s) -> float:

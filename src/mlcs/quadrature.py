@@ -32,8 +32,8 @@ Two fixed schemes are kept deliberately distinct:
   budget are constants.
 
 The Meijer kernel's contour referee runs on the composite rule, the continuum
-module places the cached nodes on its own panels, and its opt-in QUADPACK
-referee loads scipy for itself, so both rules here need numpy only.
+module places the cached nodes on its own panels, and both rules need numpy
+only: QUADPACK is a referee of the tests, and no module here loads scipy.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 
 
 # Integrand evaluations one half-line rule call may spend; the node budget of
-# the continuum peak window and the QUADPACK subinterval limit of its
-# referee derive from it.
+# the continuum peak window derives from it, and so does the QUADPACK
+# subinterval limit of the tests' referees.
 _MAX_NODES = 100000
 
 

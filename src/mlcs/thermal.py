@@ -145,24 +145,31 @@ def _bose_power_sums(orders, y: float) -> np.ndarray:
     return np.concatenate([_power_sum_rows(m[i:i + _ROWS], y) for i in range(0, m.size, _ROWS)])
 
 
+def _settled_sum(terms, first: int, peak: float, total, unsettled: str, overflow):
+    """total plus the sums along the last axis of terms(n) over n = first,
+    first + 1, ... in blocks of _BLOCK, within _BUDGET terms, up to the first
+    block past peak whose last terms are each at most _SETTLE of their sums.
+    OverflowError(overflow(bad)) once the sums marked by bad are not finite."""
+    stop = first + _BUDGET
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(first, stop, _BLOCK):
+            n = np.arange(start, min(start + _BLOCK, stop), dtype=float)
+            block = terms(n)
+            total = total + block.sum(axis=-1)
+            if not np.isfinite(total).all():
+                raise OverflowError(overflow(~np.isfinite(total)))
+            if n[-1] > peak and (block[..., -1] <= _SETTLE * total).all():
+                return total
+    raise ConvergenceError(unsettled)
+
+
 def _power_sum_rows(m: np.ndarray, y: float) -> np.ndarray:
     peak = m.max() / y
     unsettled = f"power sum S_{m.max():.0f}({y}) did not settle"
     _require_budget(peak, y, 0.0, unsettled)
-    totals = (m == 0.0).astype(float)
-    start = 1
-    with np.errstate(over="ignore"):
-        while start <= _BUDGET:
-            n = np.arange(start, min(start + _BLOCK, _BUDGET + 1), dtype=float)
-            terms = np.exp(np.multiply.outer(m, np.log(n)) - n * y)
-            totals += terms.sum(axis=1)
-            if not np.isfinite(totals).all():
-                bad = m[~np.isfinite(totals)][0]
-                raise OverflowError(f"power sum S_{bad:.0f}({y}) exceeds float64 range")
-            if n[-1] > peak and (terms[:, -1] <= _SETTLE * totals).all():
-                return totals
-            start += _BLOCK
-    raise ConvergenceError(unsettled)
+    return _settled_sum(lambda n: np.exp(np.multiply.outer(m, np.log(n)) - n * y), 1, peak,
+                        (m == 0.0).astype(float), unsettled,
+                        lambda bad: f"power sum S_{m[bad][0]:.0f}({y}) exceeds float64 range")
 
 
 def partition_quadratic_direct(cfg: ThermalConfig) -> float:
@@ -175,21 +182,11 @@ def partition_quadratic_direct(cfg: ThermalConfig) -> float:
         raise DomainError("spectrum must grow; direct sum diverges")
     beta = cfg.beta_b
     peak = max(0.0, -sp.a_lin / (2.0 * sp.b_quad)) if sp.b_quad > 0.0 else 0.0
-    _require_budget(peak, beta * max(sp.a_lin, 0.0), beta * sp.b_quad,
-                    "direct Boltzmann sum did not settle")
-    total = 0.0
-    start = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while start < _BUDGET:
-            n = np.arange(start, min(start + _BLOCK, _BUDGET), dtype=float)
-            terms = np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n))
-            total += float(terms.sum())
-            if not math.isfinite(total):
-                raise OverflowError("direct Boltzmann sum exceeds float64 range")
-            if terms[-1] <= _SETTLE * total:
-                return total
-            start += _BLOCK
-    raise ConvergenceError("direct Boltzmann sum did not settle")
+    unsettled = "direct Boltzmann sum did not settle"
+    _require_budget(peak, beta * max(sp.a_lin, 0.0), beta * sp.b_quad, unsettled)
+    # the terms rise up to the peak, so no earlier block can pass the settle test
+    return float(_settled_sum(lambda n: np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n)), 0, peak,
+                              0.0, unsettled, lambda _: "direct Boltzmann sum exceeds float64 range"))
 
 
 def partition_quadratic(cfg: ThermalConfig, rel_tol: float = 1e-5) -> SeriesResult:

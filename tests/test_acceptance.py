@@ -47,7 +47,7 @@ from mlcs import (
     verify_resolution,
 )
 from mlcs import mlfunc
-from reference_quad import improper_quad
+from reference_quad import improper_quad, nu_quad
 
 SEED = 20260814
 
@@ -249,19 +249,19 @@ def test_criterion_10_continuum_limit():
     growth_err = abs(1.0 - nu_function(30.0) * math.exp(-30.0))
     growth_ok = growth_err <= 1e-2
 
-    scheme_gap = 0.0
+    quadpack_gap = 0.0
     for x in np.geomspace(0.1, 30.0, 12):
-        a = nu_function(float(x), scheme="adaptive")
-        f = nu_function(float(x), scheme="fixed")
-        scheme_gap = max(scheme_gap, abs(a - f) / abs(a))
-    scheme_ok = scheme_gap <= 1e-7
+        a = nu_quad(float(x))
+        f = nu_function(float(x))
+        quadpack_gap = max(quadpack_gap, abs(a - f) / abs(a))
+    quadpack_ok = quadpack_gap <= 1e-7
 
-    ok = exact_ok and moments_ok and growth_ok and scheme_ok
-    report(10, "continuum partition, moments, growth, scheme agreement", ok)
+    ok = exact_ok and moments_ok and growth_ok and quadpack_ok
+    report(10, "continuum partition, moments, growth, QUADPACK agreement", ok)
     assert exact_ok, "partition function times beta_b deviated from exact 1"
     assert moments_ok, f"moment identity error {moments.max_rel_err:.3e}"
     assert growth_ok, f"growth-tracking error {growth_err:.3e}"
-    assert scheme_ok, f"quadrature schemes disagree by {scheme_gap:.3e}"
+    assert quadpack_ok, f"nu disagrees with QUADPACK by {quadpack_gap:.3e}"
 
 
 def run_cli(*argv):

@@ -1,5 +1,7 @@
 """Command-line interface: output schema, determinism, exit-code contract."""
 
+import ast
+import glob
 import importlib
 import json
 import math
@@ -411,6 +413,26 @@ class TestImportBudget:
                 "meijer_g_weight_mb(MLParams(1, 0.8, 1.2, 1), 1e-6)\n"
                 "del sys.modules['scipy']")
         assert heavy_imports_after(code) == {"numpy"}
+
+    def test_no_module_imports_scipy(self):
+        # scipy backs the tests' referees only: no module of the package
+        # names it in an import, at any depth, lazy or not
+        paths = sorted(glob.glob(os.path.join(SRC, "mlcs", "*.py")))
+        assert paths
+        found = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{os.path.basename(path)}:{node.lineno} {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_series_call_loads_no_numpy(self):
         # the term table of mlfunc imports numpy inside itself, not at import

@@ -1,5 +1,6 @@
 """Continuous-spectrum limit: nu-function, measure, partition, Q and P."""
 
+import inspect
 import math
 
 import mpmath
@@ -24,6 +25,7 @@ from mlcs import (
     tilde_ml,
     verify_continuum_moments,
 )
+from reference_quad import nu_quad, tilde_ml_quad
 from test_cli import heavy_imports_after
 
 
@@ -87,9 +89,10 @@ class TestNuFunction:
             tilde_ml(UNIT_PARAMS, 1000.0)
 
     def test_schemes_agree(self):
+        # the library against the tests' QUADPACK referee
         for x in np.geomspace(0.1, 30.0, 12):
-            a = nu_function(float(x), scheme="adaptive")
-            f = nu_function(float(x), scheme="fixed")
+            a = nu_quad(float(x))
+            f = nu_function(float(x))
             assert abs(a - f) <= 1e-7 * abs(a)
 
     def test_domain(self):
@@ -99,6 +102,14 @@ class TestNuFunction:
             nu_function(math.inf)
         with pytest.raises(DomainError):
             nu_function(1.0, scheme="romberg")
+        # "fixed" is the only scheme: QUADPACK is a referee of the tests,
+        # and no other continuum function takes a scheme at all
+        for fn in (nu_function, log_nu):
+            assert fn(1.0, scheme="fixed") == fn(1.0)
+            with pytest.raises(DomainError, match=r"^scheme must be \"fixed\", got 'adaptive'$"):
+                fn(1.0, scheme="adaptive")
+        for fn in (tilde_ml, continuum_measure_weight, continuum_husimi):
+            assert "scheme" not in inspect.signature(fn).parameters
 
 
 class TestTildeML:
@@ -129,10 +140,11 @@ class TestTildeML:
         assert tilde_ml(MLParams(2.0, 3.0, 1.0, 1.0), 0.0) == 0.0
 
     def test_schemes_agree(self):
+        # the library against the tests' QUADPACK referee
         params = MLParams(0.8, 1.9, 1.3, 1.1)
         for x in (0.2, 1.5, 6.0):
-            a = tilde_ml(params, x, scheme="adaptive")
-            f = tilde_ml(params, x, scheme="fixed")
+            a = tilde_ml_quad(params, x)
+            f = tilde_ml(params, x)
             assert abs(a - f) <= 1e-7 * abs(a)
 
     @pytest.mark.parametrize("gamma, x", [(0.05, 1.0), (0.3, 1.0), (0.05, 100.0)])
@@ -190,8 +202,8 @@ class TestPeakWindow:
         assert kernel.peak() == 0.0
         fixed = tilde_ml(params, x)
         assert passes == [(0.0, 40.0)] * (2 if x == 1e-3 else 1)
-        adaptive = tilde_ml(params, x, scheme="adaptive")
-        assert abs(fixed - adaptive) <= 1e-12 * abs(adaptive)
+        quadpack = tilde_ml_quad(params, x)
+        assert abs(fixed - quadpack) <= 1e-12 * abs(quadpack)
 
     def test_an_unmet_estimate_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12
@@ -339,15 +351,6 @@ class TestNuTable:
 
     def test_loads_no_scipy(self):
         assert heavy_imports_after("from mlcs import log_nu\nlog_nu(5.0)") == {"numpy"}
-
-    def test_adaptive_scheme_without_scipy_names_the_extra(self, monkeypatch):
-        # scipy comes with the test extra only; the default scheme needs none
-        import sys
-
-        monkeypatch.setitem(sys.modules, "scipy", None)
-        with pytest.raises(DomainError, match=r"needs scipy, from the test extra \(mlcs\[test\]\)"):
-            log_nu(5.0, scheme="adaptive")
-        assert log_nu(5.0) == pytest.approx(reference_log_nu(5.0), rel=1e-13, abs=0)
 
     def test_a_missed_check_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12

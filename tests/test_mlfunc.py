@@ -227,7 +227,10 @@ def assert_certified_or_typed(params, z):
             with pytest.raises(ConvergenceError):
                 ml_eval_complex(params, z)
         else:
-            assert not ml_eval(params, z).converged
+            try:
+                assert not ml_eval(params, z).converged
+            except OverflowError:  # a cap past the budget at entry, its t_m past float64
+                assert abs(truth) > sys.float_info.max
         return 0.0
     try:
         value, _, tail, _ = mlfunc._unscale(z, sums)
@@ -288,9 +291,16 @@ class TestLargeArgument:
 
     def test_rounding_of_the_exponent_declines(self):
         # e^20000 would round with eps |w| = 4.4e-12: the expansion declines
-        # and the series, its cap past the budget, reports converged=False
+        # and the series' cap passes the budget at entry, but its term
+        # m = floor(w) alone is beyond float64, so both routes name the
+        # overflow; F2 at z = 30000 the same way
         assert not expansion_certifies(UNIT_PARAMS, 20000.0)
-        assert not ml_eval(UNIT_PARAMS, 20000.0).converged
+        for params, z, term in ((UNIT_PARAMS, 20000.0, r"20000 is e\*\*19994\.1\)$"),
+                                (F2, 30000.0, r"10500 is e\*\*")):
+            for route in (ml_eval, ml_eval_via_1f1):
+                with pytest.raises(OverflowError,
+                                   match=rf"^E at z = {z!r} exceeds float64 range \(its term {term}"):
+                    route(params, z)
 
 
 class TestTermTable:
