@@ -18,7 +18,7 @@ t_n bounds the rest, and the sum stops when that falls under rel_tol times the
 partial sum.  The loop moves exact powers of two (2**960 at a time) out of its
 partial sums into a returned exponent, so a sum that stays below 2**960 is the
 plain float sum bit for bit, and E beyond float64 raises OverflowError instead
-of turning into NaN.  Non-finite z raises DomainError.
+of turning into NaN.  A z that is not a finite number raises DomainError.
 
 Negative arguments are summed through the confluent reflection
 
@@ -415,52 +415,59 @@ def _unscale(z, sums):
     return total, used, tail, ok
 
 
-def _real_result(params: MLParams, z: float, sums) -> SeriesResult:
-    """SeriesResult of a _kummer_sum result at real z.  Where the cap reached
-    the budget at entry and w = (k/alpha) z >= 1, every term is positive, so
-    E >= t_m at m = floor(w) (at most 1e300, t_m far past float64 there): a
-    log t_m past float64 raises OverflowError instead of returning t_0."""
-    if sums[2] == 1 and not sums[4] and (w := params.k / params.alpha * z) >= 1.0:
+def _require_term_in_range(params: MLParams, z, sums) -> None:
+    """Where the cap of the sum at z reached the budget at entry and z is real
+    with w = (k/alpha) z >= 1, every term is positive, so E >= t_m at
+    m = floor(w) (at most 1e300, t_m far past float64 there): a log t_m past
+    float64 raises OverflowError instead of returning t_0.  Off the real axis
+    no such lower bound on |E| holds."""
+    if (sums[2] == 1 and not sums[4] and not z.imag
+            and (w := params.k / params.alpha * z.real) >= 1.0):
         a, b, m = params.gamma_over_k, params.beta_over_alpha, math.floor(min(w, 1e300))
         log_t = (math.lgamma(a + m) - math.lgamma(a) + math.lgamma(b) - math.lgamma(b + m)
                  + m * math.log(w) - math.lgamma(m + 1.0) - math.lgamma(params.beta))
         if log_t > _LOG_MAX:
             raise OverflowError(
                 f"E at z = {z!r} exceeds float64 range (its term {m:.6g} is e**{log_t:.6g})")
+
+
+def _real_result(params: MLParams, z: float, sums) -> SeriesResult:
+    """SeriesResult of a _kummer_sum result at real z, OverflowError beyond float64."""
+    _require_term_in_range(params, z, sums)
     return SeriesResult(*_unscale(z, sums))
 
 
 def _real_arg(z) -> float:
     if isinstance(z, complex):
         raise DomainError("z must be real here; use ml_eval_complex")
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    return z
+    return _require_finite(z, "z")
 
 
 def ml_eval(params: MLParams, z: float, cfg: EvalConfig | None = None) -> SeriesResult:
     """E at real z by _ml_sum.  Never raises on slow convergence; inspect
     the converged flag (or use ml_eval_complex, which does raise).  Raises
-    OverflowError when E(z) is beyond float64, DomainError for non-finite z."""
+    OverflowError when E(z) is beyond float64, DomainError unless z is a
+    finite real (a bool or a str is refused)."""
     z = _real_arg(z)
     return _real_result(params, z, _ml_sum(params, z, cfg or _DEFAULT_CONFIG))
 
 
 def ml_eval_complex(params: MLParams, z: complex, cfg: EvalConfig | None = None) -> complex:
     """E at complex z by _ml_sum; raises ConvergenceError where no route
-    certifies rel_tol, OverflowError beyond float64, DomainError for
-    non-finite z."""
+    certifies rel_tol, OverflowError beyond float64 (on the real axis also
+    where the series gave up at entry), DomainError unless z is a finite
+    number (a bool or a str is refused)."""
+    if isinstance(z, bool) or not (isinstance(z, (int, float, complex)) and cmath.isfinite(z)):
+        raise DomainError(f"z must be a finite number, got {z!r}")
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    total, e, used, tail, ok = _ml_sum(params, z, cfg or _DEFAULT_CONFIG)
+    total, e, used, tail, ok = sums = _ml_sum(params, z, cfg or _DEFAULT_CONFIG)
     if not ok:  # checked first: a sum that cancelled has no size to speak of either
+        _require_term_in_range(params, z, sums)
         raise ConvergenceError(
             f"series at z={z} not certified after {used} terms (tail bound {tail:.3e} * 2**{e})",
             partial=SeriesResult(abs(total), used, tail, False),
         )
-    return _unscale(z, (total, e, used, tail, ok))[0]
+    return _unscale(z, sums)[0]
 
 
 def ml_eval_via_1f1(params: MLParams, z: float) -> SeriesResult:

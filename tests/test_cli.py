@@ -293,6 +293,25 @@ class TestDeterminism:
         assert f"{value:.17g}" in out
 
 
+# argv, exit code, stdout and stderr of one run per command, verify suite and
+# scan quantity in both formats and one per exit class, recorded before the
+# command table replaced the per-command functions
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json"),
+          encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+class TestGoldenBytes:
+    """The output contract byte for byte: an entry changes only together with
+    a change of the output that is announced (as `ml-eval --z nan` was, when
+    the real z of E moved to the shared finite-real check)."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+    def test_bytes_and_exit_code_are_unchanged(self, capsys, case):
+        got = run_cli(capsys, *case["argv"])
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestParserBuiltOnce:
     ARGVS = [
         ("ml-eval", "--alpha", "2", "--beta", "3", "--z", "4.5"),

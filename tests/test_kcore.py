@@ -24,6 +24,9 @@ from mlcs import (
     continuum_partition,
     expectation_ordered_power,
     log_nu,
+    ml_eval,
+    ml_eval_complex,
+    ml_eval_via_1f1,
     ml_laplace,
     nu_function,
     ordered_moment_fock,
@@ -104,11 +107,14 @@ class TestPositiveValidator:
             for bad in (-2.0, math.nan, math.inf, "1", True, False):
                 with pytest.raises(DomainError, match=f"{name} must be finite and >= 0"):
                     make(bad)
-        # the label phase, the Laplace variable s and the quadratic spectrum's
-        # coefficients go through kcore._require_finite, bools refused alike
+        # the label phase, the Laplace variable s, the real z of E and the
+        # quadratic spectrum's coefficients go through kcore._require_finite,
+        # bools refused alike: ml_eval(UNIT_PARAMS, True) was E(1)
         makers = [
             ("phase", -2.0, lambda v: CSLabel(1.0, v)),
             ("s", 2.0, lambda v: ml_laplace(UNIT_PARAMS, v)),
+            ("z", -2.0, lambda v: ml_eval(UNIT_PARAMS, v)),
+            ("z", -2.0, lambda v: ml_eval_via_1f1(UNIT_PARAMS, v)),
             ("a_lin", -2.0, lambda v: QuadraticSpectrum(v, 0.0)),
             ("b_quad", -2.0, lambda v: QuadraticSpectrum(1.0, v)),
         ]
@@ -117,6 +123,11 @@ class TestPositiveValidator:
             for bad in (math.nan, math.inf, "1", True, False):
                 with pytest.raises(DomainError, match=f"{name} must be a finite real"):
                     make(bad)
+        # the complex z of E takes any finite number, and refuses the same way
+        ml_eval_complex(UNIT_PARAMS, -2.0 + 1.0j)
+        for bad in (math.nan, complex(1.0, math.inf), "1+1j", True, False, None):
+            with pytest.raises(DomainError, match="z must be a finite number"):
+                ml_eval_complex(UNIT_PARAMS, bad)
 
     def test_every_count_shares_one_check(self):
         # the ten integer counts go through kcore._require_count: the least

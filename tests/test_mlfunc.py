@@ -4,6 +4,7 @@ import cmath
 import decimal
 import inspect
 import math
+import re
 import sys
 
 import mpmath
@@ -165,6 +166,20 @@ class TestLogScale:
     def test_value_beyond_float64_raises(self, route):
         with pytest.raises(OverflowError):
             route(F2, 2030.0)
+        # where the series' cap passes the budget at entry on the positive
+        # axis, every route names the overflow by its term m = floor(w); the
+        # complex route raised ConvergenceError at 20000+0j and 30000+0j
+        for params, z in ((UNIT_PARAMS, 20000.0), (F2, 30000.0)):
+            z = complex(z) if route is ml_eval_complex else z
+            with pytest.raises(OverflowError, match=rf"^E at z = {re.escape(repr(z))} exceeds "
+                                                    r"float64 range \(its term"):
+                route(params, z)
+        if route is ml_eval_complex:
+            # off the axis no lower bound on |E| holds, and on it a term t_m
+            # within float64 leaves the unconverged sum a ConvergenceError
+            for z, cfg in ((20000.0 + 1.0j, None), (15.0 + 0.0j, EvalConfig(max_terms=12))):
+                with pytest.raises(ConvergenceError, match="not certified after 1 terms"):
+                    route(UNIT_PARAMS, z, cfg)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_argument_is_a_domain_error(self, z):
