@@ -19,7 +19,7 @@ on [0, inf), with
 
 the gamma ratio only in tilde_ml and m = 2 only in the literal-normalization
 kernel.  The integrand is sharply peaked once w is large, and one peak window
-on numpy and math.lgamma integrates it:
+on numpy alone integrates it:
 
 * The peak E* comes in closed form from psi(z) ~ log(z - 1/2) (DLMF 5.11.2):
   E* = w - 1/2 for nu, sqrt(w) - 1/2 for the Gamma**2 kernel, and for
@@ -30,10 +30,13 @@ on numpy and math.lgamma integrates it:
   sqrt((E* + 1/2) / m), or the decay length 1/|log w| when that is shorter.
   Where the pole of Gamma(a+E) at -a lies within s / 4 of E = 0, the points
   a (4**j - 1) grade the first panels toward it.
+* L comes from one numpy log Gamma pass over E+1, a+E and b+E at every
+  node: Stirling's series (DLMF 5.11.1) in 1/z**2, the arguments below 8
+  first shifted up by 8 with the recurrence (DLMF 5.5.1).
 * Each panel carries a 16-point and a 12-point Gauss-Legendre rule on
-  math.lgamma values, scaled by the largest log-integrand value at the
-  nodes.  The 16-point sum is the value; its distance from the 12-point sum
-  is the error estimate.
+  those values, scaled by the largest log-integrand value at the nodes.  The
+  16-point sum is the value; its distance from the 12-point sum is the error
+  estimate.
 * The estimate must meet 1e-12 of the value, or the rounding floor of L
   where that is larger, and the end nodes of the window must be negligible.
   Otherwise every panel is halved or H doubled, and a node budget spent
@@ -60,7 +63,7 @@ import numpy as np
 
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
-from .kcore import _LOG_MAX, MLParams, _gamma, _require_nonnegative, _require_positive
+from .kcore import _LOG_MAX, _STIRLING, MLParams, _gamma, _require_nonnegative, _require_positive
 from .quadrature import _MAX_NODES, gauss_legendre, half_line_quad
 
 __all__ = [
@@ -98,26 +101,33 @@ class _Kernel(NamedTuple):
     b: float = 1.0
 
     def log_f(self, e: np.ndarray) -> np.ndarray:
-        """L at a 1-d array of E."""
-        out = e * self.lw - self.power * _lgamma(e + 1.0)
-        if self.a != self.b:
-            out = out + _lgamma(self.a + e) - _lgamma(self.b + e)
-        return out
+        """L at a 1-d array of E, from one _lgamma call: numpy's cost per
+        call, not per element, is what counts at the window's few hundred nodes."""
+        if self.a == self.b:
+            return e * self.lw - self.power * _lgamma(e + 1.0)
+        lg = _lgamma((e + np.array([[1.0], [self.a], [self.b]])).ravel()).reshape(3, -1)
+        return e * self.lw - self.power * lg[0] + lg[1] - lg[2]
 
     def peak(self) -> float:
-        """E* from psi(z) ~ log(z - 1/2), DLMF 5.11.2."""
+        """E* from psi(z) ~ log(z - 1/2), DLMF 5.11.2; ConvergenceError where
+        the window's half-width is below the float spacing at E*."""
         if self.power == 2:
-            return max(0.0, math.exp(0.5 * self.lw) - 0.5)
-        w = math.exp(self.lw)
-        # (E + b - 1/2)(E + 1/2) = w (E + a - 1/2) as u**2 + lin u + c = 0 in
-        # u = E / s, scaled so that no coefficient overflows at large w
-        s = max(1.0, w)
-        lin = (self.b - w) / s
-        c = (0.5 * (self.b - 0.5) / s - (w / s) * (self.a - 0.5)) / s
-        disc = lin * lin - 4.0 * c
-        if disc <= 0.0:
-            return 0.0
-        peak = max(0.0, 0.5 * s * (math.sqrt(disc) - lin))
+            peak = max(0.0, math.exp(0.5 * self.lw) - 0.5)
+        else:
+            w = math.exp(self.lw)
+            # (E + b - 1/2)(E + 1/2) = w (E + a - 1/2) as u**2 + lin u + c = 0
+            # in u = E / s, scaled so that no coefficient overflows at large w
+            s = max(1.0, w)
+            lin = (self.b - w) / s
+            c = (0.5 * (self.b - 0.5) / s - (w / s) * (self.a - 0.5)) / s
+            disc = lin * lin - 4.0 * c
+            if disc <= 0.0:
+                return 0.0
+            peak = max(0.0, 0.5 * s * (math.sqrt(disc) - lin))
+        # past E* ~ 8e33, or where lin**2 overflows (b / max(1, w) past about
+        # 1e154), no window resolves E*, and L(E*) may be beyond float64
+        if not peak + _half_width(peak) > peak:
+            raise ConvergenceError(f"peak window is narrower than the float spacing at E* = {peak:.6e}")
         # the asymptotic form means nothing where a + E or b + E < 1/2: its
         # root there can sit below the integrand's value at E = 0
         if min(self.a, self.b) < 0.5:
@@ -132,9 +142,37 @@ def _half_width(peak: float) -> float:
     return 40.0 + 10.0 * math.sqrt(peak)
 
 
-def _lgamma(e: np.ndarray) -> np.ndarray:
-    """math.lgamma elementwise over a 1-d array."""
-    return np.fromiter(map(math.lgamma, e.tolist()), float, e.size)
+def _lgamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma over a 1-d array of 0 < z < 2.5e305, where it is finite:
+    Stirling's series, within 1e-16 at z >= 8, after a shift of the elements
+    below 8 up by 8 (DLMF 5.5.1).  The product prod_{j<8} (min(z, 8) + j)
+    lies in [5040 min(z, 8), 15!/7!] at every element, so it neither
+    overflows nor underflows; only the shifted elements subtract its log."""
+    low = z < 8.0
+    # prod_{j<8} (x + j) = q (q + 6)(q + 10)(q + 12), q = x (x + 7)
+    x = np.minimum(z, 8.0)
+    q = x + 7.0
+    q *= x
+    prod = q + 6.0
+    prod *= q
+    prod *= q + 10.0
+    q += 12.0
+    prod *= q
+    z = z + 8.0 * low
+    w = 1.0 / z
+    w2 = w * w
+    series = _STIRLING[0] * w2
+    for c in _STIRLING[1:-1]:
+        series += c
+        series *= w2
+    series += _STIRLING[-1]
+    series *= w
+    lg = np.log(z)
+    lg *= z - 0.5
+    lg -= z - 0.5 * math.log(2.0 * math.pi)
+    lg += series
+    lg -= np.log(prod) * low
+    return lg
 
 
 @functools.cache
@@ -182,8 +220,6 @@ def _window(kernel: _Kernel) -> float:
     while True:
         lo, hi = max(0.0, peak - half), peak + half
         edges = _panel_edges(lo, peak, hi, width, pole)
-        if edges.size < 2:
-            raise ConvergenceError(f"peak window is narrower than the float spacing at E* = {peak:.6e}")
         for _ in range(halvings):
             edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
         e, h, weights = _panel_nodes(edges)

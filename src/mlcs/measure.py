@@ -66,7 +66,8 @@ import numpy as np
 
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
-from .kcore import MLParams, _gamma, _require_count, _require_nonnegative, _require_positive
+from .kcore import (_B2K, _STIRLING, MLParams, _gamma, _require_count, _require_nonnegative,
+                    _require_positive)
 from .mlfunc import _DEFAULT_CONFIG, _LN2, EvalConfig, _ml_table, _series
 from .quadrature import _first_nodes, gauss_legendre_panels, half_line_quad
 
@@ -252,17 +253,14 @@ _TINY_Y = np.finfo(float).tiny  # below it the Laplace integrand's ratios overfl
 # b2 below which the two series are paired term by term.
 _NEAR_ZERO = 0.05
 _KUMMER_CFG = EvalConfig(1e-17, 200)  # the formula's Kummer series, to float64 resolution
-# B_2k (DLMF 24.2.1) for Stirling's series (DLMF 5.11.1, Horner order) and for
 # (-1)**(n+1) psi^(n)(z) = sum_j _PSI[n, j] / z**j, + log z at n = 0 (DLMF 5.15.8)
-_B2K = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510])
 _K2 = 2 * np.arange(1, 9)
-_STIRLING = (_B2K / (_K2 * (_K2 - 1.0)))[::-1]
 _N1 = np.arange(1.0, 11.0)  # n + 1
 _FACT = np.cumprod(np.append(1.0, _N1[:-1]))  # n!
 _PSI = np.zeros((10, 27))
 _PSI[range(1, 10), range(1, 10)] = _FACT[:-1]  # (n-1)! / z**n
 _PSI[range(10), range(1, 11)] = 0.5 * _FACT  # n! / (2 z**(n+1))
-_PSI[np.arange(10)[:, None], np.arange(10)[:, None] + _K2] = _B2K * np.array(
+_PSI[np.arange(10)[:, None], np.arange(10)[:, None] + _K2] = np.array(_B2K) * np.array(
     [[math.perm(k + n - 1, n) / k for k in _K2] for n in range(10)])  # (2k+n-1)! B_2k / (2k)!
 
 

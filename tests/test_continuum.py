@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -155,6 +156,14 @@ class TestTildeML:
         params = MLParams(1.0, 1.0, gamma, 1.0)
         assert tilde_ml(params, x) == pytest.approx(reference_tilde(params, x), rel=1e-11, abs=0)
 
+    @pytest.mark.parametrize("x", [1e-300, 1.0, 300.0])
+    def test_window_across_the_log_gamma_shift(self, x):
+        # gamma/k = 600 and beta/alpha = 120 put a+E and b+E far above 8
+        # while E+1 runs from below 8 up: one log Gamma pass shifts some of
+        # its arguments and not others
+        params = MLParams(0.5, 60.0, 30.0, 0.05)
+        assert tilde_ml(params, x) == pytest.approx(reference_tilde(params, x), rel=1e-11, abs=0)
+
 
 class TestPeakWindow:
     """The window returns only values that passed its error estimate and
@@ -205,6 +214,19 @@ class TestPeakWindow:
         quadpack = tilde_ml_quad(params, x)
         assert abs(fixed - quadpack) <= 1e-12 * abs(quadpack)
 
+    @pytest.mark.parametrize("params, x", [
+        # E* = 1e306, where L(E*) is beyond float64: gamma/k < 1/2 asks for
+        # a probe of L there, which must not run
+        (MLParams(1.0, 1.0, 1e-300, 1.0), 1e306),
+        # beta/alpha = 1e200 overflows the closed form of E*
+        (MLParams(1e-100, 1e100, 1e-3, 1.0), 1e-300),
+    ])
+    def test_an_unreachable_peak_raises(self, params, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="narrower than the float spacing"):
+                tilde_ml(params, x)
+
     def test_an_unmet_estimate_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12
         import mlcs.continuum as continuum_mod
@@ -214,6 +236,51 @@ class TestPeakWindow:
         monkeypatch.setattr(continuum_mod, "_rule_pair", lambda: (nodes, skewed))
         with pytest.raises(ConvergenceError, match="node budget"):
             continuum_mod._log_nu_gamma2(5.0)
+
+
+class TestWindowLogGamma:
+    """The window's numpy log Gamma against mpmath, and the Gamma**2 kernel
+    on a window whose E+1 runs across its shift boundary z = 8."""
+
+    def test_matches_mpmath(self):
+        # a grid from 1e-3 to 1e5, the edges of the shift and one array that
+        # spans it up to 4e3, each evaluated as one call
+        import mlcs.continuum as continuum_mod
+
+        arrays = [np.geomspace(1e-3, 1e5, 161), np.array([1.0, 2.0, 8.0 - 1e-12, 8.0, 8.0 + 1e-12]),
+                  np.linspace(0.25, 4e3, 97)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [continuum_mod._lgamma(z) for z in arrays]
+        with mpmath.workdps(30):
+            for z, values in zip(arrays, got):
+                for zi, value in zip(z.tolist(), values.tolist()):
+                    # the log is formed from terms of size z log z, z shifted
+                    # up to >= 8: the bound of the contour referee's log Gamma
+                    size = zi + 8.0
+                    want = mpmath.loggamma(mpmath.mpf(zi))
+                    assert abs(value - want) <= 5e-16 * size * math.log(size), zi
+        # the shift's product stays finite and nonzero when one array mixes
+        # subnormal and huge arguments: within 2 ulp of the value
+        z = np.array([5e-324, 1e-300, 1e40, 1e300, 2e305])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = continuum_mod._lgamma(z)
+        for zi, value in zip(z.tolist(), got.tolist()):
+            assert value == pytest.approx(float(mpmath.loggamma(mpmath.mpf(zi))), rel=4.5e-16, abs=0), zi
+
+    def test_gamma2_kernel_across_the_shift(self):
+        # E* = 99.5, so E+1 runs from 1 to about 240 on one window
+        import mlcs.continuum as continuum_mod
+
+        x = 1e4
+        with mpmath.workdps(40):
+            lx = mpmath.log(x)
+            pts = [0, 40, 80, 99.5, 120, 160, 250]
+            want = float(mpmath.log(mpmath.quad(
+                lambda e: mpmath.exp(e * lx - 2 * mpmath.loggamma(e + 1)), pts + [mpmath.inf])))
+        # within 1e-11 of the value
+        assert abs(continuum_mod._log_nu_gamma2(x) - want) <= 1e-11
 
 
 class TestContinuumMeasure:
@@ -313,8 +380,8 @@ class TestNuTable:
         assert nu_function(10.0) == 22026.189460481062
 
     def test_matches_the_peak_window(self):
-        # the window integrates x**E / Gamma(E+1) on math.lgamma: it shares no
-        # node, weight or function value with the table
+        # the window integrates x**E / Gamma(E+1) on its own numpy log Gamma:
+        # it shares no node, weight or function value with the table
         import mlcs.continuum as continuum_mod
 
         for x in np.geomspace(1e-300, 1e4, 240).tolist():
@@ -351,6 +418,13 @@ class TestNuTable:
 
     def test_loads_no_scipy(self):
         assert heavy_imports_after("from mlcs import log_nu\nlog_nu(5.0)") == {"numpy"}
+        # the window's log Gamma reads its coefficients from kcore: neither
+        # route loads the measure module, whose import a nu scan would pay for
+        code = ("import sys\nfrom mlcs import MLParams, log_nu, tilde_ml\nlog_nu(5.0)\n"
+                "assert 'mlcs.measure' not in sys.modules\n"
+                "tilde_ml(MLParams(0.8, 1.9, 1.3, 1.1), 4.0)\n"
+                "assert 'mlcs.measure' not in sys.modules")
+        assert heavy_imports_after(code) == {"numpy"}
 
     def test_a_missed_check_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12
