@@ -85,6 +85,8 @@ _ORDER, _CHECK_ORDER = 16, 12
 _STEPS = (1.0, 3.0, 7.0, 15.0, 31.0)
 _REL_TOL = 1e-12
 _EPS = 2.0 ** -52
+# _lgamma's arguments stay below this; (z - 1/2) log z overflows past 2.556e305
+_LGAMMA_MAX = 2.5e305
 # Panels of Ramanujan's integral K in v: below _V_LO its factor
 # 1 - exp(-e**v) is under 1e-18, above _V_HI within 1e-18 of 1
 _V_LO, _V_HI, _V_PANELS = -39.5, 3.75, 18
@@ -128,6 +130,11 @@ class _Kernel(NamedTuple):
         # 1e154), no window resolves E*, and L(E*) may be beyond float64
         if not peak + _half_width(peak) > peak:
             raise ConvergenceError(f"peak window is narrower than the float spacing at E* = {peak:.6e}")
+        # the window's nodes reach a + E* + H and b + E* + H.  H doubles only
+        # while the end nodes count, and past E* L falls like -E log(E / w),
+        # so with E* below 8e33 the nodes stay far inside the bound's margin
+        if self.a != self.b and max(self.a, self.b) + peak + _half_width(peak) >= _LGAMMA_MAX:
+            raise ConvergenceError(f"log Gamma argument of the window passes {_LGAMMA_MAX:.1e} at E* = {peak:.6e}")
         # the asymptotic form means nothing where a + E or b + E < 1/2: its
         # root there can sit below the integrand's value at E = 0
         if min(self.a, self.b) < 0.5:
@@ -143,7 +150,7 @@ def _half_width(peak: float) -> float:
 
 
 def _lgamma(z: np.ndarray) -> np.ndarray:
-    """log Gamma over a 1-d array of 0 < z < 2.5e305, where it is finite:
+    """log Gamma over a 1-d array of 0 < z < _LGAMMA_MAX, which peak enforces:
     Stirling's series, within 1e-16 at z >= 8, after a shift of the elements
     below 8 up by 8 (DLMF 5.5.1).  The product prod_{j<8} (min(z, 8) + j)
     lies in [5040 min(z, 8), 15!/7!] at every element, so it neither

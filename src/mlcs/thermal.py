@@ -149,24 +149,16 @@ def _settled_sum(terms, first: int, peak: float, total, unsettled: str, overflow
     """total plus the sums along the last axis of terms(n) over n = first,
     first + 1, ... in blocks of _BLOCK, within _BUDGET terms, up to the first
     block past peak whose last terms are each at most _SETTLE of their sums.
-    OverflowError(overflow(bad)) once the sums marked by bad are not finite.
-    A float total (one sum) is tested as a float: numpy's tests of a 0-d sum
-    took a third of the time of a one-block sum."""
+    OverflowError(overflow(bad)) once the sums marked by bad are not finite."""
     stop = first + _BUDGET
-    one = isinstance(total, float)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(first, stop, _BLOCK):
             n = np.arange(start, min(start + _BLOCK, stop), dtype=float)
             block = terms(n)
-            if one:
-                total += float(block.sum())
-                finite, settled = math.isfinite(total), block[-1] <= _SETTLE * total
-            else:
-                total = total + block.sum(axis=-1)
-                finite, settled = np.isfinite(total).all(), (block[:, -1] <= _SETTLE * total).all()
-            if not finite:
+            total = total + block.sum(axis=-1)
+            if not np.isfinite(total).all():
                 raise OverflowError(overflow(~np.isfinite(total)))
-            if n[-1] > peak and settled:
+            if n[-1] > peak and (block[..., -1] <= _SETTLE * total).all():
                 return total
     raise ConvergenceError(unsettled)
 
@@ -193,8 +185,8 @@ def partition_quadratic_direct(cfg: ThermalConfig) -> float:
     unsettled = "direct Boltzmann sum did not settle"
     _require_budget(peak, beta * max(sp.a_lin, 0.0), beta * sp.b_quad, unsettled)
     # the terms rise up to the peak, so no earlier block can pass the settle test
-    return _settled_sum(lambda n: np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n)), 0, peak,
-                        0.0, unsettled, lambda _: "direct Boltzmann sum exceeds float64 range")
+    return float(_settled_sum(lambda n: np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n)), 0, peak,
+                              0.0, unsettled, lambda _: "direct Boltzmann sum exceeds float64 range"))
 
 
 def partition_quadratic(cfg: ThermalConfig, rel_tol: float = 1e-5) -> SeriesResult:

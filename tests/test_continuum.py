@@ -148,20 +148,21 @@ class TestTildeML:
             f = tilde_ml(params, x)
             assert abs(a - f) <= 1e-7 * abs(a)
 
-    @pytest.mark.parametrize("gamma, x", [(0.05, 1.0), (0.3, 1.0), (0.05, 100.0)])
-    def test_pole_near_zero_energy(self, gamma, x):
+    @pytest.mark.parametrize("params, x", [
         # small gamma/k puts the pole of Gamma(gamma/k + E) just below E = 0,
         # where the integrand is steep; at x = 100 it falls from E = 0 before
         # it rises to its peak near E = 100
-        params = MLParams(1.0, 1.0, gamma, 1.0)
-        assert tilde_ml(params, x) == pytest.approx(reference_tilde(params, x), rel=1e-11, abs=0)
-
-    @pytest.mark.parametrize("x", [1e-300, 1.0, 300.0])
-    def test_window_across_the_log_gamma_shift(self, x):
+        (MLParams(1.0, 1.0, 0.05, 1.0), 1.0),
+        (MLParams(1.0, 1.0, 0.3, 1.0), 1.0),
+        (MLParams(1.0, 1.0, 0.05, 1.0), 100.0),
         # gamma/k = 600 and beta/alpha = 120 put a+E and b+E far above 8
         # while E+1 runs from below 8 up: one log Gamma pass shifts some of
         # its arguments and not others
-        params = MLParams(0.5, 60.0, 30.0, 0.05)
+        (MLParams(0.5, 60.0, 30.0, 0.05), 1e-300),
+        (MLParams(0.5, 60.0, 30.0, 0.05), 1.0),
+        (MLParams(0.5, 60.0, 30.0, 0.05), 300.0),
+    ])
+    def test_pole_near_zero_energy(self, params, x):
         assert tilde_ml(params, x) == pytest.approx(reference_tilde(params, x), rel=1e-11, abs=0)
 
 
@@ -214,17 +215,20 @@ class TestPeakWindow:
         quadpack = tilde_ml_quad(params, x)
         assert abs(fixed - quadpack) <= 1e-12 * abs(quadpack)
 
-    @pytest.mark.parametrize("params, x", [
+    @pytest.mark.parametrize("params, x, match", [
         # E* = 1e306, where L(E*) is beyond float64: gamma/k < 1/2 asks for
         # a probe of L there, which must not run
-        (MLParams(1.0, 1.0, 1e-300, 1.0), 1e306),
+        (MLParams(1.0, 1.0, 1e-300, 1.0), 1e306, "narrower than the float spacing"),
         # beta/alpha = 1e200 overflows the closed form of E*
-        (MLParams(1e-100, 1e100, 1e-3, 1.0), 1e-300),
+        (MLParams(1e-100, 1e100, 1e-3, 1.0), 1e-300, "narrower than the float spacing"),
+        # gamma/k = 2.557e305 puts a + E where (z - 1/2) log z overflows,
+        # though log Gamma(gamma/k) itself is finite
+        (MLParams(1.0, 1.0, 2.557e305, 1.0), 1e-300, "log Gamma argument of the window passes"),
     ])
-    def test_an_unreachable_peak_raises(self, params, x):
+    def test_an_unreachable_peak_raises(self, params, x, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="narrower than the float spacing"):
+            with pytest.raises(ConvergenceError, match=match):
                 tilde_ml(params, x)
 
     def test_an_unmet_estimate_raises(self, monkeypatch):
