@@ -27,7 +27,7 @@ _EXPORTS = {
         "ladder_raise", "ordered_moment_fock", "overlap", "overlap_from_coeffs",
         "photon_distribution", "structure_e"),
     "quadrature": (
-        "gauss_legendre", "gauss_legendre_panels", "half_line_quad"),
+        "gauss_legendre", "half_line_quad"),
     "measure": (
         "MomentReport", "measure_weight_h", "meijer_g_weight", "meijer_g_weight_mb",
         "moment_closed_form", "resolution_identity_matrix", "verify_resolution"),

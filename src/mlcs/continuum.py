@@ -8,9 +8,9 @@ Transcendental Functions III, 18.3), nu(x) = e^x - int_R exp(-x e^u) /
 ((v - log x)**2 + pi**2) dv: every term is positive, so nothing cancels from
 x = 5e-324 up.  1 - exp(-e^v) is below 1e-18 under v = -39.5 and within
 1e-18 of 1 over v = 3.75, past which K is in closed form; between, 18 panels
-carry a 16-point value and a 12-point check, which must meet 1e-12 of K <= nu
-or ConvergenceError is raised.  Their nodes and the factor 1 - exp(-e^v)
-times each weight are a table built once, so a call is one dot product.
+of the quadrature module's composite rule carry a 16-point value and a
+12-point check, which must meet 1e-12 of K <= nu or ConvergenceError is
+raised.  The nodes and 1 - exp(-e^v) times each weight are a table built once.
 
 Every other point function integrates exp(L(E)) over the energy variable E
 on [0, inf), with
@@ -33,10 +33,9 @@ on numpy alone integrates it:
 * L comes from one numpy log Gamma pass over E+1, a+E and b+E at every
   node: Stirling's series (DLMF 5.11.1) in 1/z**2, the arguments below 8
   first shifted up by 8 with the recurrence (DLMF 5.5.1).
-* Each panel carries a 16-point and a 12-point Gauss-Legendre rule on
-  those values, scaled by the largest log-integrand value at the nodes.  The
-  16-point sum is the value; its distance from the 12-point sum is the error
-  estimate.
+* The same composite rule puts a 16-point and a 12-point sum on each panel,
+  of exp(L) over its largest value at the nodes.  The 16-point sum is the
+  value; its distance from the 12-point sum is the error estimate.
 * The estimate must meet 1e-12 of the value, or the rounding floor of L
   where that is larger, and the end nodes of the window must be negligible.
   Otherwise every panel is halved or H doubled, and a node budget spent
@@ -64,7 +63,7 @@ import numpy as np
 from .coherent import CSLabel
 from .errors import ConvergenceError, DomainError
 from .kcore import _LOG_MAX, _STIRLING, MLParams, _gamma, _require_nonnegative, _require_positive
-from .quadrature import _MAX_NODES, gauss_legendre, half_line_quad
+from .quadrature import _MAX_NODES, _panel_nodes, half_line_quad
 
 __all__ = [
     "EnergyDensityState",
@@ -79,8 +78,8 @@ __all__ = [
     "verify_continuum_moments",
 ]
 
-# Gauss-Legendre orders of the window's value and of its check
-_ORDER, _CHECK_ORDER = 16, 12
+# Gauss-Legendre orders of the value and of its check, in the window and the nu table
+_ORDERS = (16, 12)
 # panel edges at E* +- s (2**j - 1), j = 1..5
 _STEPS = (1.0, 3.0, 7.0, 15.0, 31.0)
 _REL_TOL = 1e-12
@@ -182,26 +181,6 @@ def _lgamma(z: np.ndarray) -> np.ndarray:
     return lg
 
 
-@functools.cache
-def _rule_pair() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t in [0, 2] of both rules, the 16-point ones first, and the
-    (nodes, 2) matrix whose columns are the weights of each rule."""
-    x16, w16 = gauss_legendre(_ORDER)
-    x12, w12 = gauss_legendre(_CHECK_ORDER)
-    weights = np.zeros((_ORDER + _CHECK_ORDER, 2))
-    weights[:_ORDER, 0] = w16
-    weights[_ORDER:, 1] = w12
-    return np.concatenate((x16, x12)) + 1.0, weights
-
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of both rules on the panels between edges, panel by panel, the
-    panels' half-widths h and _rule_pair's weights: panel i sums h[i] f @ weights."""
-    t, weights = _rule_pair()
-    h = 0.5 * (edges[1:] - edges[:-1])
-    return (np.outer(h, t) + edges[:-1, None]).ravel(), h, weights
-
-
 def _panel_edges(lo: float, peak: float, hi: float, width: float, pole: float | None):
     """Panel edges of the window [lo, hi]: the peak, peak +- width (2**j - 1)
     inside it, and pole (4**j - 1) below width when lo = 0 and a pole sits at
@@ -229,7 +208,7 @@ def _window(kernel: _Kernel) -> float:
         edges = _panel_edges(lo, peak, hi, width, pole)
         for _ in range(halvings):
             edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
-        e, h, weights = _panel_nodes(edges)
+        e, h, weights = _panel_nodes(edges, _ORDERS)
         spent += e.size
         if spent > _MAX_NODES:
             raise ConvergenceError(
@@ -245,7 +224,7 @@ def _window(kernel: _Kernel) -> float:
         target = max(_REL_TOL, 8.0 * _EPS * hi * (abs(kernel.lw) + 1.0)) * value
         # the log-integrand falls by at least 1/H per unit beyond an end node,
         # so its value times H bounds the tail the window leaves out
-        ends = f[-1, _ORDER - 1] + (f[0, 0] if lo > 0.0 else 0.0)
+        ends = f[-1, _ORDERS[0] - 1] + (f[0, 0] if lo > 0.0 else 0.0)
         if ends * half > 1e-3 * target:
             half *= 2.0
         elif abs(value - check) > target:
@@ -259,7 +238,7 @@ def _ramanujan_table() -> tuple[np.ndarray, np.ndarray]:
     """Nodes v of both rules on the panels of K (module docstring) and the
     (nodes, 2) matrix of the x-free factor (1 - exp(-e**v)) times the
     weight of each rule, built once (read-only arrays)."""
-    v, h, weights = _panel_nodes(np.linspace(_V_LO, _V_HI, _V_PANELS + 1))
+    v, h, weights = _panel_nodes(np.linspace(_V_LO, _V_HI, _V_PANELS + 1), _ORDERS)
     w = (h[:, None, None] * weights).reshape(v.size, 2) * -np.expm1(-np.exp(v))[:, None]
     for a in (v, w):
         a.flags.writeable = False
@@ -322,7 +301,10 @@ def tilde_ml(params: MLParams, x: float) -> float:
                   * ((k/alpha) x)**E
                   * Gamma(gamma/k + E) / (Gamma(beta/alpha + E) Gamma(E+1)) dE
 
-    Unit parameters collapse it to nu_function.
+    Unit parameters collapse it to nu_function.  The prefactor's log
+    Gamma(beta/alpha) cancels against log Gamma(beta/alpha + E) in L: 8 eps
+    |log prefactor| of relative error, which past 1e-9 (beta/alpha ~ 6e4 at
+    unit gamma/k and beta) raises ConvergenceError unless the value overflows.
     """
     x = _require_nonnegative(x, "x")
     if x == 0.0:
@@ -331,8 +313,11 @@ def tilde_ml(params: MLParams, x: float) -> float:
     b = params.beta_over_alpha
     lw = math.log(params.k / params.alpha) + math.log(x)
     log_pref = math.lgamma(b) - math.lgamma(a) - math.lgamma(params.beta)
-    return _exp(log_pref + _window(_Kernel(lw, a=a, b=b)),
-                f"tilde_ml(x) exceeds float64 range at x = {x!r}")
+    log_value = log_pref + _window(_Kernel(lw, a=a, b=b))
+    rounding = 8.0 * _EPS * abs(log_pref)
+    if rounding > 1e-9 and log_value - rounding <= _LOG_MAX:
+        raise ConvergenceError(f"log prefactor {log_pref:.6e} of tilde_ml rounds beyond 1e-9 at x = {x!r}")
+    return _exp(log_value, f"tilde_ml(x) exceeds float64 range at x = {x!r}")
 
 
 def continuum_measure_weight(x: float) -> float:

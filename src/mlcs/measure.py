@@ -69,7 +69,7 @@ from .errors import ConvergenceError, DomainError, RouteMismatchError
 from .kcore import (_B2K, _STIRLING, MLParams, _gamma, _require_count, _require_nonnegative,
                     _require_positive)
 from .mlfunc import _DEFAULT_CONFIG, _LN2, EvalConfig, _ml_table, _series
-from .quadrature import _first_nodes, gauss_legendre_panels, half_line_quad
+from .quadrature import _first_nodes, _panel_nodes, half_line_quad
 
 __all__ = [
     "MomentReport",
@@ -527,25 +527,19 @@ def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
     y = (params.k / params.alpha) * x
     if y == 0.0:
         return _g_origin(a1, b2, x), 0.0
-    h = y - b2
-    saddle = 0.5 * (h + math.sqrt(max(h * h + 4.0 * a1 * y, 0.0)))
+    d = y - b2
+    saddle = 0.5 * (d + math.sqrt(max(d * d + 4.0 * a1 * y, 0.0)))
     c = max(max(0.0, -b2) + 0.75, saddle)
-    log_y = math.log(y)
-    head = []
-
-    def integrand(t):
-        # t = 0 leads the ascending nodes, so the head shares their log Gamma
-        s = c + 1j * np.append(0.0, t)
-        lg = _log_gamma(s + np.array([[0.0], [b2], [a1]]))
-        f = np.exp(lg[0] + lg[1] - lg[2] - s * log_y).real
-        head.append(abs(float(f[0])) / math.pi)
-        return f[1:].reshape(t.shape)
-
+    t, h, weights = _panel_nodes(np.linspace(0.0, max(80.0, 9.0 * math.sqrt(c)), 41), (24,))
+    # t = 0 leads the ascending nodes, so the head shares their log Gamma
+    s = c + 1j * np.append(0.0, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = gauss_legendre_panels(integrand, 0.0, max(80.0, 9.0 * math.sqrt(c)), 40, 24)
+        lg = _log_gamma(s + np.array([[0.0], [b2], [a1]]))
+        f = np.exp(lg[0] + lg[1] - lg[2] - s * math.log(y)).real
+        value = float(h @ (f[1:].reshape(h.size, -1) @ weights[:, 0]))
     if not math.isfinite(value):
         raise OverflowError(f"Meijer kernel contour at x = {x!r} exceeds float64 range")
-    return value / math.pi, head[0]
+    return value / math.pi, abs(float(f[0])) / math.pi
 
 
 def measure_weight_h(params: MLParams, x):

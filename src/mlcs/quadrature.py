@@ -2,9 +2,10 @@
 
 Two fixed schemes are kept deliberately distinct:
 
-* a composite Gauss-Legendre rule over equal panels, the one fixed-order
-  rule of the package: nodes and weights are cached per order, and the
-  integrand is called once on the array of all nodes;
+* a composite Gauss-Legendre rule on panels between given edges, the one
+  fixed-order rule of the package: each panel carries one rule per order
+  asked for (a value, and a lower-order check where one is wanted), nodes
+  and weights cached per tuple of orders, all nodes evaluated in one call;
 * a fixed double-exponential half-line rule (Takahasi & Mori, Publ. RIMS 9,
   1974) for families of integrands on [0, inf) with an algebraic endpoint
   x**p at the origin and exponential decay.  The map
@@ -31,9 +32,9 @@ Two fixed schemes are kept deliberately distinct:
   The caller passes only the integrand and a scale: the target and node
   budget are constants.
 
-The Meijer kernel's contour referee runs on the composite rule, the continuum
-module places the cached nodes on its own panels, and both rules need numpy
-only: QUADPACK is a referee of the tests, and no module here loads scipy.
+The nu table and the peak window (orders 16 and 12) and the Meijer kernel's
+contour referee (order 24) run on the composite rule, and both rules need
+numpy only: QUADPACK is a referee of the tests, and no module loads scipy.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .kcore import _require_positive
 __all__ = [
     "half_line_quad",
     "gauss_legendre",
-    "gauss_legendre_panels",
 ]
 
 
@@ -219,19 +219,24 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre_panels(f, a: float, b: float, panels: int = 16, order: int = 32) -> float:
-    """Composite fixed-order Gauss-Legendre over equal panels of [a, b].
+@functools.lru_cache(maxsize=None)
+def _rule(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in [0, 2] of the rules of these orders, the first order's
+    first, and the matrix whose column j holds the weights of rule j (0 at
+    the other rules' nodes), built once per tuple (read-only arrays)."""
+    nodes, weights = zip(*map(gauss_legendre, orders))
+    t = np.concatenate(nodes) + 1.0
+    matrix = np.zeros((t.size, len(orders)))
+    matrix[np.arange(t.size), np.repeat(np.arange(len(orders)), orders)] = np.concatenate(weights)
+    t.flags.writeable = matrix.flags.writeable = False
+    return t, matrix
 
-    f is called once, on the (panels, order) array of all nodes, and must
-    return an array of the same shape.
-    """
-    if not (b > a):
-        raise DomainError(f"need b > a, got a={a}, b={b}")
-    if panels < 1:
-        raise DomainError(f"panels must be >= 1, got {panels}")
-    nodes, weights = gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    xs = edges[:-1, None] + half[:, None] * (nodes + 1.0)
-    ys = np.asarray(f(xs), dtype=float)
-    return float(np.dot(half, ys @ weights))
+
+def _panel_nodes(edges: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The composite rule on the panels between edges: _rule's nodes on each
+    panel, panel by panel, the half-widths h and _rule's weights.  With f the
+    values at the nodes as a (panels, -1) array, h @ (f @ weights) holds one
+    integral per order."""
+    t, weights = _rule(orders)
+    h = 0.5 * (edges[1:] - edges[:-1])
+    return (np.outer(h, t) + edges[:-1, None]).ravel(), h, weights

@@ -40,16 +40,20 @@ def reference_nu(x):
 
 def reference_tilde(params, x):
     """mpmath value of tilde_ml, with breakpoints at the pole scale gamma/k of
-    Gamma(gamma/k + E) and around the peak near E = (k/alpha) x.  40 digits,
-    since mpmath's quad also stops at an absolute error near its epsilon."""
+    Gamma(gamma/k + E), around the peak near E = (k/alpha) x and every 1/2 up
+    to E = 2, where at large beta/alpha the integrand falls tenfold per unit
+    of E.  log Gamma(beta/alpha) of the prefactor is subtracted inside the
+    integrand, so no ratio of huge gammas is formed.  40 digits, since
+    mpmath's quad also stops at an absolute error near its epsilon."""
     a, b = params.gamma_over_k, params.beta_over_alpha
     with mpmath.workdps(40):
-        w = mpmath.mpf(params.k) / params.alpha * x
-        pref = mpmath.gamma(b) / (mpmath.gamma(a) * mpmath.gamma(params.beta))
-        pts = sorted({0, a, 1, float(w), 2 * float(w) + 20})
-        val = mpmath.quad(lambda e: w ** e * mpmath.gamma(a + e)
-                          / (mpmath.gamma(b + e) * mpmath.gamma(e + 1)), pts + [mpmath.inf])
-        return float(pref * val)
+        lw = mpmath.log(mpmath.mpf(params.k) / params.alpha * x)
+        w = params.k / params.alpha * x
+        lgb = mpmath.loggamma(b)
+        pts = sorted({0, 0.5, 1, 1.5, 2, a, w, 2 * w + 20})
+        val = mpmath.quad(lambda e: mpmath.exp(e * lw + mpmath.loggamma(a + e) - (mpmath.loggamma(b + e) - lgb)
+                                               - mpmath.loggamma(e + 1)), pts + [mpmath.inf])
+        return float(val / (mpmath.gamma(a) * mpmath.gamma(params.beta)))
 
 
 class TestNuFunction:
@@ -161,6 +165,15 @@ class TestTildeML:
         (MLParams(0.5, 60.0, 30.0, 0.05), 1e-300),
         (MLParams(0.5, 60.0, 30.0, 0.05), 1.0),
         (MLParams(0.5, 60.0, 30.0, 0.05), 300.0),
+        # beta/alpha = 624 and 711, where the integrand falls tenfold per
+        # unit of E from E = 0 and the prefactor holds Gamma(beta/alpha)
+        (MLParams(0.11745853305666618, 73.3382393015883, 0.16429304285265406, 0.09944030451108081),
+         3.882968408200024e-06),
+        (MLParams(0.10266868991489658, 73.00239974474468, 76.3075132106058, 3.677482804553488),
+         0.018293709092585732),
+        # beta/alpha = 1e4: the prefactor's rounding bound is 1.5e-10, below
+        # the 1e-9 that tilde_ml refuses, and the value is 1.9e-12 off
+        (MLParams(1e-4, 1.0, 1.0, 1.0), 0.5),
     ])
     def test_pole_near_zero_energy(self, params, x):
         assert tilde_ml(params, x) == pytest.approx(reference_tilde(params, x), rel=1e-11, abs=0)
@@ -234,12 +247,30 @@ class TestPeakWindow:
     def test_an_unmet_estimate_raises(self, monkeypatch):
         # a check rule 1 % off can never agree with the value to 1e-12
         import mlcs.continuum as continuum_mod
+        import mlcs.quadrature as quadrature_mod
 
-        nodes, weights = continuum_mod._rule_pair()
+        nodes, weights = quadrature_mod._rule(continuum_mod._ORDERS)
         skewed = weights * [1.0, 1.01]
-        monkeypatch.setattr(continuum_mod, "_rule_pair", lambda: (nodes, skewed))
+        monkeypatch.setattr(quadrature_mod, "_rule", lambda orders: (nodes, skewed))
         with pytest.raises(ConvergenceError, match="node budget"):
             continuum_mod._log_nu_gamma2(5.0)
+
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-50, 1e-5])
+    def test_a_prefactor_beyond_its_rounding_raises(self, alpha):
+        # log Gamma(beta/alpha) of the prefactor cancels against the window's
+        # log Gamma(beta/alpha + E): at alpha = 1e-50 and 1e-200 the value
+        # came out 1.0 and 0.0 where mpmath gives 1.442695040888963, at
+        # 1e-5 8e-11 off with a rounding bound of 1.9e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="log prefactor .* rounds beyond 1e-9 at x = 0.5"):
+                tilde_ml(MLParams(alpha, 1.0, 1.0, 1.0), 0.5)
+
+    def test_an_overflow_beyond_the_rounding_is_named(self):
+        # at beta/alpha = 1e10 and x = 300 the log of the value is 2.9e12,
+        # its rounding 3.9e-4: the value overflows whatever that rounding is
+        with pytest.raises(OverflowError, match="tilde_ml\\(x\\) exceeds float64 range at x = 300.0"):
+            tilde_ml(MLParams(1e-10, 1.0, 1.0, 1.0), 300.0)
 
 
 class TestWindowLogGamma:

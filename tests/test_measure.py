@@ -444,6 +444,26 @@ class TestMeijerKernel:
         with pytest.raises(RouteMismatchError):
             meijer_g_weight(params, x, check=True)
 
+    @pytest.mark.parametrize("fault, x", [
+        (1e-6, 1e-3), (1e-6, 1e-5),
+        # the referee's roundoff floor, 1e-10 of its t = 0 integrand, grows
+        # past the kernel as y falls; with no error estimate of its own sum
+        # it lets these faults through (ROADMAP Direction 3)
+        pytest.param(1e-4, 1e-9, marks=pytest.mark.xfail(
+            strict=True, reason="no quadrature error estimate in the referee, ROADMAP Direction 3")),
+        pytest.param(1e-4, 1e-10, marks=pytest.mark.xfail(
+            strict=True, reason="no quadrature error estimate in the referee, ROADMAP Direction 3")),
+    ])
+    def test_checked_mode_catches_a_faulty_fast_value(self, fault, x, monkeypatch):
+        import mlcs.measure as measure_mod
+
+        params = MLParams(2.0, 3.0, 1.5, 0.7)
+        fast = measure_mod._meijer_g
+        monkeypatch.setattr(measure_mod, "_meijer_g",
+                            lambda p, xs, lift=0.0: fast(p, xs, lift) * (1.0 + fault))
+        with pytest.raises(RouteMismatchError):
+            meijer_g_weight(params, x, check=True)
+
     def test_checked_mode_passes_on_grid(self):
         params = MLParams(1.4, 2.6, 0.9, 1.7)
         for x in (0.2, 1.0, 4.0, 12.0):
