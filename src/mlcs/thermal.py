@@ -10,18 +10,17 @@ Spectra are given directly by their coefficients:
 with constructors recovering both from the ladder structure values in the
 regimes where those degenerate to straight or quadratic growth.
 
-The quadratic spectrum's two partition routes are numpy passes over blocks
-of n.  The resummation forms every Bose power sum S_m(y) = sum_n n**m e**-ny
-it needs in (orders, block) arrays exp(m log n - n y), up to _ROWS orders per
-pass; the direct route sums exp(-beta_b E_n).  A sum stops at the end of the first block whose last
-term is past the peak (m/y, or the minimum of E_n) and at most 1e-18 of the
-sum, within a budget of 10,000,000 terms.  A sum whose budget the bound in
-_require_budget shows to be too small raises ConvergenceError before any
-summing; one that leaves float64 raises OverflowError naming it.
+The quadratic spectrum's two partition routes share no summation.  The
+resummation takes each Bose power sum S_m(y) = sum_n n**m e**-ny in closed form,
+Eulerian numbers times powers of e**-y; the direct route sums exp(-beta_b E_n)
+in blocks of n up to the first block past the minimum of E_n whose last term is
+at most 1e-18 of the sum, within 10,000,000 terms (ConvergenceError up front
+where _require_budget shows too few).  OverflowError names a sum beyond float64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -105,10 +104,10 @@ class ThermalConfig:
         _require_count(self.ansatz_terms, "ansatz_terms", 0)
 
 
-_BLOCK = 128  # terms per array pass of the partition sums
-_ROWS = 64  # power-sum orders per pass, so a pass holds at most _ROWS * _BLOCK terms
-_BUDGET = 10_000_000  # terms before a partition sum gives up
-_SETTLE = 1e-18  # a sum stops once its last term is at most this share of it
+_BLOCK = 128  # terms per array pass of the direct Boltzmann sum
+_BUDGET = 10_000_000  # terms before the direct sum gives up
+_SETTLE = 1e-18  # the direct sum stops once its last term is at most this share of it
+_EXACT = 170  # the highest order whose Eulerian numbers, at most 170!, are all float64
 
 
 def partition_linear(cfg: ThermalConfig) -> float:
@@ -123,7 +122,7 @@ def partition_linear(cfg: ThermalConfig) -> float:
     return 1.0 / gap
 
 
-def _require_budget(peak: float, slope: float, curvature: float, message: str) -> None:
+def _require_budget(peak: float, slope: float, curvature: float) -> None:
     """ConvergenceError, before any summing, for terms e**-f(n) that cannot
     settle within the budget.  A sum of at most _BUDGET + 1 terms is at most
     that many times its peak term, so the stopping test needs f to rise by
@@ -132,61 +131,78 @@ def _require_budget(peak: float, slope: float, curvature: float, message: str) -
     rise = -math.log(_SETTLE) - math.log(_BUDGET + 1)
     rate = slope + math.sqrt(slope * slope + 4.0 * curvature * rise)
     if rate == 0.0 or peak + 2.0 * rise / rate > _BUDGET:
-        raise ConvergenceError(message)
+        raise ConvergenceError("direct Boltzmann sum did not settle")
+
+
+def _eulerian_rows():
+    """Exact rows [A(m, 0), ..., A(m, m - 1)] of the Eulerian numbers, m = 1, 2, ..."""
+    row = [1]
+    while True:
+        yield row
+        row = [(k + 1) * a + (len(row) + 1 - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+
+
+@functools.cache
+def _eulerian_table(top: int) -> np.ndarray:
+    """Read-only numerators of S_m, m <= top, as rows to dot with (q**j): 1 at
+    (0, 0) and A(m, k), each rounded once to float64, at (m, k + 1)."""
+    table = np.eye(top + 1)  # row 0, and A(m, m - 1) = 1 on the diagonal
+    for m, row in zip(range(1, top + 1), _eulerian_rows()):
+        table[m, 1:m + 1] = [float(a) for a in row]
+    table.flags.writeable = False
+    return table
 
 
 def _bose_power_sums(orders, y: float) -> np.ndarray:
-    """S_m(y) = sum_{n>=0} n**m exp(-n y) for every m in orders, summed over
-    blocks of n, _ROWS orders at a time, until, for each order of the pass,
-    the last term is past the peak m/y and at most 1e-18 of its sum."""
+    """S_m(y) = sum_{n>=0} n**m e**(-n y), m in orders: S_0 = 1 / (1 - q) and the Eulerian
+    form of Li_{-m}(q), S_m = sum_{k<m} A(m, k) q**(k+1) / (1 - q)**(m+1) with q = e**-y,
+    1 - q = -expm1(-y) (DLMF 25.12, 26.14); past _EXACT in logs, up to the first overflow."""
     if y <= 0.0:
         raise DomainError(f"need y > 0, got {y}")
-    m = np.asarray(orders, dtype=float)
-    return np.concatenate([_power_sum_rows(m[i:i + _ROWS], y) for i in range(0, m.size, _ROWS)])
+    m = np.asarray(orders, dtype=int)
+    low = np.minimum(m, _EXACT)
+    top, gap = int(low.max()), -math.expm1(-y)
+    table = _eulerian_table(min(_EXACT, 1 << top.bit_length()))  # J = 8 builds 33 rows, not 171
+    with np.errstate(over="ignore"):
+        sums = (table @ math.exp(-y) ** np.arange(len(table)))[low] * gap ** (-1.0 - low)
+        rows = _eulerian_rows()
+        for order in np.unique(m[m > _EXACT]) if top == _EXACT else ():
+            logs = [math.log(a) - y * k for k, a in enumerate(next(r for r in rows if len(r) == order), 1)]
+            sums[m == order] = total = np.exp(np.logaddexp.reduce(logs) - (order + 1) * math.log(gap))
+            if total == np.inf:  # S_m grows with m >= 1, so every higher order overflows too
+                sums[m > order] = np.inf
+                break
+    if sums.max() == np.inf:
+        raise OverflowError(f"power sum S_{m[sums == np.inf].min()}({y}) exceeds float64 range")
+    return sums
 
 
-def _settled_sum(terms, first: int, peak: float, total, unsettled: str, overflow):
-    """total plus the sums along the last axis of terms(n) over n = first,
-    first + 1, ... in blocks of _BLOCK, within _BUDGET terms, up to the first
-    block past peak whose last terms are each at most _SETTLE of their sums.
-    OverflowError(overflow(bad)) once the sums marked by bad are not finite."""
-    stop = first + _BUDGET
+def _settled_sum(terms, peak: float) -> float:
+    """Sum of terms(n) over n = 0, 1, ... in blocks of _BLOCK, within _BUDGET terms,
+    up to the first block past peak whose last term is at most _SETTLE of the sum."""
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(first, stop, _BLOCK):
-            n = np.arange(start, min(start + _BLOCK, stop), dtype=float)
-            block = terms(n)
-            total = total + block.sum(axis=-1)
-            if not np.isfinite(total).all():
-                raise OverflowError(overflow(~np.isfinite(total)))
-            if n[-1] > peak and (block[..., -1] <= _SETTLE * total).all():
+        for start in range(0, _BUDGET, _BLOCK):
+            block = terms(n := np.arange(start, min(start + _BLOCK, _BUDGET), dtype=float))
+            total += float(block.sum())
+            if not math.isfinite(total):
+                raise OverflowError("direct Boltzmann sum exceeds float64 range")
+            if n[-1] > peak and block[-1] <= _SETTLE * total:
                 return total
-    raise ConvergenceError(unsettled)
-
-
-def _power_sum_rows(m: np.ndarray, y: float) -> np.ndarray:
-    peak = m.max() / y
-    unsettled = f"power sum S_{m.max():.0f}({y}) did not settle"
-    _require_budget(peak, y, 0.0, unsettled)
-    return _settled_sum(lambda n: np.exp(np.multiply.outer(m, np.log(n)) - n * y), 1, peak,
-                        (m == 0.0).astype(float), unsettled,
-                        lambda bad: f"power sum S_{m[bad][0]:.0f}({y}) exceeds float64 range")
+    raise ConvergenceError("direct Boltzmann sum did not settle")
 
 
 def partition_quadratic_direct(cfg: ThermalConfig) -> float:
-    """Direct Boltzmann sum over the quadratic spectrum (the oracle route),
-    over blocks of n until the last term is at most 1e-18 of the sum."""
+    """Direct Boltzmann sum over the quadratic spectrum, the oracle route (see _settled_sum)."""
     if not isinstance(cfg.spectrum, QuadraticSpectrum):
         raise DomainError("needs a QuadraticSpectrum")
-    sp = cfg.spectrum
+    sp, beta = cfg.spectrum, cfg.beta_b
     if sp.b_quad < 0.0 or (sp.b_quad == 0.0 and sp.a_lin <= 0.0):
         raise DomainError("spectrum must grow; direct sum diverges")
-    beta = cfg.beta_b
     peak = max(0.0, -sp.a_lin / (2.0 * sp.b_quad)) if sp.b_quad > 0.0 else 0.0
-    unsettled = "direct Boltzmann sum did not settle"
-    _require_budget(peak, beta * max(sp.a_lin, 0.0), beta * sp.b_quad, unsettled)
+    _require_budget(peak, beta * max(sp.a_lin, 0.0), beta * sp.b_quad)
     # the terms rise up to the peak, so no earlier block can pass the settle test
-    return float(_settled_sum(lambda n: np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n)), 0, peak,
-                              0.0, unsettled, lambda _: "direct Boltzmann sum exceeds float64 range"))
+    return _settled_sum(lambda n: np.exp(-beta * (sp.a_lin * n + sp.b_quad * n * n)), peak)
 
 
 def partition_quadratic(cfg: ThermalConfig, rel_tol: float = 1e-5) -> SeriesResult:
@@ -221,12 +237,11 @@ def ansatz_error_curve(cfg: ThermalConfig, j_max: int) -> list[float]:
 
 
 def _ansatz_sums(cfg: ThermalConfig, j_max: int) -> list[float]:
-    """Partial sums of the resummation ansatz for J = 0..j_max."""
+    """Partial sums of the ansatz for J = 0..j_max, (-beta_b b)**j / j! one factor at a time."""
     sp = cfg.spectrum
-    powers = _bose_power_sums(range(0, 2 * j_max + 1, 2), cfg.beta_b * sp.a_lin)
-    ratios = -cfg.beta_b * sp.b_quad / np.arange(1, j_max + 1)
-    coeffs = np.cumprod(np.concatenate(([1.0], ratios)))
-    return np.cumsum(coeffs * powers).tolist()
+    powers = _bose_power_sums(np.arange(0, 2 * j_max + 1, 2), cfg.beta_b * sp.a_lin)
+    powers[1:] *= np.cumprod(-cfg.beta_b * sp.b_quad / np.arange(1.0, j_max + 1))
+    return np.cumsum(powers).tolist()
 
 
 def _require_linear(cfg: ThermalConfig) -> float:

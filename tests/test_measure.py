@@ -470,6 +470,44 @@ class TestMeijerKernel:
             checked = meijer_g_weight(params, x, check=True)
             assert checked == meijer_g_weight(params, x)
 
+    # a1 < 0 and b2 near 140-150, where Gamma(b2 + s) decays along the line
+    # only once t passes about b2 + c: the contour runs out to 2 (b2 + c)
+    LONG_CONTOUR = [
+        (MLParams(0.12935056914610366, 17.871830865908123, 0.5213633287371997, 0.8651940760872557),
+         0.22194138312738199, 1e-11),
+        (MLParams(0.4779694785408619, 72.70469373797637, 0.0139870074705107, 6.6660086812879955),
+         0.012366774644829246, 1e-7),
+    ]
+
+    @pytest.mark.parametrize("params, x, tol", LONG_CONTOUR)
+    def test_referee_reaches_past_the_second_gamma(self, params, x, tol):
+        want = reference_kernel_u(params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0,
+                                  params.k / params.alpha * x)
+        assert meijer_g_weight_mb(params, x) == pytest.approx(want, rel=tol, abs=0)
+        assert meijer_g_weight(params, x, check=True) == meijer_g_weight(params, x)
+
+    @pytest.mark.xfail(strict=True, reason="a1 = -0.998: the referee is still 2.6e-8 off mpmath")
+    def test_referee_within_1e_9_at_a1_near_minus_one(self):
+        params, x, _ = self.LONG_CONTOUR[1]
+        want = reference_kernel_u(params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0,
+                                  params.k / params.alpha * x)
+        assert meijer_g_weight_mb(params, x) == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_anchors_keep_forty_panels(self, monkeypatch):
+        # T = 80 at the benchmark anchors, so the contour is the one it was
+        import mlcs.measure as measure_mod
+
+        seen = []
+        panels = measure_mod._panel_nodes
+        monkeypatch.setattr(measure_mod, "_panel_nodes",
+                            lambda edges, orders: seen.append(edges) or panels(edges, orders))
+        for params in (MLParams(2.0, 3.0, 1.5, 0.7), MLParams(1.0, 2.0, 3.0, 1.0), MLParams(1.5, 1.2, 0.6, 1.0)):
+            for y in (0.2, 1.0, 10.0):
+                meijer_g_weight_mb(params, y * params.alpha / params.k)
+        assert len(seen) == 9
+        for edges in seen:
+            np.testing.assert_array_equal(edges, np.linspace(0.0, 80.0, 41))
+
     def test_route_mismatch_carries_both_values(self, monkeypatch):
         import mlcs.measure as measure_mod
 

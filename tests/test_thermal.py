@@ -1,10 +1,14 @@
 """Gibbs-state machinery: partition functions, resummation ansatz, Q and P."""
 
+import ast
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from mlcs import (
@@ -30,6 +34,33 @@ from mlcs import (
 from mlcs import thermal
 from mlcs.thermal import _ansatz_sums, _bose_power_sums
 from reference_quad import improper_quad
+
+
+def power_sum_reference(m, y):
+    """S_m(y) = sum_{n>=0} n**m e**(-n y) at 40 digits: mpmath's polylog, or
+    from y = 20 the sum over n itself, since there polylog stops before the
+    n = 2 term of a high order (S_400(300) comes out 1.3e-10 low)."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        if y < 20:
+            return mpmath.polylog(-m, mpmath.exp(-y)) + (m == 0)
+        return mpmath.fsum(mpmath.mpf(n) ** m * mpmath.exp(-n * y) for n in range(m // 10 + 40))
+
+
+def array_block_sum(beta_b, sp):
+    """The direct Boltzmann sum in blocks of 128 levels with a 0-d numpy
+    total, tested by np.isfinite(...).all(); inf where the total overflows."""
+    peak = max(0.0, -sp.a_lin / (2.0 * sp.b_quad)) if sp.b_quad > 0.0 else 0.0
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, 10_000_000, 128):
+            n = np.arange(start, start + 128, dtype=float)
+            block = np.exp(-beta_b * (sp.a_lin * n + sp.b_quad * n * n))
+            total = total + block.sum(axis=-1)
+            if not np.isfinite(total).all():
+                return math.inf
+            if n[-1] > peak and (block[..., -1] <= 1e-18 * total).all():
+                return float(total)
 
 
 class TestSpectra:
@@ -158,6 +189,33 @@ class TestBlockSums:
             for m, g, w in zip(orders, got, want):
                 assert g == pytest.approx(w, rel=1e-14, abs=0), (m, y)
 
+    @pytest.mark.parametrize("y", [1e-6, 1e-3, 0.05, 0.64, 1.0, 1.44, 20.0, 300.0, 700.0, 800.0])
+    def test_power_sums_match_mpmath_or_name_their_overflow(self, y):
+        # the Eulerian form for orders up to 170, its logs past that; every
+        # order either matches or raises the named overflow where S_m(y) is
+        # beyond float64, and no RuntimeWarning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (*range(0, 21, 2), 168, 170, 172, 200, 400):
+                want = power_sum_reference(m, y)
+                if want > sys.float_info.max:
+                    with pytest.raises(OverflowError, match=re.escape(f"power sum S_{m}({y}) exceeds")):
+                        _bose_power_sums([m], y)
+                    continue
+                got = _bose_power_sums([m], y)[0]
+                assert got == pytest.approx(float(want), rel=1e-14 if m <= 170 else 1e-12, abs=0), (m, y)
+
+    @pytest.mark.parametrize("beta_b, a_lin, b_quad",
+                             [(1.0, 1.0, 0.05), (1.0, 1.0, 0.005), (1.3, 0.6, 0.02), (2.0, 1.5, 0.1)])
+    def test_ansatz_partial_sums_match_mpmath(self, beta_b, a_lin, b_quad):
+        got = _ansatz_sums(ThermalConfig(beta_b, QuadraticSpectrum(a_lin, b_quad)), 20)
+        with mpmath.workdps(40):
+            y, coupling = mpmath.mpf(beta_b) * a_lin, -mpmath.mpf(beta_b) * b_quad
+            total = 0
+            for j in range(21):
+                total += coupling ** j / mpmath.factorial(j) * power_sum_reference(2 * j, y)
+                assert got[j] == pytest.approx(float(total), rel=1e-13, abs=0), j
+
     def test_ansatz_partial_sums_follow_the_sequential_loop(self):
         # coefficients (-beta_b b)**j / j! built one factor at a time and the
         # partial sums added in order: the array path carries the same bits
@@ -170,6 +228,23 @@ class TestBlockSums:
             total += coeff * float(powers[j])
             want.append(total)
         assert _ansatz_sums(cfg, 8) == want
+
+    def test_direct_sum_is_the_array_block_loop_bit_for_bit(self):
+        # the scalar loop against the same blocks summed into a 0-d numpy
+        # total, on 3,000 seeded spectra: equal values, or an overflow in both
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            beta_b = 10.0 ** rng.uniform(-1.5, 1.0)
+            kind = rng.integers(4)
+            a_lin = [1.0, -1.0, 1.0, 0.0][kind] * 10.0 ** rng.uniform(-1.5, 2.5)
+            b_quad = 0.0 if kind == 2 else 10.0 ** rng.uniform(-4.0, 0.5)
+            sp = QuadraticSpectrum(a_lin, b_quad)
+            want = array_block_sum(beta_b, sp)
+            if math.isfinite(want):
+                assert partition_quadratic_direct(ThermalConfig(beta_b, sp)) == want, (beta_b, sp)
+            else:
+                with pytest.raises(OverflowError, match="direct Boltzmann sum exceeds float64"):
+                    partition_quadratic_direct(ThermalConfig(beta_b, sp))
 
     def test_direct_sum_matches_fsum_of_its_terms(self):
         cases = [(1.0, QuadraticSpectrum(1.0, 0.05)), (0.3, QuadraticSpectrum(0.1, 1e-3)),
@@ -194,12 +269,12 @@ class TestBlockSums:
                 partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(-2000.0, 1.0)))
 
     def test_deep_ansatz_sums_its_orders_in_bounded_passes(self):
-        # _ROWS orders per pass: j_max = 20,000 meets its overflow at S_174
-        # with well under a megabyte traced, where one pass over all 20,001
-        # orders would hold about 40 MB
+        # S_172(1) ~ 172! ~ 1.25e312 is the lowest order beyond float64: the
+        # exact Eulerian rows are built up to it and no further, well under
+        # the bound, where rows up to the 40,000th order would take gigabytes
         tracemalloc.start()
         try:
-            with pytest.raises(OverflowError, match=r"power sum S_174\(1\.0\) exceeds float64"):
+            with pytest.raises(OverflowError, match=r"power sum S_172\(1\.0\) exceeds float64"):
                 ansatz_error_curve(ThermalConfig(1.0, QuadraticSpectrum(1.0, 0.1)), 20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -207,27 +282,28 @@ class TestBlockSums:
         assert peak < 4e6
 
     def test_unreachable_budget_fails_before_summing(self, monkeypatch):
-        # no block can be formed with _BLOCK = None: the error comes first
+        # no block can be formed with _BLOCK = None: the error comes first;
+        # the power sums have a closed form and no budget
         monkeypatch.setattr(thermal, "_BLOCK", None)
-        with pytest.raises(ConvergenceError, match=r"power sum S_0\(1e-06\) did not settle"):
-            _bose_power_sums([0], 1e-6)
+        y = 1e-6
+        assert _bose_power_sums([0], y)[0] == pytest.approx(-1.0 / math.expm1(-y), rel=1e-15, abs=0)
         with pytest.raises(ConvergenceError, match="direct Boltzmann sum did not settle"):
             partition_quadratic_direct(ThermalConfig(1e-7, QuadraticSpectrum(1.0, 0.0)))
         with pytest.raises(ConvergenceError, match="direct Boltzmann sum did not settle"):
             partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(0.0, 1e-17)))
 
     def test_budget_bound_rejects_only_sums_that_cannot_settle(self, monkeypatch):
-        # at a budget of 10,000 terms S_0(3.7e-3) settles after about 9,700
-        # terms and the Gaussian sum at beta_b b = 4e-7 after about 9,300;
-        # at 3.1e-3 and 3e-7 the bound already shows the budget is too small
+        # at a budget of 10,000 terms the Gaussian sum at beta_b b = 4e-7
+        # settles after about 9,300 terms; at 3e-7 the bound already shows the
+        # budget is too small.  S_0 has a closed form and takes no budget
         monkeypatch.setattr(thermal, "_BUDGET", 10_000)
         y = 3.7e-3
-        assert _bose_power_sums([0], y)[0] == pytest.approx(-1.0 / math.expm1(-y), rel=1e-13)
+        assert _bose_power_sums([0], y)[0] == pytest.approx(-1.0 / math.expm1(-y), rel=1e-15, abs=0)
         gauss = partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(0.0, 4e-7)))
         assert gauss == pytest.approx(0.5 + math.sqrt(math.pi / 4e-7) / 2, rel=1e-12)
         monkeypatch.setattr(thermal, "_BLOCK", None)
-        with pytest.raises(ConvergenceError):
-            _bose_power_sums([0], 3.1e-3)
+        y = 3.1e-3
+        assert _bose_power_sums([0], y)[0] == pytest.approx(-1.0 / math.expm1(-y), rel=1e-15, abs=0)
         with pytest.raises(ConvergenceError):
             partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(0.0, 3e-7)))
 
@@ -236,6 +312,24 @@ class TestBlockSums:
         for bad in (-1.0, math.nan, 0.0, "1e-5"):
             with pytest.raises(DomainError, match="rel_tol must be positive"):
                 partition_quadratic(cfg, bad)
+
+
+class TestRoutesApart:
+    def test_resummation_reaches_no_block_sum(self):
+        # criterion 9 compares the resummation with the direct sum, so the
+        # power sums and the ansatz must not reach the direct route's loop
+        # or budget through any function of the module
+        with open(thermal.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        seen, todo = set(), ["_ansatz_sums", "_bose_power_sums"]
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            todo += [n for n in names if n in functions and n not in seen]
+        assert {"_bose_power_sums", "_eulerian_table", "_eulerian_rows"} <= seen
+        assert not seen & {"_settled_sum", "_require_budget", "partition_quadratic_direct"}
 
 
 def linear_cfg(beta_b, slope=1.0):
