@@ -496,11 +496,11 @@ def meijer_g_weight_mb(params: MLParams, x: float) -> float:
     near G, so the sum does not cancel G into the roundoff of its t = 0
     value, as a fixed c does once exp(-y) is deep.  The contour stays right
     of all poles of both numerator gammas, and the integrand decays like
-    exp(-pi t / 2) past t ~ sqrt(c) and Gamma(b2 + s) decays once t passes
-    about b2 + c, so T = max(80, 9 sqrt(c), 2 (b2 + c)), on panels of width
-    2 (40 at T = 80), is far past roundoff.  A y that underflows to 0 gives
-    the origin limit; OverflowError where the integrand leaves float64 (at a
-    subnormal y even if G does not).
+    exp(-pi t / 2) past t ~ sqrt(c), after Gamma(b2 + s) has fallen as a
+    Gaussian of width sqrt(b2 + c): T = max(80, 9 sqrt(c), 9 sqrt(b2 + c)),
+    far past roundoff, on 40 panels per max(80, 9 sqrt(c)) of length.  A y
+    that underflows to 0 gives the origin limit; OverflowError where the
+    integrand leaves float64 (at a subnormal y even if G does not).
     """
     return _mb_contour(params, _require_positive(x, "x"))[0]
 
@@ -532,8 +532,10 @@ def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
     d = y - b2
     saddle = 0.5 * (d + math.sqrt(max(d * d + 4.0 * a1 * y, 0.0)))
     c = max(max(0.0, -b2) + 0.75, saddle)
-    top = max(80.0, 9.0 * math.sqrt(c), 2.0 * (b2 + c))
-    t, h, weights = _panel_nodes(np.linspace(0.0, top, math.ceil(top / 2.0) + 1), (24,))
+    reach = max(80.0, 9.0 * math.sqrt(c))  # on 40 panels
+    top = max(reach, 9.0 * math.sqrt(b2 + c))
+    panels = math.ceil(40.0 * top / reach) if top > reach else 40  # c is inf past y ~ 1e154
+    t, h, weights = _panel_nodes(np.linspace(0.0, top, panels + 1), (24,))
     # t = 0 leads the ascending nodes, so the head shares their log Gamma
     s = c + 1j * np.append(0.0, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -12,10 +12,10 @@ regimes where those degenerate to straight or quadratic growth.
 
 The quadratic spectrum's two partition routes share no summation.  The
 resummation takes each Bose power sum S_m(y) = sum_n n**m e**-ny in closed form,
-Eulerian numbers times powers of e**-y; the direct route sums exp(-beta_b E_n)
-in blocks of n up to the first block past the minimum of E_n whose last term is
-at most 1e-18 of the sum, within 10,000,000 terms (ConvergenceError up front
-where _require_budget shows too few).  OverflowError names a sum beyond float64.
+Eulerian numbers times powers of e**-y (past order 170, its terms near n = m/y);
+the direct route sums exp(-beta_b E_n) in blocks of n until a block past the
+minimum of E_n ends in a term at most 1e-18 of the sum, within 10,000,000 terms
+(ConvergenceError up front where too few).  OverflowError names a sum beyond float64.
 """
 
 from __future__ import annotations
@@ -134,21 +134,15 @@ def _require_budget(peak: float, slope: float, curvature: float) -> None:
         raise ConvergenceError("direct Boltzmann sum did not settle")
 
 
-def _eulerian_rows():
-    """Exact rows [A(m, 0), ..., A(m, m - 1)] of the Eulerian numbers, m = 1, 2, ..."""
-    row = [1]
-    while True:
-        yield row
-        row = [(k + 1) * a + (len(row) + 1 - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
-
-
 @functools.cache
 def _eulerian_table(top: int) -> np.ndarray:
     """Read-only numerators of S_m, m <= top, as rows to dot with (q**j): 1 at
-    (0, 0) and A(m, k), each rounded once to float64, at (m, k + 1)."""
-    table = np.eye(top + 1)  # row 0, and A(m, m - 1) = 1 on the diagonal
-    for m, row in zip(range(1, top + 1), _eulerian_rows()):
+    (0, 0) and A(m, k), each rounded once to float64 from the exact recurrence
+    A(m + 1, k) = (k + 1) A(m, k) + (m + 1 - k) A(m, k - 1), at (m, k + 1)."""
+    table, row = np.eye(top + 1), [1]  # row 0, and A(m, m - 1) = 1 on the diagonal
+    for m in range(1, top + 1):
         table[m, 1:m + 1] = [float(a) for a in row]
+        row = [(k + 1) * a + (m + 1 - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
     table.flags.writeable = False
     return table
 
@@ -156,22 +150,28 @@ def _eulerian_table(top: int) -> np.ndarray:
 def _bose_power_sums(orders, y: float) -> np.ndarray:
     """S_m(y) = sum_{n>=0} n**m e**(-n y), m in orders: S_0 = 1 / (1 - q) and the Eulerian
     form of Li_{-m}(q), S_m = sum_{k<m} A(m, k) q**(k+1) / (1 - q)**(m+1) with q = e**-y,
-    1 - q = -expm1(-y) (DLMF 25.12, 26.14); past _EXACT in logs, up to the first overflow."""
+    1 - q = -expm1(-y) (DLMF 25.12, 26.14).  Past _EXACT, 64 orders at a time, the terms
+    n = 1 .. 2m/y + 40: those past 2m/y are below e**-52 of the peak at m/y and fall at least
+    e**(-y/2) a step, and m/y < 173, as S_m >= floor(m/y)**m e**-m >= (173/e)**171 otherwise."""
     if y <= 0.0:
         raise DomainError(f"need y > 0, got {y}")
     m = np.asarray(orders, dtype=int)
-    low = np.minimum(m, _EXACT)
-    top, gap = int(low.max()), -math.expm1(-y)
-    table = _eulerian_table(min(_EXACT, 1 << top.bit_length()))  # J = 8 builds 33 rows, not 171
+    top, low = int(m.max()), np.minimum(m, _EXACT)
+    table = _eulerian_table(min(_EXACT, 1 << min(top, _EXACT).bit_length()))  # J = 8: 33 rows, not 171
     with np.errstate(over="ignore"):
-        sums = (table @ math.exp(-y) ** np.arange(len(table)))[low] * gap ** (-1.0 - low)
-        rows = _eulerian_rows()
-        for order in np.unique(m[m > _EXACT]) if top == _EXACT else ():
-            logs = [math.log(a) - y * k for k, a in enumerate(next(r for r in rows if len(r) == order), 1)]
-            sums[m == order] = total = np.exp(np.logaddexp.reduce(logs) - (order + 1) * math.log(gap))
-            if total == np.inf:  # S_m grows with m >= 1, so every higher order overflows too
-                sums[m > order] = np.inf
-                break
+        sums = (table @ math.exp(-y) ** np.arange(len(table)))[low] * (-math.expm1(-y)) ** (-1.0 - low)
+        if top > _EXACT:  # S_m grows with m >= 1: past one overflow, every order overflows
+            deep = np.unique(m[m > _EXACT])
+            found = np.full(deep.size, np.inf)
+            for i in range(0, deep.size, 64):
+                rows = deep[i:i + 64]
+                n = np.arange(1.0, 2.0 * min(rows.max(), 173.0 * y) / y + 41.0)  # at most 386 terms
+                f = np.multiply.outer(rows, np.log(n)) - n * y
+                total = np.exp(peak := f.max(axis=1)) * np.exp(f - peak[:, None]).sum(axis=1)
+                found[i:i + 64] = np.where(rows < 173.0 * y, total, np.inf)
+                if found[i:i + 64].max() == np.inf:
+                    break
+            sums[m > _EXACT] = found[np.searchsorted(deep, m[m > _EXACT])]
     if sums.max() == np.inf:
         raise OverflowError(f"power sum S_{m[sums == np.inf].min()}({y}) exceeds float64 range")
     return sums

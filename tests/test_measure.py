@@ -470,8 +470,8 @@ class TestMeijerKernel:
             checked = meijer_g_weight(params, x, check=True)
             assert checked == meijer_g_weight(params, x)
 
-    # a1 < 0 and b2 near 140-150, where Gamma(b2 + s) decays along the line
-    # only once t passes about b2 + c: the contour runs out to 2 (b2 + c)
+    # a1 < 0 and b2 near 140-150, where Gamma(b2 + s) falls along the line as
+    # a Gaussian of width sqrt(b2 + c): the contour runs out to 9 sqrt(b2 + c)
     LONG_CONTOUR = [
         (MLParams(0.12935056914610366, 17.871830865908123, 0.5213633287371997, 0.8651940760872557),
          0.22194138312738199, 1e-11),
@@ -486,7 +486,7 @@ class TestMeijerKernel:
         assert meijer_g_weight_mb(params, x) == pytest.approx(want, rel=tol, abs=0)
         assert meijer_g_weight(params, x, check=True) == meijer_g_weight(params, x)
 
-    @pytest.mark.xfail(strict=True, reason="a1 = -0.998: the referee is still 2.6e-8 off mpmath")
+    @pytest.mark.xfail(strict=True, reason="a1 = -0.998: the referee is still 1.3e-8 off mpmath")
     def test_referee_within_1e_9_at_a1_near_minus_one(self):
         params, x, _ = self.LONG_CONTOUR[1]
         want = reference_kernel_u(params.gamma_over_k - 1.0, params.beta_over_alpha - 1.0,
@@ -507,6 +507,20 @@ class TestMeijerKernel:
         assert len(seen) == 9
         for edges in seen:
             np.testing.assert_array_equal(edges, np.linspace(0.0, 80.0, 41))
+
+    @pytest.mark.parametrize("params", [MLParams(1.0, 1.0, 1.0, 1.0), MLParams(1.0, 3.0, 1.5, 1.0)])
+    def test_contour_keeps_its_panels_at_large_y(self, params, monkeypatch):
+        # far out the saddle c ~ y sets the length 9 sqrt(c): b2 = 0 keeps 40
+        # panels, b2 = 2 lengthens it by sqrt(1 + 2/c) and adds one panel
+        import mlcs.measure as measure_mod
+
+        seen = []
+        panels = measure_mod._panel_nodes
+        monkeypatch.setattr(measure_mod, "_panel_nodes",
+                            lambda edges, orders: seen.append(len(edges) - 1) or panels(edges, orders))
+        for x in (500.0, 1e5, 1e7, 1e150):
+            meijer_g_weight_mb(params, x)
+        assert max(seen) <= 41
 
     def test_route_mismatch_carries_both_values(self, monkeypatch):
         import mlcs.measure as measure_mod

@@ -4,6 +4,7 @@ import ast
 import math
 import re
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -178,32 +179,26 @@ class TestPartitionQuadratic:
 
 class TestBlockSums:
     def test_power_sums_match_the_polylog(self):
-        # S_m(y) = Li_{-m}(e^-y), plus the n = 0 term 1 at m = 0; one call
-        # for all orders, as the ansatz makes it
-        orders = (0, 2, 4, 8, 16, 20)
-        for y in (1e-3, 0.05, 0.64, 1.0, 1.44, 20.0):
-            got = _bose_power_sums(orders, y)
-            with mpmath.workdps(40):
-                q = mpmath.exp(-mpmath.mpf(y))
-                want = [float(mpmath.polylog(-m, q) + (m == 0)) for m in orders]
-            for m, g, w in zip(orders, got, want):
-                assert g == pytest.approx(w, rel=1e-14, abs=0), (m, y)
-
-    @pytest.mark.parametrize("y", [1e-6, 1e-3, 0.05, 0.64, 1.0, 1.44, 20.0, 300.0, 700.0, 800.0])
-    def test_power_sums_match_mpmath_or_name_their_overflow(self, y):
-        # the Eulerian form for orders up to 170, its logs past that; every
-        # order either matches or raises the named overflow where S_m(y) is
-        # beyond float64, and no RuntimeWarning is raised on the way
+        # S_m(y) = Li_{-m}(e^-y), plus the n = 0 term 1 at m = 0: the Eulerian
+        # form for orders up to 170, the terms around their peak past that.
+        # One call for all finite orders, as the ansatz makes it; where S_m(y)
+        # is beyond float64 the named overflow, for that order alone and as
+        # the lowest of them all; no RuntimeWarning on the way
+        orders = (*range(0, 21, 2), 168, 170, 172, 200, 400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for m in (*range(0, 21, 2), 168, 170, 172, 200, 400):
-                want = power_sum_reference(m, y)
-                if want > sys.float_info.max:
+            for y in (1e-6, 1e-3, 0.05, 0.64, 1.0, 1.44, 20.0, 300.0, 700.0, 800.0):
+                want = {m: power_sum_reference(m, y) for m in orders}
+                finite = [m for m in orders if want[m] <= sys.float_info.max]
+                for m, got in zip(finite, _bose_power_sums(finite, y)):
+                    assert got == pytest.approx(float(want[m]), rel=1e-14 if m <= 170 else 1e-12, abs=0), (m, y)
+                beyond = [m for m in orders if m not in finite]
+                for m in beyond:
                     with pytest.raises(OverflowError, match=re.escape(f"power sum S_{m}({y}) exceeds")):
                         _bose_power_sums([m], y)
-                    continue
-                got = _bose_power_sums([m], y)[0]
-                assert got == pytest.approx(float(want), rel=1e-14 if m <= 170 else 1e-12, abs=0), (m, y)
+                if beyond:
+                    with pytest.raises(OverflowError, match=re.escape(f"power sum S_{beyond[0]}({y}) exceeds")):
+                        _bose_power_sums(orders, y)
 
     @pytest.mark.parametrize("beta_b, a_lin, b_quad",
                              [(1.0, 1.0, 0.05), (1.0, 1.0, 0.005), (1.3, 0.6, 0.02), (2.0, 1.5, 0.1)])
@@ -268,18 +263,31 @@ class TestBlockSums:
             with pytest.raises(OverflowError, match="direct Boltzmann sum exceeds float64"):
                 partition_quadratic_direct(ThermalConfig(1.0, QuadraticSpectrum(-2000.0, 1.0)))
 
-    def test_deep_ansatz_sums_its_orders_in_bounded_passes(self):
-        # S_172(1) ~ 172! ~ 1.25e312 is the lowest order beyond float64: the
-        # exact Eulerian rows are built up to it and no further, well under
-        # the bound, where rows up to the 40,000th order would take gigabytes
+    @pytest.mark.parametrize("beta_b, a_lin, want", [
+        (1.0, 1.0, r"power sum S_172\(1\.0\) exceeds float64"),
+        (100.0, 100.0, r"power sum S_27954\(10000\.0\) exceeds float64"),
+        (100.0, 1000.0, None),
+    ])
+    def test_deep_ansatz_sums_its_orders_in_bounded_passes(self, beta_b, a_lin, want):
+        # y = 1: S_172 ~ 172! ~ 1.25e312 is the lowest order beyond float64,
+        # and past it no order is summed; y = 1e4: S_m first leaves float64 at
+        # m = 27,954 (its n = 3 term); y = 1e5: no order up to 40,000 does.
+        # Each order past 170 sums its terms n < 2m/y + 41, 64 orders a pass
+        cfg = ThermalConfig(beta_b, QuadraticSpectrum(a_lin, 0.1))
         tracemalloc.start()
+        start = time.perf_counter()
         try:
-            with pytest.raises(OverflowError, match=r"power sum S_172\(1\.0\) exceeds float64"):
-                ansatz_error_curve(ThermalConfig(1.0, QuadraticSpectrum(1.0, 0.1)), 20_000)
+            if want is None:
+                assert len(ansatz_error_curve(cfg, 20_000)) == 20_001
+            else:
+                with pytest.raises(OverflowError, match=want):
+                    ansatz_error_curve(cfg, 20_000)
+            elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+        assert elapsed < 10.0
 
     def test_unreachable_budget_fails_before_summing(self, monkeypatch):
         # no block can be formed with _BLOCK = None: the error comes first;
@@ -328,7 +336,7 @@ class TestRoutesApart:
             seen.add(name)
             names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
             todo += [n for n in names if n in functions and n not in seen]
-        assert {"_bose_power_sums", "_eulerian_table", "_eulerian_rows"} <= seen
+        assert {"_bose_power_sums", "_eulerian_table"} <= seen
         assert not seen & {"_settled_sum", "_require_budget", "partition_quadratic_direct"}
 
 
