@@ -164,18 +164,19 @@ def _series_terms(params: MLParams, x: float):
         terms.append(t)
         total += t
         ratio = x * (g + n * k) / ((b + n * a) * (n + 1))
-        q = rate / (n + 1)
-        if ratio > q:
-            q = ratio
-        if q < 1.0:
-            tail = t * q / (1.0 - q)
-            # deep cut: the top kept probability must be tiny so ladder raises
-            # stay legal and eigenvalue checks hold through the last slot
-            if tail <= 1e-13 * total and t <= 1e-30 * total:
-                return terms, total, tail
-        elif t > _BIG:  # terms grow only while q >= 1
-            terms = [v * _DOWN for v in terms]
-            t, total = t * _DOWN, total * _DOWN
+        if t <= 1e-30 * total or t > _BIG:  # only these terms can stop or rescale
+            q = rate / (n + 1)
+            if ratio > q:
+                q = ratio
+            if q < 1.0:
+                tail = t * q / (1.0 - q)
+                # deep cut: the top kept probability must be tiny so ladder raises
+                # stay legal and eigenvalue checks hold through the last slot
+                if tail <= 1e-13 * total and t <= 1e-30 * total:
+                    return terms, total, tail
+            elif t > _BIG:  # terms grow only while q >= 1
+                terms = [v * _DOWN for v in terms]
+                t, total = t * _DOWN, total * _DOWN
     raise ConvergenceError(
         f"series terms at x={x} not settled after {_MAX_TERMS} terms"
     )

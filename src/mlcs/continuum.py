@@ -2,15 +2,15 @@
 of the exponential), its four-parameter generalization, and the continuum
 versions of the measure, partition function, Husimi Q and diagonal P weights.
 
-nu sums Ramanujan's Gamma-free integral (Erdelyi et al., Higher
-Transcendental Functions III, 18.3), nu(x) = e^x - int_R exp(-x e^u) /
-(u**2 + pi**2) du = expm1(x) + K(x), K(x) = int_R (1 - exp(-e^v)) /
-((v - log x)**2 + pi**2) dv: every term is positive, so nothing cancels from
-x = 5e-324 up.  1 - exp(-e^v) is below 1e-18 under v = -39.5 and within
-1e-18 of 1 over v = 3.75, past which K is in closed form; between, 18 panels
-of the quadrature module's composite rule carry a 16-point value and a
-12-point check, which must meet 1e-12 of K <= nu or ConvergenceError is
-raised.  The nodes and 1 - exp(-e^v) times each weight are a table built once.
+nu sums Ramanujan's Gamma-free integral (Erdelyi et al., Higher Transcendental
+Functions III, 18.3), nu(x) = e^x - int_R exp(-x e^u) / (u**2 + pi**2) du =
+expm1(x) + K(x), K(x) = int_R (1 - exp(-e^v)) / ((v - log x)**2 + pi**2) dv:
+every term is positive, so nothing cancels from x = 5e-324 up.  1 - exp(-e^v)
+is below 1e-18 under v = -39.5 and within 1e-18 of 1 over v = 3.75, past which
+K is in closed form; between, 18 panels of the quadrature module's composite
+rule carry a 16-point value and a 12-point check, which must meet 1e-12 of
+K <= nu or ConvergenceError is raised.  The nodes and 1 - exp(-e^v) times each
+weight are a table built once, summed in one in-place pass per call.
 
 Every other point function integrates exp(L(E)) over the energy variable E
 on [0, inf), with
@@ -245,11 +245,15 @@ def _ramanujan_table() -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-# "fixed" is the only scheme; the keyword stays because perfbench's continuum workload passes it
+# "fixed" is the only scheme; log_nu and nu_function keep the keyword for perfbench's continuum workload
 def log_nu(x: float, scheme: str = "fixed") -> float:
     """log of nu(x); -inf at x = 0.  Usable far beyond where nu itself
     overflows (nu grows like e^x)."""
-    x = _require_nonnegative(x, "x")
+    return _log_nu(_require_nonnegative(x, "x"), scheme)
+
+
+def _log_nu(x: float, scheme: str = "fixed") -> float:
+    """log_nu at a validated x: one in-place pass over the table, then plain floats."""
     if scheme != "fixed":
         raise DomainError(f'scheme must be "fixed", got {scheme!r}')
     if x == 0.0:
@@ -257,7 +261,10 @@ def log_nu(x: float, scheme: str = "fixed") -> float:
     lx = math.log(x)
     v, w = _ramanujan_table()
     d = v - lx
-    value, check = (1.0 / (d * d + math.pi ** 2)) @ w
+    d *= d
+    d += math.pi ** 2
+    np.reciprocal(d, out=d)  # exactly 1.0 / d
+    value, check = (d @ w).tolist()
     # past _V_HI the integrand is 1 / ((v - lx)**2 + pi**2) to 1e-18
     k = value + math.atan2(math.pi, _V_HI - lx) / math.pi
     # K <= nu: a check within 1e-12 of K is within 1e-12 of nu
@@ -268,7 +275,6 @@ def log_nu(x: float, scheme: str = "fixed") -> float:
     return math.log(math.expm1(x) + k)
 
 
-# "fixed" is the only scheme; the keyword stays because perfbench's continuum workload passes it
 def nu_function(x: float, scheme: str = "fixed") -> float:
     """nu(x) = int_0^inf x**E / Gamma(E+1) dE, the integral analogue of e^x.
 
@@ -276,7 +282,7 @@ def nu_function(x: float, scheme: str = "fixed") -> float:
     for x past ~700 the value overflows float64, use log_nu instead.
     """
     x = _require_nonnegative(x, "x")
-    return _exp(log_nu(x, scheme), f"nu(x) exceeds float64 range at x = {x!r}; use log_nu")
+    return _exp(_log_nu(x, scheme), f"nu(x) exceeds float64 range at x = {x!r}; use log_nu")
 
 
 def _exp(log_value: float, overflow: str) -> float:
@@ -323,7 +329,7 @@ def tilde_ml(params: MLParams, x: float) -> float:
 def continuum_measure_weight(x: float) -> float:
     """Radial measure weight h(x) = exp(-x) * nu(x) of the continuum family."""
     x = _require_nonnegative(x, "x")
-    return math.exp(log_nu(x) - x)
+    return math.exp(_log_nu(x) - x)
 
 
 def continuum_partition(beta_b: float) -> float:
@@ -345,8 +351,8 @@ def continuum_husimi(z: CSLabel, beta_b: float) -> float:
     x = z.modulus ** 2
     if x == 0.0:
         return beta_b
-    num = log_nu(x * math.exp(-beta_b))
-    den = log_nu(x)
+    num = _log_nu(x * math.exp(-beta_b))
+    den = _log_nu(x)
     return beta_b * math.exp(num - den)
 
 
@@ -445,7 +451,7 @@ class EnergyDensityState:
         """int mass_density dE = nu(|z|**2) / norm.  For a state from build
         both come from the same nu table, so this is 1 up to rounding: an
         identity, not a quadrature check."""
-        return math.exp(log_nu(self.z.modulus ** 2) - math.log(self.norm))
+        return math.exp(_log_nu(self.z.modulus ** 2) - math.log(self.norm))
 
     def norm_literal(self) -> float:
         """int |amplitude(E)|^2 dE; generally below 1 (the convention gap)."""

@@ -531,10 +531,12 @@ def _mb_contour(params: MLParams, x: float) -> tuple[float, float]:
         return _g_origin(a1, b2, x), 0.0
     d = y - b2
     saddle = 0.5 * (d + math.sqrt(max(d * d + 4.0 * a1 * y, 0.0)))
+    if not math.isfinite(saddle):  # d * d overflows past y ~ 1.3e154: |d| leaves the root
+        saddle = 0.5 * d + 0.5 * abs(d) * math.sqrt(max(1.0 + 4.0 * a1 * (y / d) / d, 0.0))
     c = max(max(0.0, -b2) + 0.75, saddle)
     reach = max(80.0, 9.0 * math.sqrt(c))  # on 40 panels
     top = max(reach, 9.0 * math.sqrt(b2 + c))
-    panels = math.ceil(40.0 * top / reach) if top > reach else 40  # c is inf past y ~ 1e154
+    panels = math.ceil(40.0 * top / reach) if top > reach else 40
     t, h, weights = _panel_nodes(np.linspace(0.0, top, panels + 1), (24,))
     # t = 0 leads the ascending nodes, so the head shares their log Gamma
     s = c + 1j * np.append(0.0, t)

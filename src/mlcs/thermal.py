@@ -150,7 +150,8 @@ def _eulerian_table(top: int) -> np.ndarray:
 def _bose_power_sums(orders, y: float) -> np.ndarray:
     """S_m(y) = sum_{n>=0} n**m e**(-n y), m in orders: S_0 = 1 / (1 - q) and the Eulerian
     form of Li_{-m}(q), S_m = sum_{k<m} A(m, k) q**(k+1) / (1 - q)**(m+1) with q = e**-y,
-    1 - q = -expm1(-y) (DLMF 25.12, 26.14).  Past _EXACT, 64 orders at a time, the terms
+    1 - q = -expm1(-y) (DLMF 25.12, 26.14), whose rounding the power m + 1 carries to about
+    (m + 1) eps of S_m (2e-14 at m = 170, y = 1.01).  Past _EXACT, 64 orders at a time, the terms
     n = 1 .. 2m/y + 40: those past 2m/y are below e**-52 of the peak at m/y and fall at least
     e**(-y/2) a step, and m/y < 173, as S_m >= floor(m/y)**m e**-m >= (173/e)**171 otherwise."""
     if y <= 0.0:

@@ -27,6 +27,9 @@ from mlcs import (
     photon_distribution,
     structure_e,
 )
+from mlcs.coherent import _series_terms
+from mlcs.kcore import _gamma
+from mlcs.mlfunc import _BIG, _DOWN
 
 PARAM = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -359,6 +362,45 @@ class TestSeriesWindow:
         np.testing.assert_allclose(dist.probs, want[:window], rtol=1e-11, atol=1e-300)
         # the reported tail mass bounds the mass past the window
         assert want[window:].sum() <= dist.tail_mass <= 1e-12
+
+
+    def test_window_carries_the_bits_of_the_every_term_loop(self):
+        # the window forms q and its tail bound only where a term can end it or
+        # rescale it; this loop forms them at every term: the stop index, the
+        # terms, the total and the tail carry the same bits on a grid like the
+        # benchmark's and at |z|^2 = 2100, where the terms pass 2**960
+        def every_term(params, x):
+            a, b, g, k = params.alpha, params.beta, params.gamma, params.k
+            t = 1.0 / _gamma(b)
+            terms, total = [t], t
+            ratio, rate = x * g / b, x * k / a
+            for n in range(1, 10000):
+                t *= ratio
+                terms.append(t)
+                total += t
+                ratio = x * (g + n * k) / ((b + n * a) * (n + 1))
+                q = max(rate / (n + 1), ratio)
+                if q < 1.0:
+                    tail = t * q / (1.0 - q)
+                    if tail <= 1e-13 * total and t <= 1e-30 * total:
+                        return terms, total, tail
+                elif t > _BIG:
+                    terms = [v * _DOWN for v in terms]
+                    t, total = t * _DOWN, total * _DOWN
+            raise AssertionError("no stop")
+
+        rng = np.random.default_rng(7)
+        cases = [(MLParams(2.0, 3.0, 1.5, 0.7), 2100.0)]
+        for cap in np.geomspace(1e-3, 250.0, 48):
+            alpha = rng.uniform(0.5, 2.5)
+            k = alpha * math.exp(rng.uniform(math.log(max(0.05, cap / 2000.0)), 0.0))
+            spread = math.log(0.3), math.log(4.0)
+            params = MLParams(alpha, alpha * math.exp(rng.uniform(*spread)), k * math.exp(rng.uniform(*spread)), k)
+            x = CSLabel(math.sqrt(cap / max(params.gamma / params.beta, params.k / params.alpha))).modulus ** 2
+            cases += [(params, x), (params, x * rng.uniform(0.3, 1.0))]
+        for params, x in cases:
+            assert _series_terms(params, x) == every_term(params, x), (params, x)
+        assert _series_terms(*cases[0])[0][0] < 1.0 / _gamma(3.0)  # rescaled past 2**960
 
 
 class TestPhotonStatistics:

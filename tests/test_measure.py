@@ -522,6 +522,15 @@ class TestMeijerKernel:
             meijer_g_weight_mb(params, x)
         assert max(seen) <= 41
 
+    @pytest.mark.parametrize("params", [MLParams(1.0, 1.0, 1.0, 1.0), MLParams(1.0, 3.0, 1.5, 1.0)])
+    def test_saddle_survives_past_the_square_of_y(self, params):
+        # past y ~ 1.3e154 (y - b2)**2 overflows: the saddle takes |y - b2| out
+        # of its root, and the referee meets the fast route's underflow to 0
+        # with no RuntimeWarning (an error in this suite)
+        for x in (1e155, 1e160, 1e300):
+            assert meijer_g_weight_mb(params, x) == meijer_g_weight(params, x) == 0.0
+            assert meijer_g_weight(params, x, check=True) == 0.0
+
     def test_route_mismatch_carries_both_values(self, monkeypatch):
         import mlcs.measure as measure_mod
 

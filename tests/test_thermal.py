@@ -199,6 +199,11 @@ class TestBlockSums:
                 if beyond:
                     with pytest.raises(OverflowError, match=re.escape(f"power sum S_{beyond[0]}({y}) exceeds")):
                         _bose_power_sums(orders, y)
+        # the rounding of 1 - q raised to the power m + 1: within the (m + 1) eps
+        # the docstring states, past the grid's 1e-14 (S_168 and S_170 are 2e-14 off)
+        deep = range(150, 171, 2)
+        for m, got in zip(deep, _bose_power_sums(deep, 1.01)):
+            assert got == pytest.approx(float(power_sum_reference(m, 1.01)), rel=(m + 1) * sys.float_info.epsilon, abs=0), m
 
     @pytest.mark.parametrize("beta_b, a_lin, b_quad",
                              [(1.0, 1.0, 0.05), (1.0, 1.0, 0.005), (1.3, 0.6, 0.02), (2.0, 1.5, 0.1)])
