@@ -1,6 +1,7 @@
 """Shared core of the package: the parameter quadruple (alpha, beta, gamma, k),
 a Gamma that names its argument on overflow, the input validators, and the
-coefficients of Stirling's series that both numpy log Gammas read.
+coefficients of Stirling's series, which both numpy log Gammas and the Gamma
+ratio of the Meijer kernel's connection formula read.
 
 The series of the four-parameter Mittag-Leffler function is written with the
 Pochhammer k-symbol

@@ -16,10 +16,11 @@ b2 < 0 the kernel runs at its Kummer transform (DLMF 13.2.40),
 
 so every route below sees a second index b2 >= 0, and the power y**b2 is
 added to the exponent its value is formed from.  The kernel is an array
-routine: every y of a call is taken from the Laplace integral of U on the
-nodes in s of one half-line rule, with the integrand chosen by a1 (plain for
-a1 >= 1/2, the endpoint singularity subtracted for -1/2 < a1 < 1/2, one
-recurrence step below; see the comment above _laplace_family).  Below
+routine: every y of a call is taken from the Laplace integral of U, one
+half-line rule call in s per Laplace family for all of them, with the
+integrand chosen by a1 (plain for a1 >= 1/2, the endpoint singularity
+subtracted for -1/2 < a1 < 1/2, one recurrence step below, from two
+families; see the comment above _laplace_family).  Below
 y = 1e-4, where the subtracted family in use (first index a = a1 for
 -1/2 < a1 < 1/2, a = a1 + 1 of the recurrence for a1 <= -1/2) has
 p = b2 - a < 0 and cancels by up to y**-a, the connection formula of U (two
@@ -66,9 +67,9 @@ import numpy as np
 
 from .coherent import _structure
 from .errors import ConvergenceError, DomainError, RouteMismatchError
-from .kcore import (_B2K, _STIRLING, MLParams, _gamma, _require_count, _require_nonnegative,
+from .kcore import (_STIRLING, MLParams, _gamma, _require_count, _require_nonnegative,
                     _require_positive)
-from .mlfunc import _DEFAULT_CONFIG, _LN2, EvalConfig, _ml_table, _series
+from .mlfunc import _DEFAULT_CONFIG, _LN2, _ml_table, _series
 from .quadrature import _first_nodes, _panel_nodes, half_line_quad
 
 __all__ = [
@@ -123,9 +124,9 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 #     G(y) = e**-y / Gamma(a) * int_0^inf e**-s s**(a-1) (y+s)**p ds,
 # a = a1, p = b2 - a1, which is smooth in b2.  After Kummer's transformation
 # b2 >= 0 here, and the map from the integral to G takes e**lift, lift =
-# log y**b2 of the untransformed b2 < 0, into its exponent.  Every y of a call
-# shares the nodes in s of one half-line rule (relative target 1e-12).  The
-# route follows a1:
+# log y**b2 of the untransformed b2 < 0, into its exponent.  Each family
+# (first index a) takes one half-line rule call in s for every y of a call
+# (relative target 1e-12) and returns e**lift G.  The route follows a1:
 #   a1 >= 1/2          this integrand, scaled per y by its value at its peak
 #                      (or at y where it has none), so the rule sees O(1)
 #                      values at any y;
@@ -136,10 +137,10 @@ def _g_params(params: MLParams) -> tuple[float, float]:
 #                      out of the rule's reach.  For p < 0 (b2 < a1) the two
 #                      terms cancel by up to y**-a, which is why the plain
 #                      form takes over at a1 = 1/2;
-#   a1 <= -1/2         one backward step of the a-recurrence from a1 + 1 (the
-#                      subtracted form) and a1 + 2 (the plain one), both
-#                      families on the same nodes; the step cancels only
-#                      where the a1 + 1 family does, at b2 < a1 + 1;
+#   a1 <= -1/2         one backward step of the a-recurrence from the values
+#                      of the families a1 + 1 (the subtracted form) and
+#                      a1 + 2 (the plain one); the step cancels only where
+#                      the a1 + 1 family does, at b2 < a1 + 1;
 #   a1 = 0 or p = 0    G = y**p e**-y in closed form, from its exponent.
 # Below _SMALL_Y the connection formula takes over where these cancel, value
 # by value (the region is stated in the module docstring).
@@ -154,12 +155,10 @@ def _node_column(a: float, scale: float) -> np.ndarray:
     return node
 
 
-def _laplace_family(a: float, b2: float, y: np.ndarray, lift, scale: float):
-    """Integrand in s of the kernel at first index a > -1/2, a != 0, for
-    every y, and the map from its integral to e**lift G(y), G(y) = y**b2 e**-y
-    U(a, b2+1, y), lift added to the exponent the map forms.  The integrand
-    is one of half_line_quad: it takes the nodes s and the y to evaluate (an
-    index array, or all of them)."""
+def _laplace_family(a: float, b2: float, y: np.ndarray, lift, scale: float) -> np.ndarray:
+    """e**lift G(y), G(y) = y**b2 e**-y U(a, b2+1, y), at first index
+    a > -1/2, a != 0, for every y, from one half_line_quad call in s; lift
+    is added to the exponent of the map from the integral to G."""
     p = b2 - a
     first = _first_nodes(scale)[1]
 
@@ -182,7 +181,7 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift, scale: float):
         root = np.divide(2.0 * c, h + r, out=0.5 * (r - h), where=h > 0.0)
         s_ref = root if a > 1.0 else np.maximum(root, np.minimum(y, 1.0))
         # exponent: -s + (a-1) log s once per node, the peak term once per
-        # column (kernel reuses it, so its rounding cancels), and one log per
+        # column (the map reuses it, so its rounding cancels), and one log per
         # element of p log((y+s)/(y+s_ref)), a ratio: as two logs it would be
         # a difference of two values near log y
         peak = s_ref - (a - 1.0) * np.log(s_ref)
@@ -192,30 +191,28 @@ def _laplace_family(a: float, b2: float, y: np.ndarray, lift, scale: float):
             s, node = nodes(s)
             return np.exp(node + peak[cols] + p * np.log((y[cols] + s) / y_ref[cols]))
 
-        def kernel(total):
-            return np.exp(lift + p * np.log(y_ref) - peak - y - math.lgamma(a) + np.log(total))
-    else:
-        # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
-        # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing, the
-        # first two terms once per node; 1/Gamma(a) is finite as 0 < |a| < 1/2
-        rgamma = 1.0 / math.gamma(a)
-        sign = math.copysign(1.0, p)
+        total = half_line_quad(integrand, scale)[0]
+        return np.exp(lift + p * np.log(y_ref) - peak - y - math.lgamma(a) + np.log(total))
+    # e**-s s**(a-1) ((y+s)**p - y**p) = sign(p) exp(-s + (a-1) log s
+    # + p log(y+s) + log|expm1(-p log1p(s/y))|), never overflowing, the
+    # first two terms once per node; 1/Gamma(a) is finite as 0 < |a| < 1/2
+    rgamma = 1.0 / math.gamma(a)
+    sign = math.copysign(1.0, p)
 
-        def integrand(s, cols=slice(None)):
-            (s, node), yc = nodes(s), y[cols]
-            tail = np.log(np.abs(np.expm1(-p * np.log1p(s / yc))))
-            return sign * np.exp(node + p * np.log(yc + s) + tail)
+    def integrand(s, cols=slice(None)):
+        (s, node), yc = nodes(s), y[cols]
+        tail = np.log(np.abs(np.expm1(-p * np.log1p(s / yc))))
+        return sign * np.exp(node + p * np.log(yc + s) + tail)
 
-        def kernel(total):
-            return np.exp(lift - y) * (y ** p + rgamma * total)
-    return integrand, kernel
+    total = half_line_quad(integrand, scale)[0]
+    return np.exp(lift - y) * (y ** p + rgamma * total)
 
 
 def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float, lift=0.0) -> np.ndarray:
     """e**lift y**power G(y), G(y) = y**b2 e**-y U(a1, b2 + 1, y), for a 1-d
-    array of y > 0, with one half_line_quad call in s for all of them (see
-    the routes above); lift (a float or an array like y) and power * log y
-    are added to the exponent of G's map."""
+    array of y > 0, with one half_line_quad call in s per Laplace family for
+    all of them (see the routes above); lift (a float or an array like y)
+    and power * log y are added to the exponent of G's map."""
     if a1 == 0.0 or a1 == b2:
         return np.exp((b2 - a1 + power) * np.log(y) - y + lift)
     if power:
@@ -223,26 +220,14 @@ def _laplace_kernel(a1: float, b2: float, y: np.ndarray, power: float, lift=0.0)
     # the bulk of e**-s s**(a-1) (y+s)**p lies below s ~ max(1, a1, b2)
     scale = max(1.0, b2, a1)
     if a1 > -0.5:
-        integrand, kernel = _laplace_family(a1, b2, y, lift, scale)
-        return kernel(half_line_quad(integrand, scale)[0])
-    (f1, g1), (f2, g2) = (_laplace_family(a, b2, y, lift, scale) for a in (a1 + 1.0, a1 + 2.0))
-    m = y.size
-
-    def integrands(s, live=None):
-        # the live columns of both families: member j of the rule is y[j] of
-        # the first, member m + j y[j] of the second
-        if live is None:
-            return np.hstack((f1(s), f2(s)))
-        cut = np.searchsorted(live, m)
-        return np.hstack((f1(s, live[:cut]), f2(s, live[cut:] - m)))
-
-    totals, _ = half_line_quad(integrands, scale)
+        return _laplace_family(a1, b2, y, lift, scale)
+    g1, g2 = (_laplace_family(a, b2, y, lift, scale) for a in (a1 + 1.0, a1 + 2.0))
     b = b2 + 1.0
-    return (2.0 * a1 + 2.0 - b + y) * g1(totals[:m]) - (a1 + 1.0) * (a1 + 2.0 - b) * g2(totals[m:])
+    return (2.0 * a1 + 2.0 - b + y) * g1 - (a1 + 1.0) * (a1 + 2.0 - b) * g2
 
 
 # Below this kernel argument the cancelling Laplace routes hand over to the
-# connection formula, whose two Kummer series need only a few terms there.
+# connection formula, whose paired Kummer series needs only a few terms there.
 _SMALL_Y = 1e-4
 # Below this one the connection formula takes b2 < _NEAR_ZERO, a1 < 2 as
 # well: the integrand's mass, spread like s**(b2-1) from s = y up to 1, then
@@ -250,18 +235,8 @@ _SMALL_Y = 1e-4
 # end, and below s = y the weighted integrand falls only like s**a1.
 _FLOOR_Y = 1e-250
 _TINY_Y = np.finfo(float).tiny  # below it the Laplace integrand's ratios overflow
-# b2 below which the two series are paired term by term.
+# b2 below which a1 < 2 takes the formula from _FLOOR_Y down, that band only.
 _NEAR_ZERO = 0.05
-_KUMMER_CFG = EvalConfig(1e-17, 200)  # the formula's Kummer series, to float64 resolution
-# (-1)**(n+1) psi^(n)(z) = sum_j _PSI[n, j] / z**j, + log z at n = 0 (DLMF 5.15.8)
-_K2 = 2 * np.arange(1, 9)
-_N1 = np.arange(1.0, 11.0)  # n + 1
-_FACT = np.cumprod(np.append(1.0, _N1[:-1]))  # n!
-_PSI = np.zeros((10, 27))
-_PSI[range(1, 10), range(1, 10)] = _FACT[:-1]  # (n-1)! / z**n
-_PSI[range(10), range(1, 11)] = 0.5 * _FACT  # n! / (2 z**(n+1))
-_PSI[np.arange(10)[:, None], np.arange(10)[:, None] + _K2] = np.array(_B2K) * np.array(
-    [[math.perm(k + n - 1, n) / k for k in _K2] for n in range(10)])  # (2k+n-1)! B_2k / (2k)!
 
 
 def _rgamma(x: float, lift: float = 0.0) -> float:
@@ -273,33 +248,22 @@ def _rgamma(x: float, lift: float = 0.0) -> float:
     return (-1.0 if x < 0.0 and math.ceil(-x) % 2 else 1.0) * np.exp(lift - math.lgamma(x))
 
 
-def _polygammas(x: float) -> np.ndarray:
-    """psi^(n)(x), n = 0..9, x >= 2: DLMF 5.15.5 up to z >= 20, then 5.15.8."""
-    m = max(0, math.ceil(20.0 - x))
-    z = x + m
-    steps = ((x + np.arange(m))[:, None] ** -_N1).sum(axis=0)
-    psi = (-1.0) ** _N1 * (_FACT * steps + _PSI @ z ** -np.arange(27.0))
-    psi[0] += math.log(z)
-    return psi
-
-
-def _kummer_reg(a: float, b: float, y: float) -> float:
-    """M(a, b, y) / Gamma(b) for 0 < y < _SMALL_Y and b > 0, on mlfunc's series engine."""
-    total, e, _, _, settled, _ = _series(_rgamma(b), y, a, 1.0, b, 1.0, _KUMMER_CFG)
-    if not settled:
-        raise ConvergenceError(f"Kummer series M({a}, {b}, {y}) did not settle")
-    return math.ldexp(total, e)
-
-
 def _gamma_ratio_m1(x: float, d: float) -> float:
-    """(Gamma(x + d) / Gamma(x) - 1) / d for |d| << 1 with no cancellation;
-    psi(x) at d = 0.  x + i must stay clear of 0 for the upward shifts."""
-    acc = 0.0
-    while x < 2.0:
-        acc -= math.log1p(d / x) / d if d else 1.0 / x
+    """(Gamma(x + d) / Gamma(x) - 1) / d with no cancellation, psi(x) at d = 0,
+    for |d| < 1/2 with x + i and x + d + i clear of 0 (i = 0, 1, ...): the
+    recurrence shifts x to x >= 8, where Stirling's series (DLMF 5.11.1) is
+    differenced term by term, c_k x**-j (j = 2k - 1) over d in closed form."""
+    slope = 0.0
+    while x < 8.0:
+        slope -= math.log1p(d / x) / d if d else 1.0 / x
         x += 1.0
-    slope = acc + float(np.dot(_polygammas(x), d ** (_N1 - 1.0) / (_FACT * _N1)))
-    return math.expm1(d * slope) / d if d else slope
+    terms = zip(_STIRLING[::-1], range(1, 17, 2))
+    if not d:
+        return slope + math.log(x) - 0.5 / x - sum(c * j * x ** (-j - 1.0) for c, j in terms)
+    step = math.log1p(d / x)  # log((x + d) / x)
+    slope += (x - 0.5) * step / d + math.log(x + d) - 1.0 + sum(
+        c * x ** -j * math.expm1(-j * step) for c, j in terms) / d
+    return math.expm1(d * slope) / d
 
 
 def _g_small_y(a1: float, b2: float, y: float, lift: float = 0.0) -> float:
@@ -309,27 +273,24 @@ def _g_small_y(a1: float, b2: float, y: float, lift: float = 0.0) -> float:
         G = pi / sin(pi b2) * exp(-y) * [ M~(a1-b2, 1-b2, y) / Gamma(a1)
                                           - y**b2 M~(a1, 1+b2, y) / Gamma(a1-b2) ]
 
-    with M~(a, b, y) = M(a, b, y) / Gamma(b).  For b2 near 0 the term y**j
-    of the first series and y**(b2+j) of the second cancel to O(b2); they
-    are paired and divided by b2 analytically, which gives the logarithmic
-    limit at b2 = 0.  If moreover a1 - b2 is 0 or -1, the pairing
-    degenerates and G is exp(-y) U(a1 - b2, 1 - b2, y), which is exp(-y) or
-    exp(-y) (y - 1 + b2) (DLMF 13.2.7).
+    with M~(a, b, y) = M(a, b, y) / Gamma(b).  The term y**j of the first
+    series and y**(b2+j) of the second (they cancel to O(b2) near b2 = 0) are
+    paired and divided by b2 analytically on _gamma_ratio_m1, exact in the
+    step b2, which gives the logarithmic limit at b2 = 0.  If a1 - b2 is 0
+    or -1, the pairing degenerates and G is exp(-y) U(a1 - b2, 1 - b2, y),
+    which is exp(-y) or exp(-y) (y - 1 + b2) (DLMF 13.2.7).
     """
-    if b2 >= _NEAR_ZERO:
-        head = math.pi / math.sin(math.pi * b2)
-        return math.exp(-y) * head * (
-            _rgamma(a1, lift) * _kummer_reg(a1 - b2, 1.0 - b2, y)
-            - _rgamma(a1 - b2, lift) * y ** b2 * _kummer_reg(a1, 1.0 + b2, y)
-        )
     # a1 - b2 + shift is the one quantity that can sit next to a pole of
     # Gamma; form it once so 1/Gamma(a1 - b2) and Gamma(a1 - b2 + j) agree
     shift = 1 if a1 < -0.5 else 0
     base = (a1 + shift) - b2
-    # c = (a1)_j y**j / (Gamma(a1-b2) j! j!), from 1/Gamma(a1 - b2) at j = 0
-    c = _rgamma(base, lift)
-    if shift:
-        c *= base - 1.0
+    # c = (a1)_j y**j / (Gamma(a1-b2) j! j!), from 1/Gamma(a1 - b2) at j = 0:
+    # at base next to a pole, else as 1/Gamma(a1) over the ratio the pair
+    # takes, whose step is b2 itself, not the rounding of a1 - b2
+    if b2 > 0.5 * min(abs(a1), abs(a1 + 1.0)):
+        c = _rgamma(base, lift) * (base - 1.0 if shift else 1.0)
+    else:
+        c = _rgamma(a1, lift) / (1.0 - b2 * _gamma_ratio_m1(a1, -b2))
     if base == 0.0:
         # a1 - b2 = -shift, the polynomial case
         return math.exp(-y) * np.exp(lift) * (y - (1.0 - b2) if shift else 1.0)
@@ -342,16 +303,17 @@ def _g_small_y(a1: float, b2: float, y: float, lift: float = 0.0) -> float:
     # leading 1s cancel exactly and only the smooth quotients remain
     for j in range(200):
         x = a1 + j
-        if b2 > 0.5 * min(abs(x), abs(x + 1.0)):
-            # Gamma(x - b2) near a pole (base - 1 would round off the distance)
-            g = math.gamma(base + (j - shift)) if j >= shift else math.gamma(base) / (base - 1.0)
-            ga = (g * _rgamma(x) - 1.0) / -b2
-        else:
-            ga = _gamma_ratio_m1(x, -b2)
         gb = _gamma_ratio_m1(1.0 + j, -b2)
         gc = _gamma_ratio_m1(1.0 + j, b2)
         rho = 1.0 / (1.0 + b2 * gc)
-        term = c * (-ga + (1.0 - b2 * ga) * gb / (1.0 - b2 * gb) + (gc - y_eps) * rho)
+        if b2 > 0.5 * min(abs(x), abs(x + 1.0)):
+            # Gamma(x - b2) near a pole (base - 1 would round off the distance):
+            # its ratio to Gamma(x) is far from 1, so the pair does not cancel
+            g = math.gamma(base + (j - shift)) if j >= shift else math.gamma(base) / (base - 1.0)
+            term = c * (g * _rgamma(x) / (1.0 - b2 * gb) - y ** b2 * rho) / b2
+        else:
+            ga = _gamma_ratio_m1(x, -b2)
+            term = c * ((gb - ga) / (1.0 - b2 * gb) + (gc - y_eps) * rho)
         paired += term
         if j > 0 and abs(term) <= 1e-17 * abs(paired):
             break
@@ -380,14 +342,16 @@ def meijer_g_weight(params: MLParams, x, check: bool = False):
 
     x is a float (returns a float) or a 1-d array (returns an array).  Fast
     route through Tricomi U, all values of an array on the nodes of one
-    half-line rule, so an array call agrees with per-element calls to
-    roundoff but not bit for bit.  With check=True the Mellin-Barnes contour
-    referee runs on every element too: a disagreement above 1e-9 of the
-    value (plus the referee's roundoff floor) raises RouteMismatchError
-    carrying both values, an element it cannot sum raises its OverflowError.
+    half-line rule per Laplace family, so an array call agrees with
+    per-element calls to roundoff but not bit for bit.  With check=True the
+    Mellin-Barnes contour referee runs on every element too: a disagreement
+    above 1e-9 of the value (plus the referee's roundoff floor) raises
+    RouteMismatchError carrying both values, an element it cannot sum
+    raises its OverflowError.
     x = 0, or an x whose (k/alpha) x underflows to 0, gives the analytic
     limit: finite for beta/alpha > 1 or gamma/k = beta/alpha, else an
-    infinity with the kernel's sign near 0.  A value beyond float64 raises
+    infinity with the kernel's sign near 0; one whose (k/alpha) x overflows
+    gives the limit at infinity, 0.  A value beyond float64 raises
     OverflowError; a negative or non-finite x is a domain error.
     """
     xs, scalar = _x_values(x)
@@ -416,26 +380,29 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
     """e**lift times the kernel of meijer_g_weight at a validated 1-d array
     xs >= 0, lift a float or an array like xs that the Laplace routes add to
     the exponent of their map, so that the product survives where the kernel
-    alone underflows; OverflowError where a value is beyond float64."""
+    alone underflows (0 where y overflows); OverflowError where a value is
+    beyond float64."""
     a1, b2 = _g_params(params)
-    y = (params.k / params.alpha) * xs
     # Kummer's transformation (DLMF 13.2.40), G(y | a1; 0, b2) = y**b2
     # G(y | a1 - b2; 0, -b2), gives every route a second index b >= 0; the
     # Laplace routes add b2 log y to the exponent of their map
     power = min(b2, 0.0)
     a, b = a1 - power, abs(b2)
-    # the connection formula, value by value, where the subtracted family in
-    # use has p < 0 or the Laplace routes cannot reach the mass (b >= 1/2
-    # takes the origin limit below _TINY_Y); a = 0 is the closed form G =
-    # y**b e**-y at any y.  An x > 0 whose y underflows is the origin too
-    if a < 0.5 and b < (a + 1.0 if a <= -0.5 else a):
-        edge = y < _SMALL_Y
-    elif a != 0.0:
-        edge = y < (_FLOOR_Y if b < _NEAR_ZERO and a < 2.0 else _TINY_Y)
-    else:
-        edge = y == 0.0
     origin = ()
     with np.errstate(over="ignore"):
+        y = (params.k / params.alpha) * xs
+        # the connection formula, value by value, where the subtracted family
+        # in use has p < 0 or the Laplace routes cannot reach the mass (b >= 1/2
+        # takes the origin limit below _TINY_Y); a = 0 is the closed form G =
+        # y**b e**-y at any y.  An x > 0 whose y underflows is the origin too
+        if a < 0.5 and b < (a + 1.0 if a <= -0.5 else a):
+            edge = y < _SMALL_Y
+        elif a != 0.0:
+            edge = y < (_FLOOR_Y if b < _NEAR_ZERO and a < 2.0 else _TINY_Y)
+        else:
+            edge = y == 0.0
+        if params.k > params.alpha:  # only then can y overflow, to G's limit 0
+            edge = edge | (y == math.inf)
         if not np.count_nonzero(edge):
             g = _laplace_kernel(a, b, y, power, lift)
         else:
@@ -443,7 +410,8 @@ def _meijer_g(params: MLParams, xs: np.ndarray, lift=0.0) -> np.ndarray:
             lift = np.broadcast_to(lift, y.shape)
             g = np.exp(lift)
             origin = np.flatnonzero(y == 0.0)
-            series = edge & (y > 0.0)
+            g[y == math.inf] = 0.0
+            series = edge & (y > 0.0) & (y < math.inf)
             if b < 0.5:
                 for i in np.flatnonzero(series):
                     g[i] = _g_small_y(a, b, float(y[i]), float(lift[i]))

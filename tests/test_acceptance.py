@@ -38,6 +38,7 @@ from mlcs import (
     ml_laplace_quad,
     nu_function,
     overlap,
+    overlap_from_coeffs,
     p_function,
     partition_linear,
     partition_quadratic,
@@ -152,10 +153,30 @@ def test_criterion_06_overlaps():
     )
     glauber = overlap(CSLabel(1.0), CSLabel(2.0), UNIT_PARAMS)
     gl_err = abs(glauber - math.exp(-0.5))
-    ok = self_ok and gl_err <= 1e-10
-    report(6, "self-overlap is exactly 1 and the harmonic cross-overlap matches", ok)
+    # the closed form E(conj(z1) z2) / sqrt(E(|z1|^2) E(|z2|^2)) against the
+    # coefficient sum over two built states, at general parameters (each
+    # log-uniform in [0.2, 10], |z| <= 4) and at |z|^2 = 1100
+    rng = np.random.default_rng(SEED)
+    pairs = []
+    for _ in range(300):
+        params = MLParams(*map(float, np.exp(rng.uniform(math.log(0.2), math.log(10.0), 4))))
+        labels = [CSLabel(4.0 * math.sqrt(u), 2.0 * math.pi * v) for u, v in rng.uniform(size=(2, 2))]
+        pairs.append((params, *labels))
+    deep = math.sqrt(1100.0)
+    pairs.append((MLParams(2.0, 3.0, 1.5, 0.7), CSLabel(deep), CSLabel(deep, 0.05)))
+    cross_err = self_err = 0.0
+    for params, z1, z2 in pairs:
+        a, b = cs_build(z1, params), cs_build(z2, params)
+        cross_err = max(cross_err, abs(overlap(z1, z2, params) - overlap_from_coeffs(a, b)))
+        self_err = max(self_err, abs(overlap_from_coeffs(a, a) - 1.0),
+                       abs(overlap_from_coeffs(b, b) - 1.0))
+    ok = self_ok and gl_err <= 1e-10 and cross_err <= 1e-10 and self_err <= 1e-14
+    report(6, f"self-overlap is exactly 1, the harmonic cross-overlap matches, and the "
+              f"closed form equals the coefficient sum on {len(pairs)} pairs", ok)
     assert self_ok, "self-overlap deviated from exact unity"
     assert gl_err <= 1e-10, f"cross-overlap error {gl_err:.3e}"
+    assert cross_err <= 1e-10, f"closed form vs coefficient sum {cross_err:.3e}"
+    assert self_err <= 1e-14, f"coefficient self-overlap off 1 by {self_err:.3e}"
 
 
 def test_criterion_07_laplace_transform():

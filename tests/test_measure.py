@@ -176,6 +176,21 @@ class TestMeijerKernel:
                 with pytest.raises(OverflowError, match=f"contour at x = {x!r} exceeds float64"):
                     run(neg, x)
 
+    def test_argument_whose_y_overflows_is_the_limit_at_infinity(self):
+        # (k/alpha) x = inf: numpy warned on the product and the kernel raised
+        # "exceeds float64 range", where G underflows to 0
+        params = MLParams(0.5, 1.0, 2.0, 1.0)
+        for check in (False, True):
+            assert meijer_g_weight(params, 1.7e308, check=check) == 0.0
+            got = meijer_g_weight(params, np.array([1.0, 1.7e308, 0.5]), check=check)
+            assert got[1] == 0.0
+            assert got[[0, 2]] == pytest.approx(np.exp(-2.0 * np.array([1.0, 0.5])), rel=1e-13)
+        assert meijer_g_weight_mb(params, 1.7e308) == 0.0
+        # the same on the connection formula's and the recurrence's paths
+        for params in (MLParams(0.5, 0.6, 0.3, 1.0), MLParams(0.5, 1.5, 0.2, 1.0)):
+            got = meijer_g_weight(params, np.array([1e-320, 1.7e308, 2.0]))
+            assert got[1] == 0.0 and np.all(np.isfinite(got))
+
     def test_plain_form_without_a_peak_at_large_argument(self):
         # a1 = 0.1125, b2 = -0.39, so a = 0.506 after Kummer's transformation:
         # the plain form's integrand was scaled by its value at s = y, about
@@ -331,6 +346,30 @@ class TestMeijerKernel:
             for b2 in grid:
                 meijer_g_weight(grid_params(a1, b2)[0], ys)
         assert seen and all(0.0 <= args[1] < 0.5 for args in seen)
+
+    def test_connection_formula_draws_against_mpmath(self):
+        # the paired series over the whole band 0.05 <= b2 < 1/2, which had
+        # a second, unpaired form on the series engine; a1 in (-1, 2) \ {0}
+        import mlcs.measure as measure_mod
+
+        rng = np.random.default_rng(20260814)
+        for _ in range(200):
+            a1 = float(rng.uniform(-1.0, 2.0))
+            b2 = float(rng.uniform(0.05, 0.5))
+            y = float(10.0 ** rng.uniform(-300.0, -4.0))
+            assert measure_mod._g_small_y(a1, b2, y) == pytest.approx(
+                reference_kernel_u(a1, b2, y), rel=1e-12, abs=0.0), (a1, b2, y)
+
+    def test_recurrence_draws_against_mpmath(self):
+        # a1 <= -1/2 with b2 >= 0 and y >= 1e-3 takes the backward step of the
+        # a-recurrence from its two Laplace families, each on its own rule
+        rng = np.random.default_rng(20260814)
+        for _ in range(200):
+            params, a1, b2 = grid_params(float(rng.uniform(-1.0, -0.5)), float(rng.uniform(0.0, 6.0)))
+            y = float(np.exp(rng.uniform(math.log(1e-3), math.log(60.0))))
+            assert a1 <= -0.5
+            assert meijer_g_weight(params, y * params.alpha / params.k) == pytest.approx(
+                reference_kernel_u(a1, b2, y), rel=1e-12, abs=0.0), (a1, b2, y)
 
     @pytest.mark.parametrize("a", [-0.99, -0.7, -0.5, -0.3, -1e-2, -1e-3, -1e-9, 1e-9,
                                    1e-3, 2e-3, 1e-2, 0.1, 0.49, 0.5, 0.99, 1.0, 1.5, 3.0])
@@ -995,16 +1034,6 @@ class TestSpecialFunctions:
                     size = abs(complex(r, im)) + 8.0
                     assert abs(ratio - 1) <= 5e-16 * size * math.log(size), (r, im)
 
-    def test_polygammas(self):
-        import mlcs.measure as measure_mod
-
-        with mpmath.workdps(30):
-            for x in np.geomspace(2.0, 1e3, 41):
-                got = measure_mod._polygammas(float(x))
-                for n in range(10):
-                    assert got[n] == pytest.approx(
-                        float(mpmath.polygamma(n, float(x))), rel=4e-15, abs=0), (n, x)
-
     def test_reciprocal_gamma_at_and_next_to_its_poles(self):
         import mlcs.measure as measure_mod
 
@@ -1025,19 +1054,29 @@ class TestSpecialFunctions:
             assert measure_mod._rgamma(2.5, 720.0) == math.inf
 
     def test_gamma_ratio_near_zero_step(self):
-        # (Gamma(x + d) / Gamma(x) - 1) / d as expm1(d slope) / d, psi(x) at
-        # d = 0: the exprel step of the paired series, at d = -b2 and b2 for
-        # 0 <= b2 < 0.05, b2 = beta/alpha - 1 at least 2**-53 where nonzero
+        # (Gamma(x + d) / Gamma(x) - 1) / d from the difference of Stirling's
+        # series, psi(x) at d = 0: the steps d = -b2 and b2 of the paired
+        # series, b2 = beta/alpha - 1 at least 2**-53 where nonzero and below
+        # 1/2, with x + d clear of the poles at 0 and -1
         import mlcs.measure as measure_mod
+
+        def ratio_m1(x, d):
+            return (mpmath.psi(0, x) if d == 0 else
+                    mpmath.re(mpmath.expm1(mpmath.loggamma(mpmath.mpf(x) + d)
+                                           - mpmath.loggamma(x))) / d)
 
         with mpmath.workdps(60):  # the difference of two log Gammas is O(d)
             for x in (-0.95, -0.4, 0.3, 1.0, 2.5, 30.0):
                 for d in (0.0, 2.0 ** -53, -1.1e-16, 1e-12, -1e-7, 3e-4, -0.049, 0.049):
-                    want = (mpmath.psi(0, x) if d == 0 else
-                            mpmath.re(mpmath.expm1(mpmath.loggamma(mpmath.mpf(x) + d)
-                                                   - mpmath.loggamma(x))) / d)
                     assert measure_mod._gamma_ratio_m1(x, d) == pytest.approx(
-                        float(want), rel=4e-15, abs=0), (x, d)
+                        float(ratio_m1(x, d)), rel=4e-15, abs=0), (x, d)
+            rng = np.random.default_rng(20260814)
+            for x in rng.uniform(-0.99, 210.0, 400).tolist():
+                top = min(0.49, 0.5 * min(abs(x), abs(x + 1.0)))
+                for d in (-top, rng.uniform(-top, top), top):
+                    want = float(ratio_m1(x, d))
+                    assert abs(measure_mod._gamma_ratio_m1(x, d) - want) <= 4e-15 * max(
+                        abs(want), 1.0), (x, d)
 
 
 class TestHalfLineRule:
